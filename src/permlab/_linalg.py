@@ -12,7 +12,7 @@ import numpy as np
 
 LD = np.longdouble
 
-__all__ = ["LD", "lu_factor", "lu_solve", "solve", "inv", "slogdet", "cond1"]
+__all__ = ["LD", "lu_factor", "lu_solve", "inv", "slogdet", "cond1"]
 
 
 def lu_factor(a: np.ndarray):
@@ -52,10 +52,6 @@ def lu_solve(factored, b: np.ndarray) -> np.ndarray:
         x[k] -= lu[k, k + 1:] @ x[k + 1:]
         x[k] /= lu[k, k]
     return x[:, 0] if squeeze else x
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return lu_solve(lu_factor(a), b)
 
 
 def inv(a: np.ndarray) -> np.ndarray:

@@ -35,11 +35,28 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+# fields each base family must carry; the others are optional
+_BASE_REQUIRED = {
+    "levy": ("psi", "beta"), "levy_hit_zero": ("psi",), "levy_v": ("psi", "beta"),
+    "stable_hit_zero": ("rho",), "exp_decay": (), "pq": ("p", "q", "beta"),
+    "vpq": ("p", "q", "beta"), "scale": ("s",),
+}
+
+
+def _require(spec: dict, fields, what: str):
+    missing = [k for k in fields if k not in spec]
+    if missing:
+        raise ValueError(f"{what} is missing fields: {missing}")
+
+
 def base_from_spec(spec: dict):
     """Kernel-family dispatcher for the JSON wire format."""
     if "family" not in spec:
         raise ValueError("base spec needs a 'family' field")
     family = spec["family"]
+    if family not in _BASE_REQUIRED:
+        raise ValueError(f"unknown base family {family!r}")
+    _require(spec, _BASE_REQUIRED[family], f"base family {family!r}")
     body = {k: v for k, v in spec.items() if k != "family"}
     if family == "levy":
         pot = LevyPotential(exponent_from_spec(body.pop("psi")),
@@ -71,12 +88,10 @@ def base_from_spec(spec: dict):
                           interval=tuple(body.pop("interval", (-2.0, 2.0))))
         _reject_extra(body, family)
         return PQBase(pot) if family == "pq" else VPQBase(pot)
-    if family == "scale":
-        pot = ScalePotential(expr_from_spec(body.pop("s")),
-                             hi=float(body.pop("hi", 10.0)))
-        _reject_extra(body, family)
-        return ScaleMinBase(pot)
-    raise ValueError(f"unknown base family {family!r}")
+    pot = ScalePotential(expr_from_spec(body.pop("s")),
+                         hi=float(body.pop("hi", 10.0)))
+    _reject_extra(body, family)
+    return ScaleMinBase(pot)
 
 
 def _reject_extra(body: dict, family: str):
@@ -131,7 +146,7 @@ def _cmd_potential_eval(args) -> int:
                 if y is None:
                     raise SystemExit("vbeta needs --y")
                 val, err, y_out = pot.v(x, y), 0.0, repr(y)
-            rows.append(f"{x!r},{y_out},{val!r},{err!r}")
+            rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
     _write_lines(args.out, rows)
     return 0
 
@@ -167,6 +182,8 @@ def _cmd_lil_run(args) -> int:
     extra = set(cfg) - known
     if extra:
         raise SystemExit(f"unknown config keys: {sorted(extra)}")
+    _require(cfg, ("base", "schedule", "grid", "paths", "seed"), "lil config")
+    _require(cfg["grid"], ("d", "theta", "q"), "lil config 'grid'")
     base = base_from_spec(cfg["base"])
     grid = cfg["grid"]
     specs = [GridSpec(d=float(grid["d"]), theta=float(grid["theta"]), n=int(n),
@@ -227,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="kernel, potential, and local-time laboratory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computation is single-threaded")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply evaluation tolerances for exploratory "
                              "runs; the verify battery ignores it")
@@ -259,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--g", required=True)
     p_an.add_argument("--grid", required=True, metavar="d,theta,n,q")
     p_an.add_argument("--direction", type=int, default=1, choices=[1, -1])
-    p_an.add_argument("--emit", choices=["json"], default="json")
     p_an.add_argument("--out", default="-")
     p_an.set_defaults(func=_cmd_kernel_analyze)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pointwise import map_distinct
 from .expressions import Expr
 
 __all__ = [
@@ -76,16 +77,19 @@ class PQPotential:
             if not ok:
                 raise ValueError(msg + " on the working interval")
 
-    def u(self, x: float, y: float) -> float:
-        lo, hi = (x, y) if x <= y else (y, x)
-        return float(self.p(lo)) * float(self.q(hi))
+    def u(self, x, y):
+        """p(x ^ y) q(x v y); scalars or arrays that broadcast together."""
+        below = x <= y
+        return (map_distinct(self.p, np.where(below, x, y))
+                * map_distinct(self.q, np.where(below, y, x)))
 
-    def v(self, x: float, y: float) -> float:
+    def v(self, x, y):
         """Product kernel additionally killed at zero; vanishes as x or y -> 0."""
-        if x < 0.0 or y < 0.0:
+        if np.any(x < 0.0) or np.any(y < 0.0):
             raise ValueError("the killed kernel lives on x, y >= 0")
         ratio = float(self.p(0.0)) / float(self.q(0.0))
-        return self.u(x, y) - ratio * float(self.q(x)) * float(self.q(y))
+        return (self.u(x, y) - ratio * map_distinct(self.q, x)
+                * map_distinct(self.q, y))
 
     def tau(self, d: float) -> float:
         """Local increment scale q(d)p'(d) - p(d)q'(d); positive for valid pairs."""
@@ -183,10 +187,12 @@ class ScalePotential:
         if not np.all(np.asarray(self.s(xs)) > 0):
             raise ValueError("scale function must be positive on (0, hi]")
 
-    def u(self, x: float, y: float) -> float:
-        if x <= 0.0 or y <= 0.0:
+    def u(self, x, y):
+        """2 (s(x) ^ s(y)); scalars or arrays that broadcast together."""
+        if np.any(x <= 0.0) or np.any(y <= 0.0):
             raise ValueError("the scale kernel lives on x, y > 0")
-        return 2.0 * min(float(self.s(x)), float(self.s(y)))
+        out = 2.0 * np.minimum(map_distinct(self.s, x), map_distinct(self.s, y))
+        return out if np.ndim(out) else float(out)
 
     def inverse(self, target: float, tol: float = 1e-12) -> float:
         """Preimage of target under s by bisection; monotonicity makes it safe."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bases import ScaleMinBase
+from .bases import ScaleMinBase, mirror_upper
 from .diffusion import concave_cap_value
 
 __all__ = [
@@ -154,11 +154,7 @@ def gram_surrogate_min(base, fn, points) -> float:
     excessiveness surrogate on this grid.
     """
     pts = [float(p) for p in points]
-    n = len(pts)
-    U = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            U[i, j] = U[j, i] = base.kernel(pts[i], pts[j])
+    U = mirror_upper(base.gram(pts, pts))
     fvec = np.array([float(fn(p)) for p in pts])
     coeffs = np.linalg.solve(U, fvec)
     return float(np.min(coeffs))
@@ -181,6 +177,10 @@ def excessive_from_spec(spec: dict, base):
     extra = set(spec) - _FIELDS[kind]
     if extra:
         raise ValueError(f"unknown fields in excessive spec: {sorted(extra)}")
+    missing = _FIELDS[kind] - set(spec)
+    if missing:
+        raise ValueError(f"{kind!r} excessive spec is missing fields: "
+                         f"{sorted(missing)}")
     if kind == "indicator":
         return IndicatorPotential(base, spec["a"], spec["b"])
     if kind == "atoms":

@@ -182,6 +182,8 @@ _SPEC_FIELDS = {
     "gaussian_plus": {"kind", "C", "atoms"},
 }
 
+_SPEC_REQUIRED = {"stable": {"index"}, "mixture": {"atoms"}, "gaussian_plus": set()}
+
 
 def exponent_from_spec(spec: dict) -> CharExponent:
     """Parse the JSON wire form; unknown fields are rejected."""
@@ -193,6 +195,10 @@ def exponent_from_spec(spec: dict) -> CharExponent:
     extra = set(spec) - _SPEC_FIELDS[kind]
     if extra:
         raise ValueError(f"unknown fields in exponent spec: {sorted(extra)}")
+    missing = _SPEC_REQUIRED[kind] - set(spec)
+    if missing:
+        raise ValueError(f"{kind!r} exponent spec is missing fields: "
+                         f"{sorted(missing)}")
     if kind == "stable":
         return CharExponent.pure_stable(spec["index"])
     if kind == "mixture":

@@ -29,12 +29,6 @@ class Expr:
     def to_spec(self) -> dict:
         raise NotImplementedError
 
-    def diff_n(self, n: int) -> "Expr":
-        e = self
-        for _ in range(n):
-            e = e.diff()
-        return e
-
 
 class Const(Expr):
     def __init__(self, value: float):
@@ -157,6 +151,8 @@ _FIELDS = {
     "pow": {"kind", "base", "exponent"},
 }
 
+_OPTIONAL = {"affine": {"b"}}
+
 
 def expr_from_spec(spec: dict) -> Expr:
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -167,4 +163,8 @@ def expr_from_spec(spec: dict) -> Expr:
     extra = set(spec) - _FIELDS[kind]
     if extra:
         raise ValueError(f"unknown fields in expression spec: {sorted(extra)}")
+    missing = _FIELDS[kind] - _OPTIONAL.get(kind, set()) - set(spec)
+    if missing:
+        raise ValueError(f"{kind!r} expression spec is missing fields: "
+                         f"{sorted(missing)}")
     return _KINDS[kind](spec)

@@ -26,6 +26,7 @@ from math import e as _e, exp, floor
 import numpy as np
 
 from . import _linalg as la
+from .bases import mirror_upper
 
 __all__ = [
     "GridSpec",
@@ -114,10 +115,7 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
         if np.any(pts <= 0.0):
             raise GridError("grid touches the forbidden origin of this base")
     n = len(pts)
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = G[j, i] = base.kernel(float(pts[i]), float(pts[j]))
+    G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")
     fvec = np.array([float(f(p)) for p in pts])
@@ -212,12 +210,10 @@ def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
 
     K = ak.K_ld
     A = la.inv(K)
-    n = K.shape[0]
-    A_sym = np.array(A, copy=True)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = -np.sqrt(np.clip(A[i, j] * A[j, i], 0.0, None))
-            A_sym[i, j] = A_sym[j, i] = val
+    # geometric mean of each off-diagonal pair; A[i, j] A[j, i] commutes, so
+    # the result is exactly symmetric
+    A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
+    np.fill_diagonal(A_sym, np.diag(A))
     K_isymi = la.inv(A_sym)
 
     # the closed block form of K_isymi, written with the border of A itself so

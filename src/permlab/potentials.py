@@ -11,6 +11,9 @@ diverges at beta = 0, so u() insists on beta > 0 while sigma2/phi/u0 accept
 the unkilled case.  All evaluations go through the oscillatory half-line
 quadrature; nothing here special-cases the quadratic exponent, whose closed
 form is used only by tests as an oracle.
+
+u, sigma2, phi, u0 and v take scalars or numpy arrays that broadcast
+together; the quadrature runs once per distinct |x|.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from math import cos, gamma as gamma_fn, pi
 
 import numpy as np
 
+from ._pointwise import map_distinct
 from .exponents import CharExponent
 from .quadrature import (QuadratureConfig, cosine_halfline,
                          one_minus_cos_halfline)
@@ -89,8 +93,8 @@ class LevyPotential:
         self._u_cache[x] = out
         return out
 
-    def u(self, x: float) -> float:
-        return self.u_with_error(x)[0]
+    def u(self, x):
+        return map_distinct(lambda t: self.u_with_error(t)[0], abs(x))
 
     # -- increment variance, any beta >= 0 -----------------------------
 
@@ -109,8 +113,8 @@ class LevyPotential:
         self._s_cache[x] = out
         return out
 
-    def sigma2(self, x: float) -> float:
-        return self.sigma2_with_error(x)[0]
+    def sigma2(self, x):
+        return map_distinct(lambda t: self.sigma2_with_error(t)[0], abs(x))
 
     def _weight_at_zero_limit(self, x: float) -> float:
         # limit of (1 - cos(lam x)) / (beta + psi(lam)) at lam -> 0
@@ -125,19 +129,19 @@ class LevyPotential:
 
     # -- unkilled objects ----------------------------------------------
 
-    def phi(self, x: float) -> float:
+    def phi(self, x):
         """Half the unkilled increment variance."""
         if self.beta != 0.0:
             raise ValueError("phi lives on the beta = 0 potential")
         return 0.5 * self.sigma2(x)
 
-    def u0(self, x: float, y: float) -> float:
+    def u0(self, x, y):
         """Kernel of the process killed on hitting zero."""
         if self.beta != 0.0:
             raise ValueError("the hit-zero kernel lives on the beta = 0 potential")
         return self.phi(x) + self.phi(y) - self.phi(x - y)
 
-    def v(self, x: float, y: float) -> float:
+    def v(self, x, y):
         """Kernel after additionally killing at zero, beta > 0."""
         if self.beta <= 0.0:
             raise ValueError("v needs beta > 0")

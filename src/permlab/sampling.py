@@ -14,10 +14,11 @@ agree to fifteen digits and the difference would be pure cancellation noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import sqrt
 
 import numpy as np
 
+from .bases import mirror_upper
 from .kernel_algebra import Decomposition, GridSpec
 
 __all__ = [
@@ -37,7 +38,7 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _psd_factor(cov: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _psd_factor(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
@@ -51,7 +52,6 @@ def _psd_factor(cov: np.ndarray, floor: float = 1e-12) -> np.ndarray:
         if float(np.min(vals)) < -1e-10 * max(trace, 1.0):
             raise ValueError(
                 f"covariance indefinite: eigenvalue {np.min(vals):.3e}")
-        vals = np.clip(vals, floor * max(float(np.max(vals)), 1.0) * 0.0, None)
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
@@ -151,34 +151,13 @@ def _increment_structure(base, d: float, offsets: np.ndarray, direction: int):
     Built from increment variances so that nothing cancels at tiny offsets.
     """
     pts = d + direction * offsets
-    sig2_0 = np.array([_sigma2_of(base, d, p) for p in pts])
-    m = len(pts)
-    C = np.empty((m, m))
-    for i in range(m):
-        C[i, i] = sig2_0[i]
-        for j in range(i + 1, m):
-            s_ij = _sigma2_of(base, pts[i], pts[j])
-            C[i, j] = C[j, i] = 0.5 * (sig2_0[i] + sig2_0[j] - s_ij)
+    sig2_0 = base.sigma2([d], pts)[0]
+    C = 0.5 * (sig2_0[:, None] + sig2_0[None, :]
+               - mirror_upper(base.sigma2(pts, pts)))
+    np.fill_diagonal(C, sig2_0)
     G00 = base.kernel(d, d)
     cross = -0.5 * sig2_0
     return G00, cross, C
-
-
-def _sigma2_of(base, x: float, y: float) -> float:
-    """Increment variance of the base kernel, via stable routes if possible."""
-    pot = getattr(base, "pot", None)
-    if getattr(base, "translation_invariant", False):
-        if hasattr(base, "beta") and hasattr(base, "C"):
-            # closed-form exponential kernel
-            rate = sqrt(base.beta / base.C)
-            amp = 1.0 / (2.0 * sqrt(base.beta * base.C))
-            return -2.0 * amp * np.expm1(-rate * abs(x - y))
-        if pot is not None:
-            return pot.sigma2(x - y)
-    if pot is not None and hasattr(pot, "s"):      # scale kernel 2 (s ^ s)
-        return 2.0 * abs(float(pot.s(x)) - float(pot.s(y)))
-    k = base.kernel
-    return k(x, x) + k(y, y) - 2.0 * k(x, y)
 
 
 @dataclass

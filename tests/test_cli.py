@@ -19,8 +19,11 @@ def test_potential_eval_quadratic(brownian_psi, tmp_path, capsys):
     assert rc == 0
     header, row = out.read_text().strip().splitlines()
     assert header == "x,y,value,err_bound"
-    value = float(row.split(",")[2])
-    assert value == pytest.approx(0.3678794, rel=1e-6)
+    x, y, value, err_bound = row.split(",")
+    assert y == ""                       # u takes no second point
+    assert float(x) == 1.0
+    assert float(value) == pytest.approx(0.3678794, rel=1e-6)
+    assert 0.0 <= float(err_bound) < 1e-8
 
 
 def test_potential_eval_deterministic(brownian_psi, tmp_path):
@@ -134,6 +137,47 @@ def test_malformed_spec_exits_with_usage_error(tmp_path):
         main(["potential", "eval", "--psi", str(bad), "--beta", "1.0",
               "--x", "1"])
     assert err.value.code == 2
+
+
+STABLE = {"kind": "stable", "index": 1.5}
+EXP_DECAY = {"family": "exp_decay"}
+CONST = {"kind": "const", "c": 1.0}
+
+
+def _kernel_docs(base, f=CONST):
+    return {"base": base, "f": f, "g": CONST}
+
+
+@pytest.mark.parametrize("docs, field", [
+    (_kernel_docs({"family": "levy", "beta": 0.5}), "psi"),
+    (_kernel_docs({"family": "levy", "psi": STABLE}), "beta"),
+    (_kernel_docs({"family": "pq", "p": {"kind": "const", "value": 1.0},
+                   "beta": 0.5}), "q"),
+    (_kernel_docs(EXP_DECAY, {"kind": "atoms"}), "atoms"),
+    (_kernel_docs(EXP_DECAY, {"kind": "indicator", "a": 0}), "b"),
+    (_kernel_docs({"family": "scale", "s": {"kind": "affine"}}), "a"),
+    (_kernel_docs({"family": "levy", "psi": {"kind": "stable"}, "beta": 0.5}),
+     "index"),
+    ({"config": {"base": EXP_DECAY, "schedule": [10], "paths": 10, "seed": 1}},
+     "grid"),
+])
+def test_missing_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
+                                                   field):
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    if "config" in paths:
+        argv = ["lil", "run", "--config", paths["config"]]
+    else:
+        argv = ["kernel", "analyze", "--base", paths["base"], "--f", paths["f"],
+                "--g", paths["g"], "--grid", "1.0,0.7,20,0.7"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and repr(field) in message
 
 
 def test_verify_core_suite_exits_zero(capsys):

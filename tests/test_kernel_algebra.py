@@ -55,6 +55,9 @@ class _OnePoint:
     def kernel(self, x, y):
         return 2.0
 
+    def gram(self, xs, ys):
+        return np.full((len(xs), len(ys)), 2.0)
+
 
 def test_assemble_one_point_by_hand():
     ak = assemble_kernel(_OnePoint(), lambda x: 5.0, lambda x: 3.0, [0.4])

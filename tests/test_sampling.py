@@ -143,6 +143,9 @@ def test_lil_flags_degenerate_kernel():
         def kernel(self, x, y):
             return 1.0
 
+        def sigma2(self, xs, ys):
+            return np.zeros((len(xs), len(ys)))
+
     specs = [GridSpec(d=0.0, theta=0.3, n=20, q=0.5)]
     rows = lil_harness(AllOnes(), None, None, specs, k=1, n_paths=100, seed=1)
     assert all(r.degenerate for r in rows)

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import _wire as wire
 from .bases import (ExpDecayBase, HitZeroLevyBase, LevyBase, PQBase,
                     ScaleMinBase, StableHitZeroBase, VBetaBase, VPQBase)
 from .diffusion import PQPotential, ScalePotential
@@ -35,68 +36,41 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-# fields each base family must carry; the others are optional
-_BASE_REQUIRED = {
-    "levy": ("psi", "beta"), "levy_hit_zero": ("psi",), "levy_v": ("psi", "beta"),
-    "stable_hit_zero": ("rho",), "exp_decay": (), "pq": ("p", "q", "beta"),
-    "vpq": ("p", "q", "beta"), "scale": ("s",),
+# (required, optional) fields of each base family
+_BASE_FIELDS = {
+    "levy": (("psi", "beta"), ()), "levy_hit_zero": (("psi",), ()),
+    "levy_v": (("psi", "beta"), ()), "stable_hit_zero": (("rho",), ()),
+    "exp_decay": ((), ("beta", "C")), "pq": (("p", "q", "beta"), ("interval",)),
+    "vpq": (("p", "q", "beta"), ("interval",)), "scale": (("s",), ("hi",)),
 }
-
-
-def _require(spec: dict, fields, what: str):
-    missing = [k for k in fields if k not in spec]
-    if missing:
-        raise ValueError(f"{what} is missing fields: {missing}")
+_LEVY_BASES = {"levy": LevyBase, "levy_hit_zero": HitZeroLevyBase,
+               "levy_v": VBetaBase}
 
 
 def base_from_spec(spec: dict):
     """Kernel-family dispatcher for the JSON wire format."""
-    if "family" not in spec:
-        raise ValueError("base spec needs a 'family' field")
-    family = spec["family"]
-    if family not in _BASE_REQUIRED:
-        raise ValueError(f"unknown base family {family!r}")
-    _require(spec, _BASE_REQUIRED[family], f"base family {family!r}")
-    body = {k: v for k, v in spec.items() if k != "family"}
-    if family == "levy":
-        pot = LevyPotential(exponent_from_spec(body.pop("psi")),
-                            beta=float(body.pop("beta")))
-        _reject_extra(body, family)
-        return LevyBase(pot)
-    if family == "levy_hit_zero":
-        pot = LevyPotential(exponent_from_spec(body.pop("psi")), beta=0.0)
-        _reject_extra(body, family)
-        return HitZeroLevyBase(pot)
-    if family == "levy_v":
-        pot = LevyPotential(exponent_from_spec(body.pop("psi")),
-                            beta=float(body.pop("beta")))
-        _reject_extra(body, family)
-        return VBetaBase(pot)
+    family = wire.kind_of(spec, _BASE_FIELDS, "base", tag="family")
+    required, optional = _BASE_FIELDS[family]
+    what = f"base family {family!r}"
+    wire.check_fields(spec, {"family", *required, *optional}, required, what)
+    if family in _LEVY_BASES:
+        beta = 0.0 if family == "levy_hit_zero" else wire.number(spec, "beta", what)
+        pot = LevyPotential(exponent_from_spec(spec["psi"]), beta=beta)
+        return _LEVY_BASES[family](pot)
     if family == "stable_hit_zero":
-        rho = float(body.pop("rho"))
-        _reject_extra(body, family)
-        return StableHitZeroBase(rho)
+        return StableHitZeroBase(wire.number(spec, "rho", what))
     if family == "exp_decay":
-        beta = float(body.pop("beta", 0.5))
-        c = float(body.pop("C", 0.5))
-        _reject_extra(body, family)
-        return ExpDecayBase(beta, c)
+        return ExpDecayBase(wire.number(spec, "beta", what, 0.5),
+                            wire.number(spec, "C", what, 0.5))
     if family in ("pq", "vpq"):
-        pot = PQPotential(expr_from_spec(body.pop("p")),
-                          expr_from_spec(body.pop("q")),
-                          beta=float(body.pop("beta")),
-                          interval=tuple(body.pop("interval", (-2.0, 2.0))))
-        _reject_extra(body, family)
+        pot = PQPotential(expr_from_spec(spec["p"]), expr_from_spec(spec["q"]),
+                          beta=wire.number(spec, "beta", what),
+                          interval=wire.numbers(spec, "interval", what, 2,
+                                                (-2.0, 2.0)))
         return PQBase(pot) if family == "pq" else VPQBase(pot)
-    pot = ScalePotential(expr_from_spec(body.pop("s")),
-                         hi=float(body.pop("hi", 10.0)))
-    _reject_extra(body, family)
+    pot = ScalePotential(expr_from_spec(spec["s"]),
+                         hi=wire.number(spec, "hi", what, 10.0))
     return ScaleMinBase(pot)
-
-
-def _reject_extra(body: dict, family: str):
-    if body:
-        raise ValueError(f"unknown fields for family {family!r}: {sorted(body)}")
 
 
 def _write_lines(path, lines):
@@ -116,14 +90,24 @@ def _cmd_potential_eval(args) -> int:
     ys = [float(v) for v in args.y] if args.y else [None] * len(xs)
     if len(ys) == 1 and len(xs) > 1:
         ys = ys * len(xs)
+    if len(ys) != len(xs):
+        raise ValueError(f"--y takes one value or one per --x value; got "
+                         f"{len(ys)} for {len(xs)}")
     if args.family:
+        if args.spec is None:
+            raise ValueError("--family needs --spec")
         spec = _load_json(args.spec)
-        base = base_from_spec({**spec, "family": args.family}
-                              if "family" not in spec else spec)
+        if isinstance(spec, dict) and "family" not in spec:
+            spec = {**spec, "family": args.family}
+        base = base_from_spec(spec)
         for x, y in zip(xs, ys):
             yy = x if y is None else y
             rows.append(f"{x!r},{yy!r},{base.kernel(x, yy)!r},0.0")
     else:
+        if args.psi is None:
+            raise ValueError("potential eval needs --psi or --family")
+        if args.kind in ("u0", "vbeta") and not args.y:
+            raise ValueError(f"--kind {args.kind} needs --y")
         from .quadrature import QuadratureConfig
         cfg = QuadratureConfig()
         if args.tol_scale != 1.0:
@@ -139,12 +123,8 @@ def _cmd_potential_eval(args) -> int:
                 val, err = pot.sigma2_with_error(x)
                 y_out = ""
             elif args.kind == "u0":
-                if y is None:
-                    raise SystemExit("u0 needs --y")
                 val, err, y_out = pot.u0(x, y), 0.0, repr(y)
             else:
-                if y is None:
-                    raise SystemExit("vbeta needs --y")
                 val, err, y_out = pot.v(x, y), 0.0, repr(y)
             rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
     _write_lines(args.out, rows)
@@ -178,21 +158,29 @@ def _cmd_kernel_analyze(args) -> int:
 
 def _cmd_lil_run(args) -> int:
     cfg = _load_json(args.config)
-    known = {"base", "schedule", "grid", "k", "paths", "seed", "f", "g"}
-    extra = set(cfg) - known
-    if extra:
-        raise SystemExit(f"unknown config keys: {sorted(extra)}")
-    _require(cfg, ("base", "schedule", "grid", "paths", "seed"), "lil config")
-    _require(cfg["grid"], ("d", "theta", "q"), "lil config 'grid'")
-    base = base_from_spec(cfg["base"])
+    what = "lil config"
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a dict")
+    wire.check_fields(cfg, ("base", "schedule", "grid", "k", "paths", "seed",
+                            "f", "g"),
+                      ("base", "schedule", "grid", "paths", "seed"), what)
     grid = cfg["grid"]
-    specs = [GridSpec(d=float(grid["d"]), theta=float(grid["theta"]), n=int(n),
-                      q=float(grid["q"]), direction=int(grid.get("direction", 1)))
-             for n in cfg["schedule"]]
+    if not isinstance(grid, dict):
+        raise ValueError(f"{what} field 'grid' must be a dict, got {grid!r}")
+    in_grid = f"{what} 'grid'"
+    wire.check_fields(grid, ("d", "theta", "q", "direction"),
+                      ("d", "theta", "q"), in_grid)
+    base = base_from_spec(cfg["base"])
+    specs = [GridSpec(d=wire.number(grid, "d", in_grid),
+                      theta=wire.number(grid, "theta", in_grid), n=n,
+                      q=wire.number(grid, "q", in_grid),
+                      direction=wire.integer(grid, "direction", in_grid, 1))
+             for n in wire.integers(cfg, "schedule", what)]
     f = excessive_from_spec(cfg["f"], base) if "f" in cfg else None
     g = excessive_from_spec(cfg["g"], base) if "g" in cfg else None
-    rows = lil_harness(base, f, g, specs, k=int(cfg.get("k", 1)),
-                       n_paths=int(cfg["paths"]), seed=int(cfg["seed"]))
+    rows = lil_harness(base, f, g, specs, k=wire.integer(cfg, "k", what, 1),
+                       n_paths=wire.integer(cfg, "paths", what),
+                       seed=wire.integer(cfg, "seed", what))
     lines = ["n,m_n,epsilon,freq_lower,freq_upper,nu,paths"]
     for r in rows:
         lines.append(f"{r.n},{r.m},{r.epsilon!r},{r.freq_lower!r},"
@@ -203,11 +191,17 @@ def _cmd_lil_run(args) -> int:
 
 # -- rebirth -----------------------------------------------------------------
 
+def _check_paths(n_paths: int):
+    if n_paths < 2:     # the reports carry ddof=1 standard errors
+        raise ValueError(f"--paths must be at least 2, got {n_paths}")
+
+
 def _cmd_rebirth_sim(args) -> int:
+    _check_paths(args.paths)
     chain, mu, _ = chain_from_spec(_load_json(args.model))
     model = PartialRebirthModel(chain, mu)
+    ext = model.extension()   # first: a chain that never dies has none
     res = model.simulate(args.start, args.paths, args.seed)
-    ext = model.extension()
     n = chain.n_states
     lines = ["state,mean_local_time,std_error,expected"]
     means = res.local_times.mean(axis=0)
@@ -220,6 +214,7 @@ def _cmd_rebirth_sim(args) -> int:
 
 
 def _cmd_rebirth_check_ek(args) -> int:
+    _check_paths(args.paths)
     chain, _, _ = chain_from_spec(_load_json(args.model))
     s = args.s
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from . import _wire as wire
 from .bases import ScaleMinBase, mirror_upper
 from .diffusion import concave_cap_value
 
@@ -169,23 +170,15 @@ _FIELDS = {
 
 
 def excessive_from_spec(spec: dict, base):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("excessive spec must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if kind not in _FIELDS:
-        raise ValueError(f"unknown excessive kind {kind!r}")
-    extra = set(spec) - _FIELDS[kind]
-    if extra:
-        raise ValueError(f"unknown fields in excessive spec: {sorted(extra)}")
-    missing = _FIELDS[kind] - set(spec)
-    if missing:
-        raise ValueError(f"{kind!r} excessive spec is missing fields: "
-                         f"{sorted(missing)}")
+    kind = wire.kind_of(spec, _FIELDS, "excessive")
+    what = f"{kind!r} excessive spec"
+    wire.check_fields(spec, _FIELDS[kind], _FIELDS[kind], what)
     if kind == "indicator":
-        return IndicatorPotential(base, spec["a"], spec["b"])
+        return IndicatorPotential(base, wire.number(spec, "a", what),
+                                  wire.number(spec, "b", what))
     if kind == "atoms":
-        return AtomicPotential(base, tuple((float(x), float(w))
-                                           for x, w in spec["atoms"]))
+        return AtomicPotential(base, wire.pairs(spec, "atoms", what))
     if kind == "const":
-        return ConstantExcessive(spec["c"])
-    return ScaleConcaveExcessive(base, spec["p"], spec["x0"])
+        return ConstantExcessive(wire.number(spec, "c", what))
+    return ScaleConcaveExcessive(base, wire.number(spec, "p", what),
+                                 wire.number(spec, "x0", what))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _wire as wire
+
 __all__ = ["CharExponent", "exponent_from_spec"]
 
 _DEFAULT_BAND = 0.05
@@ -187,20 +189,12 @@ _SPEC_REQUIRED = {"stable": {"index"}, "mixture": {"atoms"}, "gaussian_plus": se
 
 def exponent_from_spec(spec: dict) -> CharExponent:
     """Parse the JSON wire form; unknown fields are rejected."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("exponent spec must be a dict with a 'kind' field")
-    kind = spec["kind"]
-    if kind not in _SPEC_FIELDS:
-        raise ValueError(f"unknown exponent kind {kind!r}")
-    extra = set(spec) - _SPEC_FIELDS[kind]
-    if extra:
-        raise ValueError(f"unknown fields in exponent spec: {sorted(extra)}")
-    missing = _SPEC_REQUIRED[kind] - set(spec)
-    if missing:
-        raise ValueError(f"{kind!r} exponent spec is missing fields: "
-                         f"{sorted(missing)}")
+    kind = wire.kind_of(spec, _SPEC_FIELDS, "exponent")
+    what = f"{kind!r} exponent spec"
+    wire.check_fields(spec, _SPEC_FIELDS[kind], _SPEC_REQUIRED[kind], what)
     if kind == "stable":
-        return CharExponent.pure_stable(spec["index"])
+        return CharExponent.pure_stable(wire.number(spec, "index", what))
     if kind == "mixture":
-        return CharExponent.stable_mixture(spec["atoms"])
-    return CharExponent.gaussian_plus(spec.get("C", 0.0), spec.get("atoms", ()))
+        return CharExponent.stable_mixture(wire.pairs(spec, "atoms", what))
+    return CharExponent.gaussian_plus(wire.number(spec, "C", what, 0.0),
+                                      wire.pairs(spec, "atoms", what, ()))

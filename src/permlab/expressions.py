@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _wire as wire
+
 __all__ = ["Expr", "Const", "Affine", "Sum", "Prod", "Exp", "Pow",
            "expr_from_spec"]
 
@@ -134,12 +136,14 @@ class Pow(Expr):
 
 
 _KINDS = {
-    "const": lambda d: Const(d["value"]),
-    "affine": lambda d: Affine(d["a"], d.get("b", 0.0)),
-    "sum": lambda d: Sum(*(expr_from_spec(t) for t in d["terms"])),
-    "prod": lambda d: Prod(*(expr_from_spec(f) for f in d["factors"])),
-    "exp": lambda d: Exp(expr_from_spec(d["arg"])),
-    "pow": lambda d: Pow(expr_from_spec(d["base"]), d["exponent"]),
+    "const": lambda d, w: Const(wire.number(d, "value", w)),
+    "affine": lambda d, w: Affine(wire.number(d, "a", w),
+                                  wire.number(d, "b", w, 0.0)),
+    "sum": lambda d, w: Sum(*map(expr_from_spec, wire.items(d, "terms", w))),
+    "prod": lambda d, w: Prod(*map(expr_from_spec, wire.items(d, "factors", w))),
+    "exp": lambda d, w: Exp(expr_from_spec(d["arg"])),
+    "pow": lambda d, w: Pow(expr_from_spec(d["base"]),
+                            wire.number(d, "exponent", w)),
 }
 
 _FIELDS = {
@@ -155,16 +159,8 @@ _OPTIONAL = {"affine": {"b"}}
 
 
 def expr_from_spec(spec: dict) -> Expr:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("expression spec must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown expression kind {kind!r}")
-    extra = set(spec) - _FIELDS[kind]
-    if extra:
-        raise ValueError(f"unknown fields in expression spec: {sorted(extra)}")
-    missing = _FIELDS[kind] - _OPTIONAL.get(kind, set()) - set(spec)
-    if missing:
-        raise ValueError(f"{kind!r} expression spec is missing fields: "
-                         f"{sorted(missing)}")
-    return _KINDS[kind](spec)
+    kind = wire.kind_of(spec, _KINDS, "expression")
+    what = f"{kind!r} expression spec"
+    wire.check_fields(spec, _FIELDS[kind],
+                      _FIELDS[kind] - _OPTIONAL.get(kind, set()), what)
+    return _KINDS[kind](spec, what)

@@ -6,6 +6,16 @@ simulation.  Local times are occupation times divided by the reference
 measure, so that the expected total local time started from x equals the
 potential matrix row u(x, .), and summing local time against the measure
 recovers elapsed time path by path as a pure bookkeeping identity.
+
+All three simulators (the partially reborn chain, the fully reborn chain up
+to an exponential clock, and the h-conditioned chain of the isomorphism
+check) build a table of cumulative move laws over (states..., exit) and hand
+it to one vectorized engine, _jump_chain.  Each round moves every live path
+once.  The engine draws from one Philox stream in a fixed order: first the
+observation clocks, one per path, when there is a clock; then, every round,
+one exponential holding time per live path, one uniform per path that
+continues (its next move), and one uniform per path that takes the exit and
+is reborn (its re-entry state).
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from math import sqrt
 import numpy as np
 
 from . import _linalg as la
+from . import _wire as wire
 from .sampling import philox, sample_chi_square
 
 __all__ = [
@@ -32,7 +43,7 @@ __all__ = [
     "potential_from_spec",
 ]
 
-_EVENT_CAP = 200_000
+_ROUND_CAP = 200_000   # vectorized loop rounds per simulation
 
 
 @dataclass
@@ -166,6 +177,26 @@ def full_rebirth_potential(u_p: np.ndarray, mu: np.ndarray, m: np.ndarray,
     return w
 
 
+_MODEL = "model spec"
+
+
+def _model_fields(spec: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Check the fields of a model spec; return its (m, mu, extras)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{_MODEL} must be a dict")
+    required = {"states", "m", "mu"}
+    wire.check_fields(spec, required | {"generator", "potential", "p", "alpha"},
+                      required, _MODEL)
+    if "generator" not in spec and "potential" not in spec:
+        raise ValueError("model spec needs a 'generator' or a 'potential'")
+    m = wire.array(spec, "m", _MODEL, 1)
+    mu = wire.array(spec, "mu", _MODEL, 1)
+    if mu.shape != m.shape:
+        raise ValueError("model spec fields 'm' and 'mu' need one entry per state")
+    extras = {k: wire.number(spec, k, _MODEL) for k in ("p", "alpha") if k in spec}
+    return m, mu, extras
+
+
 def chain_from_spec(spec: dict) -> tuple[FiniteChain, np.ndarray, dict]:
     """Parse the model JSON for simulation: needs a generator.
 
@@ -173,51 +204,100 @@ def chain_from_spec(spec: dict) -> tuple[FiniteChain, np.ndarray, dict]:
     but holding rates cannot be recovered from it, so simulation commands
     insist on the generator form.
     """
-    _validate_model_fields(spec)
+    m, mu, extras = _model_fields(spec)
     if "generator" not in spec:
         raise ValueError("simulation needs a 'generator'; a potential matrix "
                          "alone has no holding rates")
-    chain = FiniteChain(np.asarray(spec["generator"], float),
-                        np.asarray(spec["m"], float))
-    mu = np.asarray(spec["mu"], dtype=float)
-    extras = {k: spec[k] for k in ("p", "alpha") if k in spec}
+    chain = FiniteChain(wire.array(spec, "generator", _MODEL, 2), m)
     return chain, mu, extras
 
 
 def potential_from_spec(spec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """(u, m, mu, extras) from a model given by a generator or a potential."""
-    _validate_model_fields(spec)
-    m = np.asarray(spec["m"], dtype=float)
-    mu = np.asarray(spec["mu"], dtype=float)
-    extras = {k: spec[k] for k in ("p", "alpha") if k in spec}
+    m, mu, extras = _model_fields(spec)
     if "potential" in spec:
-        u = np.asarray(spec["potential"], dtype=float)
+        u = wire.array(spec, "potential", _MODEL, 2)
+        if u.shape != (len(m), len(m)):
+            raise ValueError("model spec field 'potential' must be square "
+                             "with one row per entry of 'm'")
         if np.max(np.abs(u - u.T)) > 1e-10 * np.max(np.abs(u)):
             raise ValueError("potential matrix must be symmetric")
         return u, m, mu, extras
-    chain = FiniteChain(np.asarray(spec["generator"], float), m)
+    chain = FiniteChain(wire.array(spec, "generator", _MODEL, 2), m)
     return chain.potential(), m, mu, extras
-
-
-def _validate_model_fields(spec: dict):
-    required = {"states", "m", "mu"}
-    allowed = required | {"generator", "potential", "p", "alpha"}
-    extra = set(spec) - allowed
-    if extra:
-        raise ValueError(f"unknown fields in model spec: {sorted(extra)}")
-    missing = required - set(spec)
-    if missing:
-        raise ValueError(f"model spec missing fields: {sorted(missing)}")
-    if "generator" not in spec and "potential" not in spec:
-        raise ValueError("model spec needs a 'generator' or a 'potential'")
 
 
 @dataclass
 class SimulationResult:
-    local_times: np.ndarray      # (paths, states + 1), return point last
+    local_times: np.ndarray      # (paths, states), return point last if any
     elapsed: np.ndarray          # (paths,)
     occupation_error: np.ndarray  # |sum L*m - elapsed| per path
-    events: int
+    events: int                  # vectorized loop rounds, not jumps per path
+
+
+def _jump_rows(chain: FiniteChain) -> np.ndarray:
+    """Unnormalized next-move law of each state over (states..., exit)."""
+    hold_rate = -np.diag(chain.Q)
+    off = chain.Q - np.diag(np.diag(chain.Q))
+    return np.column_stack([off / hold_rate[:, None],
+                            chain.kill_rates / hold_rate])
+
+
+def _cumulative(table: np.ndarray) -> np.ndarray:
+    return np.cumsum(table / np.sum(table, axis=1, keepdims=True), axis=1)
+
+
+def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
+                cumtable: np.ndarray, m: np.ndarray, clock_rate=None,
+                restart=None) -> SimulationResult:
+    """Run n_paths copies of a jump chain from start; see the module docstring.
+
+    Row x of cumtable is the cumulative law of the move out of state x over
+    (states..., exit).  Taking the exit kills a path, or, with a cumulative
+    restart law, moves it to a state drawn from that law.  With a clock_rate
+    each path is stopped at an independent exponential clock.
+    """
+    n_states = len(hold_rate)
+    if not 0 <= start < n_states:
+        raise ValueError(f"start state {start} is outside 0..{n_states - 1}")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
+    exit_col = cumtable.shape[1] - 1
+    rng = philox(seed)
+    if clock_rate is not None:
+        clock = rng.exponential(1.0 / clock_rate, size=n_paths)
+    state = np.full(n_paths, start, dtype=np.int64)
+    L = np.zeros((n_paths, n_states))
+    elapsed = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    rounds = 0
+    while np.any(alive):
+        if rounds >= _ROUND_CAP:
+            raise RuntimeError(f"paths did not terminate within {_ROUND_CAP} "
+                               f"rounds; {int(np.sum(alive))} paths alive")
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        if clock_rate is not None:
+            over = elapsed[idx] + hold > clock[idx]
+            hold = np.where(over, clock[idx] - elapsed[idx], hold)
+        L[idx, s] += hold / m[s]        # each live path appears once in idx
+        elapsed[idx] += hold
+        if clock_rate is not None:
+            alive[idx[over]] = False
+            idx, s = idx[~over], s[~over]
+        if len(idx):
+            nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
+            out = nxt == exit_col
+            if restart is None:
+                alive[idx[out]] = False
+            elif np.any(out):
+                nxt[out] = (rng.random(int(np.sum(out)))[:, None]
+                            > restart[None, :]).sum(axis=1)
+            state[idx] = nxt
+        rounds += 1
+    occ_err = np.abs(L @ m - elapsed)
+    return SimulationResult(L, elapsed, occ_err, rounds)
 
 
 @dataclass
@@ -236,58 +316,25 @@ class PartialRebirthModel:
         u = self.chain.potential()
         return partial_rebirth_potential(u, self.mu, self.chain.m)
 
-    def simulate(self, x_start: int, n_paths: int, seed: int,
-                 event_cap: int = _EVENT_CAP) -> SimulationResult:
+    def simulate(self, x_start: int, n_paths: int, seed: int) -> SimulationResult:
         """Jump-chain simulation with local-time accumulation.
 
         The chain runs until absorption; at each death of the base chain the
-        path visits the return point, waits an exponential time with rate
+        path visits the return point n, waits an exponential time with rate
         1 + |mu|, and either re-enters with law mu or dies for good.
+        x_start may be a state or the return point.
         """
         chain = self.chain
         n = chain.n_states
-        star = n
-        dead = -1
         mass = float(np.sum(self.mu))
+        table = np.zeros((n + 1, n + 2))    # targets: states..., return, death
+        table[:n, :n + 1] = _jump_rows(chain)
+        table[n, :n] = self.mu / (1.0 + mass)
+        table[n, n + 1] = 1.0 / (1.0 + mass)
         hold_rate = np.concatenate([-np.diag(chain.Q), [1.0 + mass]])
         m_ext = np.concatenate([chain.m, [1.0]])
-
-        # per-state transition tables over targets (states..., star, dead)
-        table = np.zeros((n + 1, n + 2))
-        for x in range(n):
-            rate = hold_rate[x]
-            for y in range(n):
-                if y != x:
-                    table[x, y] = chain.Q[x, y] / rate
-            table[x, star] = chain.kill_rates[x] / rate
-        table[star, :n] = self.mu / (1.0 + mass)
-        table[star, n + 1] = 1.0 / (1.0 + mass)
-        table /= np.sum(table, axis=1, keepdims=True)
-        cumtable = np.cumsum(table, axis=1)
-
-        rng = philox(seed)
-        state = np.full(n_paths, x_start, dtype=np.int64)
-        L = np.zeros((n_paths, n + 1))
-        elapsed = np.zeros(n_paths)
-        alive = state != dead
-        events = 0
-        while np.any(alive):
-            if events > event_cap:
-                raise RuntimeError(
-                    f"path did not terminate within {event_cap} events; "
-                    f"{int(np.sum(alive))} paths alive")
-            idx = np.nonzero(alive)[0]
-            s = state[idx]
-            hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-            np.add.at(L, (idx, s), hold / m_ext[s])
-            elapsed[idx] += hold
-            u = rng.random(len(idx))
-            nxt = (u[:, None] > cumtable[s]).sum(axis=1)
-            state[idx] = np.where(nxt == n + 1, dead, nxt)
-            alive = state != dead
-            events += 1
-        occ_err = np.abs(L @ m_ext - elapsed)
-        return SimulationResult(L, elapsed, occ_err, events)
+        return _jump_chain(seed, x_start, n_paths, hold_rate,
+                           _cumulative(table), m_ext)
 
 
 @dataclass
@@ -316,8 +363,7 @@ class FullRebirthModel:
         u_p = self.chain.potential(rate=self.p)
         return full_rebirth_potential(u_p, self.mu, self.chain.m, self.p)
 
-    def simulate(self, x_start: int, n_paths: int, seed: int,
-                 event_cap: int = _EVENT_CAP) -> SimulationResult:
+    def simulate(self, x_start: int, n_paths: int, seed: int) -> SimulationResult:
         """Local times until the rate-p clock; deaths restart at mu.
 
         The clock is drawn once per path and the final holding interval is
@@ -325,50 +371,9 @@ class FullRebirthModel:
         exactly path by path.
         """
         chain = self.chain
-        n = chain.n_states
-        hold_rate = -np.diag(chain.Q)
-        jump = np.zeros((n, n + 1))          # targets: states..., rebirth
-        for x in range(n):
-            for y in range(n):
-                if y != x:
-                    jump[x, y] = chain.Q[x, y] / hold_rate[x]
-            jump[x, n] = chain.kill_rates[x] / hold_rate[x]
-        jump /= np.sum(jump, axis=1, keepdims=True)
-        cumjump = np.cumsum(jump, axis=1)
-
-        rng = philox(seed)
-        clock = rng.exponential(1.0 / self.p, size=n_paths)
-        state = np.full(n_paths, x_start, dtype=np.int64)
-        L = np.zeros((n_paths, n))
-        elapsed = np.zeros(n_paths)
-        alive = np.ones(n_paths, dtype=bool)
-        events = 0
-        mu_cum = np.cumsum(self.mu)
-        while np.any(alive):
-            if events > event_cap:
-                raise RuntimeError("full-rebirth simulation exceeded the "
-                                   f"event cap with {int(np.sum(alive))} alive")
-            idx = np.nonzero(alive)[0]
-            s = state[idx]
-            hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-            over = elapsed[idx] + hold > clock[idx]
-            hold = np.where(over, clock[idx] - elapsed[idx], hold)
-            np.add.at(L, (idx, s), hold / chain.m[s])
-            elapsed[idx] += hold
-            alive[idx[over]] = False
-            live = idx[~over]
-            if len(live):
-                nxt = (rng.random(len(live))[:, None]
-                       > cumjump[state[live]]).sum(axis=1)
-                reborn = nxt == n
-                if np.any(reborn):
-                    draws = (rng.random(int(np.sum(reborn)))[:, None]
-                             > mu_cum[None, :]).sum(axis=1)
-                    nxt[reborn] = draws
-                state[live] = nxt
-            events += 1
-        occ_err = np.abs(L @ chain.m - elapsed)
-        return SimulationResult(L, elapsed, occ_err, events)
+        return _jump_chain(seed, x_start, n_paths, -np.diag(chain.Q),
+                           _cumulative(_jump_rows(chain)), chain.m,
+                           clock_rate=self.p, restart=np.cumsum(self.mu))
 
 
 @dataclass
@@ -381,7 +386,7 @@ class EKReport:
 
 
 def _simulate_conditioned(chain: FiniteChain, y: int, n_paths: int,
-                          seed: int, event_cap: int = _EVENT_CAP) -> np.ndarray:
+                          seed: int) -> np.ndarray:
     """Local times of the chain reweighted by its potential column at y.
 
     Transition probabilities are tilted by h = u(., y); the tilt removes all
@@ -390,40 +395,18 @@ def _simulate_conditioned(chain: FiniteChain, y: int, n_paths: int,
     process entering the isomorphism identity.
     """
     n = chain.n_states
-    u = chain.potential()
-    h = u[:, y]
+    if not 0 <= y < n:
+        raise ValueError(f"state y={y} is outside 0..{n - 1}")
+    h = chain.potential()[:, y]
     if np.any(h <= 0.0):
         raise ValueError("potential column vanishes: chain not irreducible enough")
     hold_rate = -np.diag(chain.Q)
-    dead = -1
-    table = np.zeros((n, n + 1))
-    for x in range(n):
-        for z_ in range(n):
-            if z_ != x:
-                table[x, z_] = chain.Q[x, z_] * h[z_] / (hold_rate[x] * h[x])
-        if x == y:
-            table[x, n] = 1.0 / (chain.m[y] * h[y] * hold_rate[y])
-    table = np.clip(table, 0.0, None)
-    table /= np.sum(table, axis=1, keepdims=True)
-    cumtable = np.cumsum(table, axis=1)
-
-    rng = philox(seed)
-    state = np.full(n_paths, y, dtype=np.int64)
-    L = np.zeros((n_paths, n))
-    alive = state != dead
-    events = 0
-    while np.any(alive):
-        if events > event_cap:
-            raise RuntimeError("conditioned path did not terminate")
-        idx = np.nonzero(alive)[0]
-        s = state[idx]
-        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-        np.add.at(L, (idx, s), hold / chain.m[s])
-        nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
-        state[idx] = np.where(nxt == n, dead, nxt)
-        alive = state != dead
-        events += 1
-    return L
+    off = chain.Q - np.diag(np.diag(chain.Q))
+    table = np.zeros((n, n + 1))             # targets: states..., death
+    table[:, :n] = off * h[None, :] / (hold_rate * h)[:, None]
+    table[y, n] = 1.0 / (chain.m[y] * h[y] * hold_rate[y])
+    return _jump_chain(seed, y, n_paths, hold_rate, _cumulative(table),
+                       chain.m).local_times
 
 
 def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,

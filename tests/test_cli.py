@@ -91,8 +91,9 @@ def test_lil_run(tmp_path):
 def test_lil_run_rejects_unknown_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"paths": 10, "seed": 1, "mystery": 2}))
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["lil", "run", "--config", str(cfg_path)])
+    assert err.value.code == 2
 
 
 @pytest.fixture
@@ -163,13 +164,23 @@ def _kernel_docs(base, f=CONST):
 ])
 def test_missing_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
                                                    field):
+    assert repr(field) in _usage_error(tmp_path, capsys, docs)
+
+
+def _usage_error(tmp_path, capsys, docs, argv=None):
+    """Write the documents, run the command they feed, expect exit 2."""
     paths = {}
     for name, doc in docs.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(doc, fh)
-    if "config" in paths:
+    if argv is not None:
+        argv = [paths.get(a, a) for a in argv]
+    elif "config" in paths:
         argv = ["lil", "run", "--config", paths["config"]]
+    elif "model" in paths:
+        argv = ["rebirth", "sim", "--model", paths["model"], "--paths", "10",
+                "--seed", "1"]
     else:
         argv = ["kernel", "analyze", "--base", paths["base"], "--f", paths["f"],
                 "--g", paths["g"], "--grid", "1.0,0.7,20,0.7"]
@@ -177,7 +188,77 @@ def test_missing_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
         main(argv)
     assert err.value.code == 2
     message = capsys.readouterr().err
-    assert message.startswith("error: ") and repr(field) in message
+    assert message.startswith("error: ")
+    return message
+
+
+MODEL = {"states": [0, 1], "m": [1.0, 1.0],
+         "generator": [[-1.0, 0.3], [0.3, -0.8]], "mu": [0.5, 0.0]}
+SCALE = {"family": "scale", "s": {"kind": "affine", "a": 1.0}}
+
+
+@pytest.mark.parametrize("docs, field", [
+    (_kernel_docs({"family": "exp_decay", "beta": [1]}), "beta"),
+    (_kernel_docs({"family": "exp_decay", "beta": 10 ** 400}), "beta"),
+    (_kernel_docs({"family": "stable_hit_zero", "rho": None}), "rho"),
+    (_kernel_docs({"family": "levy", "psi": {"kind": "stable", "index": {}},
+                   "beta": 0.5}), "index"),
+    (_kernel_docs({"family": "scale", "s": {"kind": "affine", "a": [1]}}), "a"),
+    (_kernel_docs({"family": "scale", "s": {"kind": "sum", "terms": 3}}),
+     "terms"),
+    (_kernel_docs(EXP_DECAY, {"kind": "const", "c": "a"}), "c"),
+    (_kernel_docs(EXP_DECAY, {"kind": "const", "c": [1]}), "c"),
+    (_kernel_docs(EXP_DECAY, {"kind": "indicator", "a": None, "b": 1}), "a"),
+    (_kernel_docs(EXP_DECAY, {"kind": "atoms", "atoms": [1]}), "atoms"),
+    (_kernel_docs({"family": ["exp_decay"]}), "family"),
+    (_kernel_docs({"family": "pq", "p": {"kind": "const", "value": 1.0},
+                   "q": {"kind": "const", "value": 1.0}, "beta": 0.5,
+                   "interval": 3}), "interval"),
+    ({"model": {**MODEL, "generator": {"a": 1}}}, "generator"),
+    ({"model": {**MODEL, "mu": 0.5}}, "mu"),
+    ({"model": {**MODEL, "m": [1.0, 10 ** 400]}}, "m"),
+    ({"model": [MODEL]}, "model spec"),
+    ({"config": {"base": EXP_DECAY, "schedule": 10, "grid": {
+        "d": 0.0, "theta": 0.3, "q": 0.5}, "paths": 10, "seed": 1}}, "schedule"),
+    ({"config": {"base": EXP_DECAY, "schedule": [10], "grid": [0.0, 0.3, 0.5],
+                 "paths": 10, "seed": 1}}, "grid"),
+    ({"config": {"base": EXP_DECAY, "schedule": [10], "grid": {
+        "d": 0.0, "theta": 0.3, "q": 0.5}, "paths": None, "seed": 1}}, "paths"),
+])
+def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
+                                                       field):
+    message = _usage_error(tmp_path, capsys, docs)
+    assert (repr(field) if field != "model spec" else field) in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["rebirth", "sim", "--model", "model", "--paths", "10", "--seed", "1",
+     "--start", "5"],
+    ["rebirth", "sim", "--model", "model", "--paths", "10", "--seed", "1",
+     "--start", "-1"],
+    ["rebirth", "sim", "--model", "model", "--paths", "0", "--seed", "1"],
+    ["rebirth", "sim", "--model", "model", "--paths", "1", "--seed", "1"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
+     "--y", "5"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
+     "--y", "-1"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "1", "--seed", "1"],
+    ["potential", "eval", "--family", "exp_decay", "--x", "0.1"],
+    ["potential", "eval", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--kind", "vbeta", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--x", "0.1", "0.2",
+     "--y", "0.1", "0.2", "0.3"],
+])
+def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
+    _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE}, argv)
+
+
+def test_rebirth_sim_accepts_the_return_point_as_start(model_path, capsys):
+    assert main(["rebirth", "sim", "--model", model_path, "--paths", "200",
+                 "--seed", "1", "--start", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1].startswith("return_point,")
 
 
 def test_verify_core_suite_exits_zero(capsys):
@@ -214,3 +295,10 @@ def test_lil_run_with_border_functions(tmp_path):
     lines = out.read_text().strip().splitlines()
     nu = float(lines[1].split(",")[5])
     assert nu >= 1.0 and nu - 1.0 < 0.01
+
+
+def test_rebirth_sim_rejects_a_chain_that_never_dies(tmp_path, capsys):
+    # checked before simulating: the paths would never reach the return point
+    conservative = {**MODEL, "generator": [[-0.5, 0.5], [0.5, -0.5]]}
+    message = _usage_error(tmp_path, capsys, {"model": conservative})
+    assert "conservative" in message

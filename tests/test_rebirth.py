@@ -273,3 +273,191 @@ def test_full_rebirth_model_validation():
         np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         FullRebirthModel(conservative, np.array([0.5, 0.5]), 0.4)
+
+
+# -- reference loops ---------------------------------------------------------
+# The three simulators share one engine.  These are the per-simulator loops
+# and per-pair table builders they replaced, kept as oracles: the engine
+# must reproduce them bit for bit, which the 4-sigma checks above cannot see.
+
+def _reference_partial(chain, mu, x_start, n_paths, seed):
+    from permlab.sampling import philox
+    n = chain.n_states
+    star, dead = n, -1
+    mass = float(np.sum(mu))
+    hold_rate = np.concatenate([-np.diag(chain.Q), [1.0 + mass]])
+    m_ext = np.concatenate([chain.m, [1.0]])
+    table = np.zeros((n + 1, n + 2))
+    for x in range(n):
+        rate = hold_rate[x]
+        for y in range(n):
+            if y != x:
+                table[x, y] = chain.Q[x, y] / rate
+        table[x, star] = chain.kill_rates[x] / rate
+    table[star, :n] = mu / (1.0 + mass)
+    table[star, n + 1] = 1.0 / (1.0 + mass)
+    table /= np.sum(table, axis=1, keepdims=True)
+    cumtable = np.cumsum(table, axis=1)
+    rng = philox(seed)
+    state = np.full(n_paths, x_start, dtype=np.int64)
+    L = np.zeros((n_paths, n + 1))
+    elapsed = np.zeros(n_paths)
+    alive = state != dead
+    events = 0
+    while np.any(alive):
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        np.add.at(L, (idx, s), hold / m_ext[s])
+        elapsed[idx] += hold
+        u = rng.random(len(idx))
+        nxt = (u[:, None] > cumtable[s]).sum(axis=1)
+        state[idx] = np.where(nxt == n + 1, dead, nxt)
+        alive = state != dead
+        events += 1
+    return L, elapsed, np.abs(L @ m_ext - elapsed), events
+
+
+def _reference_full(chain, mu, p, x_start, n_paths, seed):
+    from permlab.sampling import philox
+    n = chain.n_states
+    hold_rate = -np.diag(chain.Q)
+    jump = np.zeros((n, n + 1))
+    for x in range(n):
+        for y in range(n):
+            if y != x:
+                jump[x, y] = chain.Q[x, y] / hold_rate[x]
+        jump[x, n] = chain.kill_rates[x] / hold_rate[x]
+    jump /= np.sum(jump, axis=1, keepdims=True)
+    cumjump = np.cumsum(jump, axis=1)
+    rng = philox(seed)
+    clock = rng.exponential(1.0 / p, size=n_paths)
+    state = np.full(n_paths, x_start, dtype=np.int64)
+    L = np.zeros((n_paths, n))
+    elapsed = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    events = 0
+    mu_cum = np.cumsum(mu)
+    while np.any(alive):
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        over = elapsed[idx] + hold > clock[idx]
+        hold = np.where(over, clock[idx] - elapsed[idx], hold)
+        np.add.at(L, (idx, s), hold / chain.m[s])
+        elapsed[idx] += hold
+        alive[idx[over]] = False
+        live = idx[~over]
+        if len(live):
+            nxt = (rng.random(len(live))[:, None]
+                   > cumjump[state[live]]).sum(axis=1)
+            reborn = nxt == n
+            if np.any(reborn):
+                draws = (rng.random(int(np.sum(reborn)))[:, None]
+                         > mu_cum[None, :]).sum(axis=1)
+                nxt[reborn] = draws
+            state[live] = nxt
+        events += 1
+    return L, elapsed, np.abs(L @ chain.m - elapsed), events
+
+
+def _reference_conditioned(chain, y, n_paths, seed):
+    from permlab.sampling import philox
+    n = chain.n_states
+    h = chain.potential()[:, y]
+    hold_rate = -np.diag(chain.Q)
+    dead = -1
+    table = np.zeros((n, n + 1))
+    for x in range(n):
+        for z_ in range(n):
+            if z_ != x:
+                table[x, z_] = chain.Q[x, z_] * h[z_] / (hold_rate[x] * h[x])
+        if x == y:
+            table[x, n] = 1.0 / (chain.m[y] * h[y] * hold_rate[y])
+    table = np.clip(table, 0.0, None)
+    table /= np.sum(table, axis=1, keepdims=True)
+    cumtable = np.cumsum(table, axis=1)
+    rng = philox(seed)
+    state = np.full(n_paths, y, dtype=np.int64)
+    L = np.zeros((n_paths, n))
+    alive = state != dead
+    while np.any(alive):
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        np.add.at(L, (idx, s), hold / chain.m[s])
+        nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
+        state[idx] = np.where(nxt == n, dead, nxt)
+        alive = state != dead
+    return L
+
+
+def _assert_same_result(res, want):
+    L, elapsed, occ_err, events = want
+    assert np.array_equal(res.local_times, L)
+    assert np.array_equal(res.elapsed, elapsed)
+    assert np.array_equal(res.occupation_error, occ_err)
+    assert res.events == events
+
+
+def killed_pair(alpha=0.7):
+    Q = np.array([[-0.5, 0.5], [0.5, -0.5]])
+    return FiniteChain(Q - alpha * np.eye(2), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("chain, mu, start, seed", [
+    (two_state(), np.array([0.5, 0.0]), 0, 5),
+    (two_state(), np.array([0.5, 0.0]), 2, 11),       # the return point
+    (two_state(), np.zeros(2), 1, 12),                # no rebirth mass
+    (three_state(), np.array([0.2, 0.1, 0.3]), 1, 6),
+    (three_state(), np.array([0.2, 0.1, 0.3]), 3, 13),
+    (three_state(), np.array([0.4, 0.3, 0.3]), 0, 14),  # mass exactly 1
+    (FiniteChain(np.array([[-1.0]]), np.array([1.0])), np.zeros(1), 0, 4),
+])
+def test_partial_simulation_equals_reference_loop(chain, mu, start, seed):
+    res = PartialRebirthModel(chain, mu).simulate(start, 20_000, seed)
+    _assert_same_result(res, _reference_partial(chain, mu, start, 20_000, seed))
+
+
+@pytest.mark.parametrize("chain, mu, p, start, paths, seed", [
+    (killed_pair(), np.array([0.3, 0.7]), 0.4, 0, 100_000, 13),
+    (killed_pair(0.2), np.array([1.0, 0.0]), 0.6, 1, 20_000, 21),
+    (three_state(), np.array([0.2, 0.5, 0.3]), 0.5, 2, 20_000, 22),
+])
+def test_full_simulation_equals_reference_loop(chain, mu, p, start, paths, seed):
+    from permlab import FullRebirthModel
+    res = FullRebirthModel(chain, mu, p).simulate(start, paths, seed)
+    _assert_same_result(res, _reference_full(chain, mu, p, start, paths, seed))
+
+
+@pytest.mark.parametrize("chain, y, seed", [
+    (FiniteChain(np.array([[-1.3]]), np.array([0.7])), 0, 7),
+    (two_state(), 1, 8),
+    (three_state(), 0, 9),
+    (three_state(), 2, 10),
+])
+def test_conditioned_simulation_equals_reference_loop(chain, y, seed):
+    from permlab.rebirth import _simulate_conditioned
+    got = _simulate_conditioned(chain, y, 20_000, seed)
+    assert np.array_equal(got, _reference_conditioned(chain, y, 20_000, seed))
+
+
+def test_round_cap_stops_the_engine(monkeypatch):
+    from permlab import rebirth
+    monkeypatch.setattr(rebirth, "_ROUND_CAP", 0)
+    with pytest.raises(RuntimeError, match="rounds"):
+        PartialRebirthModel(two_state(), np.array([0.5, 0.0])).simulate(0, 10, 1)
+
+
+@pytest.mark.parametrize("start, paths", [(3, 10), (-1, 10), (0, 0)])
+def test_engine_rejects_bad_start_and_path_count(start, paths):
+    model = PartialRebirthModel(two_state(), np.array([0.5, 0.0]))
+    with pytest.raises(ValueError):
+        model.simulate(start, paths, 1)
+
+
+@pytest.mark.parametrize("y", [2, -1])
+def test_conditioned_rejects_state_outside_the_chain(y):
+    from permlab.rebirth import _simulate_conditioned
+    with pytest.raises(ValueError, match="outside"):
+        _simulate_conditioned(two_state(), y, 10, 1)

@@ -54,15 +54,16 @@ def lu_solve(factored, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
-def inv(a: np.ndarray) -> np.ndarray:
+def inv(a: np.ndarray, factored=None) -> np.ndarray:
     """Inverse with one step of Newton refinement.
 
     The refinement squares the LU residual, which keeps entrywise identity
-    checks meaningful on badly conditioned Gram matrices.
+    checks meaningful on badly conditioned Gram matrices.  factored, when
+    given, is lu_factor(a), so that a caller who holds it factors a once.
     """
     a = np.asarray(a, dtype=LD)
     n = a.shape[0]
-    x = lu_solve(lu_factor(a), np.eye(n, dtype=LD))
+    x = lu_solve(factored or lu_factor(a), np.eye(n, dtype=LD))
     for _ in range(2):
         residual = np.eye(n, dtype=LD) - a @ x
         if np.max(np.abs(residual)) < 1e-30:
@@ -71,8 +72,9 @@ def inv(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def slogdet(a: np.ndarray) -> tuple[float, float]:
-    lu, _, sign = lu_factor(a)
+def slogdet(a: np.ndarray, factored=None) -> tuple[float, float]:
+    """(sign, log|det a|); factored, when given, is lu_factor(a)."""
+    lu, _, sign = factored or lu_factor(a)
     diag = np.diag(lu)
     sign *= float(np.prod(np.sign(diag).astype(float)))
     return sign, float(np.sum(np.log(np.abs(diag))))

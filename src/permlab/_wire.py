@@ -6,6 +6,7 @@ the command line reports as a usage error (exit 2), never a traceback.
 
 from __future__ import annotations
 
+import itertools
 import math
 from numbers import Integral, Real
 
@@ -92,13 +93,29 @@ def pairs(spec: dict, key: str, what: str, default=None) -> tuple:
                  for p in _seq(spec.get(key, default), label))
 
 
+def _entry_types(value, ndim: int) -> set:
+    """The types of the entries of a regular ndim-deep nested sequence."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return {value.dtype.type}
+    for _ in range(ndim - 1):
+        value = itertools.chain.from_iterable(value)
+    return set(map(type, value))
+
+
 def array(spec: dict, key: str, what: str, ndim: int) -> np.ndarray:
-    """spec[key] as a finite float array with ndim dimensions."""
+    """spec[key] as a finite float array with ndim dimensions.
+
+    As in scalar fields, every entry must be a number: the float conversion
+    alone would also accept numeric strings and booleans.
+    """
+    value = spec[key]
     try:
-        out = np.asarray(spec[key], dtype=float)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out.ndim != ndim or not np.all(np.isfinite(out)):
+    if (out is None or out.ndim != ndim or not np.all(np.isfinite(out))
+            or not all(issubclass(t, Real) and not issubclass(t, bool)
+                       for t in _entry_types(value, ndim))):
         shape = "a list of numbers" if ndim == 1 else "a matrix of numbers"
         raise ValueError(f"{what} field {key!r} must be {shape}")
     return out

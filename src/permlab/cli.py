@@ -24,7 +24,8 @@ from .expressions import expr_from_spec
 from .exponents import exponent_from_spec
 from .kernel_algebra import GridSpec, assemble_kernel, decompose, rowsum_residuals
 from .potentials import LevyPotential
-from .rebirth import PartialRebirthModel, chain_from_spec, ek_identity_check
+from .rebirth import (_ROUND_CAP, PartialRebirthModel, chain_from_spec,
+                      ek_identity_check)
 from .sampling import lil_harness
 from .verify import SUITES, run_suite
 
@@ -201,8 +202,17 @@ def _cmd_rebirth_sim(args) -> int:
     chain, mu, _ = chain_from_spec(_load_json(args.model))
     model = PartialRebirthModel(chain, mu)
     ext = model.extension()   # first: a chain that never dies has none
-    res = model.simulate(args.start, args.paths, args.seed)
     n = chain.n_states
+    if not 0 <= args.start <= n:
+        raise ValueError(f"--start must lie in 0..{n}, got {args.start}")
+    # each jump of a path takes one loop round; its expected jump count is
+    # the expected time in each state times that state's holding rate
+    hold_rate = np.append(-np.diag(chain.Q), 1.0 + np.sum(mu))
+    jumps = float(ext.u_ext[args.start] @ (ext.m_ext * hold_rate))
+    if jumps > _ROUND_CAP:
+        raise ValueError(f"a path from state {args.start} makes {jumps:.3g} "
+                         f"jumps on average, beyond the {_ROUND_CAP}-round cap")
+    res = model.simulate(args.start, args.paths, args.seed)
     lines = ["state,mean_local_time,std_error,expected"]
     means = res.local_times.mean(axis=0)
     ses = res.local_times.std(axis=0, ddof=1) / np.sqrt(args.paths)
@@ -214,7 +224,6 @@ def _cmd_rebirth_sim(args) -> int:
 
 
 def _cmd_rebirth_check_ek(args) -> int:
-    _check_paths(args.paths)
     chain, _, _ = chain_from_spec(_load_json(args.model))
     s = args.s
 

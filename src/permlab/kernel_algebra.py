@@ -8,14 +8,16 @@ theta^(n+1-j), and two excessive functions f, g, the augmented matrix
          [g(t'_0),  G + g f^T        ],
          [  ...                      ]]
 
-has det K = det G, inverse A with border rows built from r = G^-1 g and
-v = G^-1 f, and a symmetrized comparison kernel obtained by inverting,
-symmetrizing the off-diagonal entries geometrically, and inverting again.
-The determinant ratio nu = 1 + rho - h G h^T (h_j = sqrt(r_j v_j),
-rho = v . g) controls how far the non-symmetric law can drift from the
-symmetric one.  All factorizations run in extended precision; conditioning is
-estimated and reported, and singular Gram matrices are rejected rather than
-regularized, since jitter would silently move nu.
+has det K = det G and the closed-form inverse A = [[1 + rho, -v^T],
+[-r, G^-1]] with r = G^-1 g, v = G^-1 f and rho = v . g = f . r, so G is
+factored once.  The symmetrized comparison kernel inverts A with its
+off-diagonal pairs replaced by their geometric means.  The determinant ratio
+nu = 1 + rho - h G h^T (h_j = sqrt(r_j v_j)) controls how far the
+non-symmetric law can drift from the symmetric one.  det K and the block
+form of the comparison kernel are checked by their own factorizations.  All
+factorizations run in extended precision; conditioning is estimated and
+reported, and singular Gram matrices are rejected rather than regularized,
+since jitter would silently move nu.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class AugmentedKernel:
     gvec: np.ndarray
     K: np.ndarray
     K_ld: np.ndarray        # extended-precision assembly used by the algebra
+    G_lu: tuple             # la.lu_factor(G), the one factorization of G
+    G_inv: np.ndarray       # its refined inverse, the lower block of A
     cond: float
     degenerate: bool = False
 
@@ -114,7 +118,6 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     if isinstance(grid, GridSpec) and getattr(base, "positive_domain", False):
         if np.any(pts <= 0.0):
             raise GridError("grid touches the forbidden origin of this base")
-    n = len(pts)
     G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")
@@ -131,18 +134,24 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
             raise ValueError("excessive functions must be nonnegative on the grid")
         if fvec[0] <= 0.0 or gvec[0] <= 0.0:
             raise ValueError("f and g must be positive at the distinguished point")
-    G_inv = la.inv(np.asarray(G, dtype=la.LD))
-    cond = la.cond1(np.asarray(G, dtype=la.LD), G_inv)
+    G_ld = np.asarray(G, dtype=la.LD)
+    G_lu = la.lu_factor(G_ld)
+    G_inv = la.inv(G_ld, G_lu)
+    cond = la.cond1(G_ld, G_inv)
     if cond > cond_limit:
         raise ValueError(f"Gram matrix numerically singular (cond ~ {cond:.3g})")
-    K_ld = np.empty((n + 1, n + 1), dtype=la.LD)
-    K_ld[0, 0] = 1.0
-    K_ld[0, 1:] = fvec
-    K_ld[1:, 0] = gvec
-    K_ld[1:, 1:] = np.asarray(G, la.LD) + np.outer(np.asarray(gvec, la.LD),
-                                                   np.asarray(fvec, la.LD))
+    K_ld = _bordered(1.0, fvec, gvec, G_ld + np.outer(np.asarray(gvec, la.LD),
+                                                       np.asarray(fvec, la.LD)))
     K = np.asarray(K_ld, dtype=float)
-    return AugmentedKernel(pts, G, fvec, gvec, K, K_ld, cond, degenerate)
+    return AugmentedKernel(pts, G, fvec, gvec, K, K_ld, G_lu, G_inv, cond,
+                           degenerate)
+
+
+def _bordered(corner, row, col, inner) -> np.ndarray:
+    """The extended-precision matrix [[corner, row], [col, inner]]."""
+    out = np.empty((len(row) + 1, len(row) + 1), dtype=la.LD)
+    out[0, 0], out[0, 1:], out[1:, 0], out[1:, 1:] = corner, row, col, inner
+    return out
 
 
 @dataclass
@@ -163,7 +172,8 @@ class Decomposition:
     block_identity_error: float   # K_isymi vs its analytic block form
     sign_tol: float = 1e-10
 
-    def offdiag_positive_excess(self, mat: np.ndarray) -> float:
+    @staticmethod
+    def offdiag_positive_excess(mat: np.ndarray) -> float:
         """Largest off-diagonal entry after scaling rows by the diagonal."""
         scaled = mat / np.abs(np.diag(mat))[:, None]
         off = scaled - np.diag(np.diag(scaled))
@@ -186,16 +196,16 @@ class Decomposition:
 
 def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
               sign_tol: float = 1e-10) -> Decomposition:
-    """Invert, symmetrize, and re-invert the augmented kernel.
+    """Invert the augmented kernel in closed form, symmetrize, and re-invert.
 
     Raises when the border coefficients r, v dip below -negativity_tol
     (scaled), which is the discrete signature of a non-excessive input.
     """
     G = np.asarray(ak.G, dtype=la.LD)
-    G_lu = la.lu_factor(G)
-    r = la.lu_solve(G_lu, np.asarray(ak.gvec, dtype=la.LD))
-    v = la.lu_solve(G_lu, np.asarray(ak.fvec, dtype=la.LD))
-    rho = float(v @ np.asarray(ak.gvec, dtype=la.LD))
+    r = la.lu_solve(ak.G_lu, np.asarray(ak.gvec, dtype=la.LD))
+    v = la.lu_solve(ak.G_lu, np.asarray(ak.fvec, dtype=la.LD))
+    rho_ld = v @ np.asarray(ak.gvec, dtype=la.LD)
+    rho = float(rho_ld)
     tol_r = negativity_tol * max(1.0, float(np.max(np.abs(r))))
     tol_v = negativity_tol * max(1.0, float(np.max(np.abs(v))))
     if float(np.min(r)) < -tol_r or float(np.min(v)) < -tol_v:
@@ -208,8 +218,7 @@ def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
     nu = float(1.0 + rho - h @ Gh)
     a = np.asarray(Gh, dtype=la.LD) / np.sqrt(la.LD(max(nu, 1e-300)))
 
-    K = ak.K_ld
-    A = la.inv(K)
+    A = _bordered(1.0 + rho_ld, -v, -r, ak.G_inv)
     # geometric mean of each off-diagonal pair; A[i, j] A[j, i] commutes, so
     # the result is exactly symmetric
     A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
@@ -224,16 +233,13 @@ def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
     G_from_a = la.inv(G_a)
     Gh_a = G_from_a @ h_a
     nu_a = la.LD(1.0) + rho_a - h_a @ Gh_a
-    block = np.empty_like(K_isymi)
-    block[0, 0] = 1.0 / nu_a
-    block[0, 1:] = Gh_a / nu_a
-    block[1:, 0] = Gh_a / nu_a
-    block[1:, 1:] = G_from_a + np.outer(Gh_a, Gh_a) / nu_a
+    block = _bordered(1.0 / nu_a, Gh_a / nu_a, Gh_a / nu_a,
+                      G_from_a + np.outer(Gh_a, Gh_a) / nu_a)
     scale = max(1.0, float(np.max(np.abs(block))))
     block_err = float(np.max(np.abs(K_isymi - block))) / scale
 
-    sign_k, log_k = la.slogdet(K)
-    sign_g, log_g = la.slogdet(G)
+    sign_k, log_k = la.slogdet(ak.K_ld)
+    sign_g, log_g = la.slogdet(G, ak.G_lu)
     if sign_k <= 0 or sign_g <= 0:
         det_err = np.inf
     else:
@@ -260,17 +266,9 @@ def min_kernel_inverse(t) -> np.ndarray:
         raise ValueError("need a one-dimensional nonempty grid")
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("grid must be strictly increasing and positive")
-    m = len(t)
-    a = np.empty(m)
-    a[0] = 1.0 / t[0]
-    if m > 1:
-        a[1:] = 1.0 / np.diff(t)
-    out = np.zeros((m, m))
-    for j in range(m):
-        out[j, j] = a[j] + (a[j + 1] if j + 1 < m else 0.0)
-        if j + 1 < m:
-            out[j, j + 1] = out[j + 1, j] = -a[j + 1]
-    return out
+    a = 1.0 / np.diff(t, prepend=0.0)
+    off = np.diag(a[1:], 1)
+    return np.diag(a + np.append(a[1:], 0.0)) - off - off.T
 
 
 def grid_condition_diagnostic(spec: GridSpec, increment_variance) -> float:

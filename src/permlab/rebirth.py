@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _linalg as la
 from . import _wire as wire
+from .kernel_algebra import Decomposition
 from .sampling import philox, sample_chi_square
 
 __all__ = [
@@ -147,9 +148,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray, m: np.ndarray,
     inv_ok = True
     if mass <= 1.0 + 1e-12 and mass > 0.0:
         a = np.asarray(la.inv(np.asarray(ext, dtype=la.LD)), dtype=float)
-        scaled = a / np.abs(np.diag(a))[:, None]
-        off = scaled - np.diag(np.diag(scaled))
-        inv_ok = bool(np.max(off) <= 1e-10)
+        inv_ok = Decomposition.offdiag_positive_excess(a) <= 1e-10
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 
 
@@ -418,6 +417,9 @@ def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,
     Right side: F under the chi-square law reweighted by 2 X(y) / u(y, y).
     Both sides use independent streams; the z-score compares the two means.
     """
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths for the standard errors, "
+                         f"got {n_paths}")
     v = chain.potential()
     L = _simulate_conditioned(chain, y, n_paths, seed)
     x_left = sample_chi_square(v, 1, n_paths, seed + 1)

@@ -224,6 +224,12 @@ SCALE = {"family": "scale", "s": {"kind": "affine", "a": 1.0}}
                  "paths": 10, "seed": 1}}, "grid"),
     ({"config": {"base": EXP_DECAY, "schedule": [10], "grid": {
         "d": 0.0, "theta": 0.3, "q": 0.5}, "paths": None, "seed": 1}}, "paths"),
+    ({"model": {**MODEL, "generator": [["-1", 0.3], [0.3, -0.8]]}},
+     "generator"),
+    ({"model": {**MODEL, "generator": [[-1.0, 0.3], [0.3, True]]}},
+     "generator"),
+    ({"model": {**MODEL, "m": [True, 1.0]}}, "m"),
+    ({"model": {**MODEL, "mu": ["0.5", 0.0]}}, "mu"),
 ])
 def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
                                                        field):
@@ -302,3 +308,18 @@ def test_rebirth_sim_rejects_a_chain_that_never_dies(tmp_path, capsys):
     conservative = {**MODEL, "generator": [[-0.5, 0.5], [0.5, -0.5]]}
     message = _usage_error(tmp_path, capsys, {"model": conservative})
     assert "conservative" in message
+
+
+def test_rebirth_sim_refuses_a_run_beyond_the_round_cap(tmp_path, capsys,
+                                                        monkeypatch):
+    # about 1.5e9 jumps per path: refused from the extension, before any
+    # simulation round runs
+    from permlab import rebirth
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(rebirth, "_jump_chain", no_simulation)
+    slow = {**MODEL, "generator": [[-0.5, 0.5], [0.5, -0.500000001]]}
+    message = _usage_error(tmp_path, capsys, {"model": slow})
+    assert "jumps on average" in message and "200000-round cap" in message

@@ -1,0 +1,163 @@
+"""The closed-form decomposition against the inversion route it replaced.
+
+decompose builds A = K^-1 in closed form from the one factorization of G
+that assemble_kernel keeps.  The reference below is the earlier decompose,
+which factored G again for r and v, inverted K outright and took log det G
+from a fresh factorization; the condition number came from a fresh inverse
+of G.  Everything that does not depend on A must equal it bit for bit, and
+A must equal the direct inverse of K to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from permlab import (Affine, CharExponent, Exp,
+                     ExpDecayBase, GridSpec, HitZeroLevyBase, LevyBase,
+                     LevyPotential, Pow, PQBase, PQPotential, Prod,
+                     ScaleMinBase, ScalePotential, StableHitZeroBase,
+                     VBetaBase, VPQBase, assemble_kernel, brownian_unit_base,
+                     decompose)
+from permlab import _linalg as la
+from permlab.kernel_algebra import Decomposition
+
+STABLE = CharExponent.pure_stable(1.5)
+
+
+def _inversion_route(ak, negativity_tol=1e-10, sign_tol=1e-10):
+    """decompose as it was before A had a closed form."""
+    G = np.asarray(ak.G, dtype=la.LD)
+    G_lu = la.lu_factor(G)
+    r = la.lu_solve(G_lu, np.asarray(ak.gvec, dtype=la.LD))
+    v = la.lu_solve(G_lu, np.asarray(ak.fvec, dtype=la.LD))
+    rho = float(v @ np.asarray(ak.gvec, dtype=la.LD))
+    tol_r = negativity_tol * max(1.0, float(np.max(np.abs(r))))
+    tol_v = negativity_tol * max(1.0, float(np.max(np.abs(v))))
+    if float(np.min(r)) < -tol_r or float(np.min(v)) < -tol_v:
+        raise ValueError("negative border coefficients: input is not excessive "
+                         "for this kernel on this grid")
+    rho_identity_error = abs(rho - float(v @ (G @ r))) / max(1.0, abs(rho))
+
+    h = np.sqrt(np.clip(r * v, 0.0, None))
+    Gh = G @ h
+    nu = float(1.0 + rho - h @ Gh)
+    a = np.asarray(Gh, dtype=la.LD) / np.sqrt(la.LD(max(nu, 1e-300)))
+
+    K = ak.K_ld
+    A = la.inv(K)
+    A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
+    np.fill_diagonal(A_sym, np.diag(A))
+    K_isymi = la.inv(A_sym)
+
+    G_a = np.asarray(A_sym[1:, 1:], dtype=la.LD)
+    h_a = -np.asarray(A_sym[0, 1:], dtype=la.LD)
+    rho_a = A[0, 0] - 1.0
+    G_from_a = la.inv(G_a)
+    Gh_a = G_from_a @ h_a
+    nu_a = la.LD(1.0) + rho_a - h_a @ Gh_a
+    block = np.empty_like(K_isymi)
+    block[0, 0] = 1.0 / nu_a
+    block[0, 1:] = Gh_a / nu_a
+    block[1:, 0] = Gh_a / nu_a
+    block[1:, 1:] = G_from_a + np.outer(Gh_a, Gh_a) / nu_a
+    scale = max(1.0, float(np.max(np.abs(block))))
+    block_err = float(np.max(np.abs(K_isymi - block))) / scale
+
+    sign_k, log_k = la.slogdet(K)
+    sign_g, log_g = la.slogdet(G)
+    if sign_k <= 0 or sign_g <= 0:
+        det_err = np.inf
+    else:
+        det_err = abs(np.expm1(log_k - log_g))
+
+    return Decomposition(
+        kernel=ak,
+        r=np.asarray(r, float), v=np.asarray(v, float), rho=rho,
+        h=np.asarray(h, float), nu=nu, a=np.asarray(a, float),
+        A=np.asarray(A, float), A_sym=np.asarray(A_sym, float),
+        K_isymi=np.asarray(K_isymi, float),
+        isymi_block=np.asarray(block, float),
+        det_ratio_error=float(det_err),
+        rho_identity_error=float(rho_identity_error),
+        block_identity_error=block_err,
+        sign_tol=sign_tol,
+    )
+
+
+def _pq_pot():
+    return PQPotential(Pow(Affine(1.0, 3.0), 1.5), Exp(Affine(-1.0, 0.0)),
+                       beta=0.5)
+
+
+BASES = {
+    "exp_decay": lambda: ExpDecayBase(0.7, 0.3),
+    "levy": lambda: LevyBase(LevyPotential(STABLE, beta=1.0)),
+    "levy_hit_zero": lambda: HitZeroLevyBase(LevyPotential(STABLE, beta=0.0)),
+    "stable_hit_zero": lambda: StableHitZeroBase(0.6),
+    "levy_v": lambda: VBetaBase(LevyPotential(STABLE, beta=1.0)),
+    "pq": lambda: PQBase(_pq_pot()),
+    "vpq": lambda: VPQBase(_pq_pot()),
+    "scale": lambda: ScaleMinBase(ScalePotential(
+        Prod(Exp(Affine(0.0, 0.0)), Pow(Affine(1.0, 0.0), 1.5)))),
+}
+
+UP = GridSpec(d=0.5, theta=0.4, n=12, q=0.5)
+DOWN = GridSpec(d=1.0, theta=0.4, n=12, q=0.5, direction=-1)
+
+
+CASES = ([(family, UP) for family in sorted(BASES)]
+         + [("pq", DOWN), ("levy", DOWN), ("zero_pair", DOWN)])
+
+
+def _kernel(family, spec):
+    """The base with f = u(., 0.7) and g = u(., 0.3) + u(., 0.9) / 2.
+
+    Columns of the potential are excessive for every family, and points off
+    the grid keep r and v away from unit vectors.
+    """
+    if family == "zero_pair":
+        zero = lambda x: 0.0
+        return assemble_kernel(brownian_unit_base(), zero, zero, spec,
+                               allow_degenerate=True)
+    base = BASES[family]()
+    f = lambda x: base.kernel(x, 0.7)
+    g = lambda x: base.kernel(x, 0.3) + 0.5 * base.kernel(x, 0.9)
+    return assemble_kernel(base, f, g, spec)
+
+
+@pytest.mark.parametrize("family, spec", CASES, ids=[
+    f"{family}-{'up' if spec is UP else 'down'}" for family, spec in CASES])
+def test_closed_form_equals_the_inversion_route(family, spec):
+    ak = _kernel(family, spec)
+    dec, ref = decompose(ak), _inversion_route(ak)
+    for field in ("nu", "rho", "r", "v", "h", "a", "det_ratio_error",
+                  "rho_identity_error"):
+        assert np.array_equal(getattr(dec, field), getattr(ref, field)), field
+    G = np.asarray(ak.G, dtype=la.LD)
+    assert ak.cond == la.cond1(G, la.inv(G))
+    assert dec.a_is_m_matrix == ref.a_is_m_matrix
+    assert dec.a_sym_is_m_matrix == ref.a_sym_is_m_matrix
+    direct = np.asarray(la.inv(ak.K_ld), dtype=float)
+    scale = float(np.max(np.abs(direct)))
+    assert float(np.max(np.abs(dec.A - direct))) <= 1e-12 * scale
+    assert dec.block_identity_error <= 1e-10
+
+
+def test_each_matrix_is_factored_once(monkeypatch):
+    factored, inverted = [], []
+    real_lu, real_inv = la.lu_factor, la.inv
+
+    def lu_factor(a):
+        factored.append(np.shape(a)[0])
+        return real_lu(a)
+
+    def inv(a, *args):
+        inverted.append(np.shape(a)[0])
+        return real_inv(a, *args)
+
+    monkeypatch.setattr(la, "lu_factor", lu_factor)
+    monkeypatch.setattr(la, "inv", inv)
+    ak = _kernel("exp_decay", UP)
+    decompose(ak)
+    n = len(ak.points)
+    assert factored == [n, n + 1, n, n + 1]     # G, A_sym, G_a, K
+    assert inverted == [n, n + 1, n]            # G, A_sym, G_a

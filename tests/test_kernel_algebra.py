@@ -207,6 +207,28 @@ def test_min_kernel_inverse_randomized():
         assert float(np.max(np.abs(tri @ G - np.eye(m)))) < 1e-12
 
 
+def _min_kernel_inverse_loop(t):
+    """The per-entry loop that min_kernel_inverse replaced."""
+    m = len(t)
+    a = np.empty(m)
+    a[0] = 1.0 / t[0]
+    if m > 1:
+        a[1:] = 1.0 / np.diff(t)
+    out = np.zeros((m, m))
+    for j in range(m):
+        out[j, j] = a[j] + (a[j + 1] if j + 1 < m else 0.0)
+        if j + 1 < m:
+            out[j, j + 1] = out[j + 1, j] = -a[j + 1]
+    return out
+
+
+def test_min_kernel_inverse_equals_the_loop():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 40):
+        t = np.cumsum(rng.uniform(0.01, 2.0, size=m))
+        assert np.array_equal(min_kernel_inverse(t), _min_kernel_inverse_loop(t))
+
+
 def test_min_kernel_inverse_rejects_bad_grids():
     with pytest.raises(ValueError):
         min_kernel_inverse([1.0, 1.0, 2.0])

@@ -461,3 +461,9 @@ def test_conditioned_rejects_state_outside_the_chain(y):
     from permlab.rebirth import _simulate_conditioned
     with pytest.raises(ValueError, match="outside"):
         _simulate_conditioned(two_state(), y, 10, 1)
+
+
+@pytest.mark.parametrize("paths", [1, 0])
+def test_ek_check_needs_two_paths_for_its_standard_errors(paths):
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), paths, 1)

@@ -124,9 +124,9 @@ def _cmd_potential_eval(args) -> int:
                 val, err = pot.sigma2_with_error(x)
                 y_out = ""
             elif args.kind == "u0":
-                val, err, y_out = pot.u0(x, y), 0.0, repr(y)
+                (val, err), y_out = pot.u0_with_error(x, y), repr(y)
             else:
-                val, err, y_out = pot.v(x, y), 0.0, repr(y)
+                (val, err), y_out = pot.v_with_error(x, y), repr(y)
             rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
     _write_lines(args.out, rows)
     return 0

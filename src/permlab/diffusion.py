@@ -33,13 +33,19 @@ __all__ = [
 ]
 
 _GL64 = np.polynomial.legendre.leggauss(64)
+_PANELS = 8              # panels of the composite Gauss-Legendre rule
+_FD_STEP = 0.01          # step of the five-point generator stencil
+_EIGEN_TOL = 1e-6        # eigen-identity residual a (p, q, b) triple may have
+_INVERSE_TOL = 1e-12     # relative bracket width of the scale inverse
+_EXCESSIVE_POINTS = 201  # sample points of the excessiveness check
+_EXCESSIVE_TOL = 1e-7    # negativity and convexity allowance of that check
 
 
-def _panel_integral(fn, a: float, b: float, panels: int = 4) -> float:
+def _panel_integral(fn, a: float, b: float) -> float:
     """Composite 64-point Gauss-Legendre integral of fn over [a, b]."""
     if b <= a:
         return 0.0
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, _PANELS + 1)
     nodes, weights = _GL64
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -132,8 +138,7 @@ class WronskianReport:
 
 
 def wronskian_defect(pot: PQPotential, b: Expr, h, h_support: tuple[float, float],
-                     x_grid, fd_step: float = 0.01,
-                     eigen_tol: float = 1e-6) -> WronskianReport:
+                     x_grid) -> WronskianReport:
     """Residuals of (L - beta) applied to the potential of h, plus c_{p,q} h.
 
     The pair is rejected when p and q fail the eigenfunction identity for the
@@ -141,15 +146,15 @@ def wronskian_defect(pot: PQPotential, b: Expr, h, h_support: tuple[float, float
     quadrature and L by five-point finite differences.
     """
     eig = pot.eigen_residual(b)
-    if eig > eigen_tol:
+    if eig > _EIGEN_TOL:
         raise ValueError(f"pair fails the eigen identity: residual {eig:.3e}")
     lo, hi = h_support
 
     def potential_of_h(x: float) -> float:
         left = _panel_integral(lambda y: np.asarray(pot.p(y)) * h(y),
-                               lo, min(x, hi), panels=8)
+                               lo, min(x, hi))
         right = _panel_integral(lambda y: np.asarray(pot.q(y)) * h(y),
-                                max(x, lo), hi, panels=8)
+                                max(x, lo), hi)
         return float(pot.q(x)) * left + float(pot.p(x)) * right
 
     b1 = b.diff()
@@ -158,9 +163,9 @@ def wronskian_defect(pot: PQPotential, b: Expr, h, h_support: tuple[float, float
     spread = max(abs(pot.wronskian(b, x) - pot.wronskian(b, float(x_grid[0])))
                  for x in x_grid)
     residuals = np.empty_like(x_grid)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * fd_step
-    w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * fd_step ** 2)
-    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * fd_step)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * _FD_STEP
+    w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _FD_STEP ** 2)
+    w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * _FD_STEP)
     for i, x in enumerate(x_grid):
         f_vals = np.array([potential_of_h(x + o) for o in offsets])
         f2 = float(w2 @ f_vals)
@@ -194,7 +199,7 @@ class ScalePotential:
         out = 2.0 * np.minimum(map_distinct(self.s, x), map_distinct(self.s, y))
         return out if np.ndim(out) else float(out)
 
-    def inverse(self, target: float, tol: float = 1e-12) -> float:
+    def inverse(self, target: float) -> float:
         """Preimage of target under s by bisection; monotonicity makes it safe."""
         lo, hi = 0.0, self.hi
         s_hi = float(self.s(hi))
@@ -205,7 +210,7 @@ class ScalePotential:
                 raise ValueError("target outside the reachable range of s")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if hi - lo < tol * max(1.0, abs(mid)):
+            if hi - lo < _INVERSE_TOL * max(1.0, abs(mid)):
                 break
             if float(self.s(mid)) < target:
                 lo = mid
@@ -229,8 +234,7 @@ def concave_cap_second_derivative(p: float, s0: float, y):
     return out if out.ndim else float(out)
 
 
-def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float],
-                           n: int = 201, tol: float = 1e-7):
+def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float]):
     """Whether f factors through s as a concave function.
 
     Pulls f back through the numeric inverse of s and inspects second
@@ -240,18 +244,18 @@ def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float]
     lo, hi = interval
     if lo <= 0.0:
         raise ValueError("interval must sit inside (0, inf)")
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(lo, hi, _EXCESSIVE_POINTS)
     fx = np.asarray(f(xs), dtype=float)
-    if np.any(fx < -tol):
-        bad = xs[np.argmax(fx < -tol)]
+    if np.any(fx < -_EXCESSIVE_TOL):
+        bad = xs[np.argmax(fx < -_EXCESSIVE_TOL)]
         return False, float(bad)
     y_lo, y_hi = float(pot.s(lo)), float(pot.s(hi))
-    ys = np.linspace(y_lo, y_hi, n)
+    ys = np.linspace(y_lo, y_hi, _EXCESSIVE_POINTS)
     g = np.array([float(np.asarray(f(pot.inverse(y)))) for y in ys])
     dy = ys[1] - ys[0]
     second = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dy ** 2
     scale = max(1.0, float(np.max(np.abs(g))))
-    bad = second > tol * scale / dy + 1e-6 * scale
+    bad = second > _EXCESSIVE_TOL * scale / dy + 1e-6 * scale
     if np.any(bad):
         witness = pot.inverse(float(ys[1:-1][np.argmax(bad)]))
         return False, witness
@@ -278,7 +282,7 @@ def riesz_reconstruct(pot: ScalePotential, p: float, x0: float,
         def high(y):
             return sx * (-concave_cap_second_derivative(p, s0, np.asarray(y)))
 
-        rebuilt = _panel_integral(low, 0.0, cut, panels=8)
-        rebuilt += _panel_integral(high, cut, s0, panels=8)
+        rebuilt = _panel_integral(low, 0.0, cut)
+        rebuilt += _panel_integral(high, cut, s0)
         out[i] = rebuilt - concave_cap_value(p, s0, sx)
     return out

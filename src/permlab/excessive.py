@@ -29,6 +29,9 @@ __all__ = [
     "excessive_from_spec",
 ]
 
+_FLAT_WIDTHS = (1.0, 1.5)       # nested windows of the translation-invariant pair
+_FLAT_DERIVATIVE_TOL = 1e-8     # |derivative| at x0 a flat function may have
+
 
 @dataclass(frozen=True)
 class IndicatorPotential:
@@ -110,8 +113,7 @@ class ScaleConcaveExcessive:
         return (self.p / s0) * ((s0 - sx) / s0) ** (self.p - 1.0) * float(s.diff()(x))
 
 
-def make_flat_pair(base, x0: float, widths: tuple[float, float] = (1.0, 1.5),
-                   derivative_tol: float = 1e-8):
+def make_flat_pair(base, x0: float):
     """Two excessive functions with vanishing derivative at x0 that are not
     proportional near x0.
 
@@ -120,9 +122,7 @@ def make_flat_pair(base, x0: float, widths: tuple[float, float] = (1.0, 1.5),
     rejected.  Flatness is checked numerically before returning.
     """
     if getattr(base, "translation_invariant", False):
-        w1, w2 = widths
-        if not 0.0 < w1 < w2:
-            raise ValueError("widths must be positive and nested")
+        w1, w2 = _FLAT_WIDTHS
         f = IndicatorPotential(base, x0 - w1 / 2.0, x0 + w1 / 2.0)
         g = IndicatorPotential(base, x0 - w2 / 2.0, x0 + w2 / 2.0)
     elif isinstance(base, ScaleMinBase):
@@ -133,7 +133,7 @@ def make_flat_pair(base, x0: float, widths: tuple[float, float] = (1.0, 1.5),
     else:
         raise ValueError("no flat-pair construction for this base")
     for fn in (f, g):
-        if abs(fn.derivative(x0)) > derivative_tol:
+        if abs(fn.derivative(x0)) > _FLAT_DERIVATIVE_TOL:
             raise ValueError("constructed function is not flat at x0")
     # second-difference disparity certifies non-proportionality
     h = 1e-2 * (abs(x0) + 1.0)

@@ -45,6 +45,8 @@ __all__ = [
 
 MAX_GRID_POINTS = 200
 _LOGLOG_CAP = exp(-_e)   # largest admissible offset, log log 1/t >= 1
+_NEGATIVITY_TOL = 1e-10  # scaled dip of r, v below zero that decompose accepts
+_SIGN_TOL = 1e-10        # scaled sign excess the M-matrix checks accept
 
 
 class GridError(ValueError):
@@ -170,7 +172,6 @@ class Decomposition:
     det_ratio_error: float        # |det K / det G - 1|
     rho_identity_error: float     # |rho - v G r| (scaled)
     block_identity_error: float   # K_isymi vs its analytic block form
-    sign_tol: float = 1e-10
 
     @staticmethod
     def offdiag_positive_excess(mat: np.ndarray) -> float:
@@ -185,20 +186,19 @@ class Decomposition:
 
     @property
     def a_is_m_matrix(self) -> bool:
-        return (self.offdiag_positive_excess(self.A) <= self.sign_tol
-                and self.entrywise_negative_excess(self.kernel.K) <= self.sign_tol)
+        return (self.offdiag_positive_excess(self.A) <= _SIGN_TOL
+                and self.entrywise_negative_excess(self.kernel.K) <= _SIGN_TOL)
 
     @property
     def a_sym_is_m_matrix(self) -> bool:
-        return (self.offdiag_positive_excess(self.A_sym) <= self.sign_tol
-                and self.entrywise_negative_excess(self.K_isymi) <= self.sign_tol)
+        return (self.offdiag_positive_excess(self.A_sym) <= _SIGN_TOL
+                and self.entrywise_negative_excess(self.K_isymi) <= _SIGN_TOL)
 
 
-def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
-              sign_tol: float = 1e-10) -> Decomposition:
+def decompose(ak: AugmentedKernel) -> Decomposition:
     """Invert the augmented kernel in closed form, symmetrize, and re-invert.
 
-    Raises when the border coefficients r, v dip below -negativity_tol
+    Raises when the border coefficients r, v dip below -_NEGATIVITY_TOL
     (scaled), which is the discrete signature of a non-excessive input.
     """
     G = np.asarray(ak.G, dtype=la.LD)
@@ -206,8 +206,8 @@ def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
     v = la.lu_solve(ak.G_lu, np.asarray(ak.fvec, dtype=la.LD))
     rho_ld = v @ np.asarray(ak.gvec, dtype=la.LD)
     rho = float(rho_ld)
-    tol_r = negativity_tol * max(1.0, float(np.max(np.abs(r))))
-    tol_v = negativity_tol * max(1.0, float(np.max(np.abs(v))))
+    tol_r = _NEGATIVITY_TOL * max(1.0, float(np.max(np.abs(r))))
+    tol_v = _NEGATIVITY_TOL * max(1.0, float(np.max(np.abs(v))))
     if float(np.min(r)) < -tol_r or float(np.min(v)) < -tol_v:
         raise ValueError("negative border coefficients: input is not excessive "
                          "for this kernel on this grid")
@@ -255,7 +255,6 @@ def decompose(ak: AugmentedKernel, *, negativity_tol: float = 1e-10,
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,
-        sign_tol=sign_tol,
     )
 
 

@@ -19,6 +19,7 @@ together; the quadrature runs once per distinct |x|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import cos, gamma as gamma_fn, pi
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 _MIN_RV_INDEX = 1.0 + 1e-6
+_REGULARITY_STEP = 1e-4    # relative step of the central differences
+_REGULARITY_SLACK = 1e-3   # allowance of both regularity checks
 
 
 def regular_variation_constant(r: float) -> float:
@@ -87,8 +90,7 @@ class LevyPotential:
         if hit is not None:
             return hit
         c, g = self.psi.tail_minorant()
-        val, err = cosine_halfline(self._weight(self.beta), x, self.quad, c, g,
-                                   scale_hint=None)
+        val, err = cosine_halfline(self._weight(self.beta), x, self.quad, c, g)
         out = (val / pi, err / pi)
         self._u_cache[x] = out
         return out
@@ -147,6 +149,24 @@ class LevyPotential:
             raise ValueError("v needs beta > 0")
         return self.u(x - y) - self.u(x) * self.u(y) / self.u(0.0)
 
+    def u0_with_error(self, x: float, y: float) -> tuple[float, float]:
+        """u0(x, y) and the bound (e(x) + e(y) + e(x - y)) / 2 propagated
+        from the sigma2 bounds e."""
+        val = self.u0(x, y)
+        ex, ey, exy = (self.sigma2_with_error(t)[1] for t in (x, y, x - y))
+        return val, (ex + ey + exy) / 2.0
+
+    def v_with_error(self, x: float, y: float) -> tuple[float, float]:
+        """v(x, y) and its bound: the bound on u(x - y) plus the largest
+        change of u(x) u(y) / u(0) over the corners of the intervals that the
+        bounds on u(x), u(y) and u(0) allow."""
+        val = self.v(x, y)
+        (ux, ex), (uy, ey), (uz, ez) = (self.u_with_error(t) for t in (x, y, 0.0))
+        prod = ux * uy / uz
+        spread = max(abs((ux + a * ex) * (uy + b * ey) / (uz + c * ez) - prod)
+                     for a, b, c in product((-1.0, 1.0), repeat=3))
+        return val, self.u_with_error(x - y)[1] + spread
+
 
 def check_sigma2_asymptotics(pot: LevyPotential, xs) -> list[tuple[float, float]]:
     """Ratios sigma2(x) * |x| * psi(1/x) / C_r for a regularly varying exponent.
@@ -175,14 +195,14 @@ class RegularityReport:
     concavity_witness: float | None
 
 
-def check_sigma2_regularity(pot: LevyPotential, grid,
-                            rel_step: float = 1e-4,
-                            slack: float = 1e-3) -> RegularityReport:
+def check_sigma2_regularity(pot: LevyPotential, grid) -> RegularityReport:
     """Sampled smoothness checks for a stable-mixture increment variance.
 
-    (a) |d sigma2 / dx| <= sigma2(x)/x up to slack, via central differences;
+    (a) |d sigma2 / dx| <= sigma2(x)/x up to _REGULARITY_SLACK, via central
+        differences of relative step _REGULARITY_STEP;
     (b) for beta = 0 (and a non-quadratic exponent) second differences are
-        nonpositive up to slack; skipped otherwise, where nothing is claimed.
+        nonpositive up to _REGULARITY_SLACK; skipped otherwise, where nothing
+        is claimed.
     """
     grid = [float(x) for x in grid]
     if any(x <= 0.0 for x in grid):
@@ -192,7 +212,7 @@ def check_sigma2_regularity(pot: LevyPotential, grid,
     max_ratio = 0.0
     witness = None
     for x in grid:
-        h = rel_step * x
+        h = _REGULARITY_STEP * x
         s_p = pot.sigma2(x + h)
         s_m = pot.sigma2(x - h)
         s_0 = pot.sigma2(x)
@@ -200,7 +220,7 @@ def check_sigma2_regularity(pot: LevyPotential, grid,
         bound = s_0 / x
         ratio = abs(deriv) / bound if bound > 0 else np.inf
         max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + slack:
+        if ratio > 1.0 + _REGULARITY_SLACK:
             deriv_ok = False
             witness = witness if witness is not None else x
     if pot.psi.is_pure_gaussian or pot.beta != 0.0:
@@ -216,7 +236,7 @@ def check_sigma2_regularity(pot: LevyPotential, grid,
         # divided second difference; <= 0 for a concave function
         d2 = 2.0 * (hl * vals[i + 1] - (hl + hr) * vals[i] + hr * vals[i - 1])
         d2 /= hl * hr * (hl + hr)
-        if d2 > slack * max(1.0, abs(vals[i])):
+        if d2 > _REGULARITY_SLACK * max(1.0, abs(vals[i])):
             conc_ok = False
             conc_witness = conc_witness if conc_witness is not None else xs[i]
     return RegularityReport(deriv_ok, max_ratio, witness, True, conc_ok,

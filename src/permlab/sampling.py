@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .bases import mirror_upper
-from .kernel_algebra import Decomposition, GridSpec
+from .kernel_algebra import Decomposition, GridSpec, assemble_kernel, decompose
 
 __all__ = [
     "philox",
@@ -32,6 +32,8 @@ __all__ = [
     "LILRow",
     "trend_is_nondecreasing",
 ]
+
+_REPRESENTATION_TOL = 1e-6   # scaled gap between G + a a^T and the K_isymi block
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -87,7 +89,7 @@ def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
 
 
 def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
-                                seed: int, check_tol: float = 1e-6) -> np.ndarray:
+                                seed: int) -> np.ndarray:
     """Chi-square samples of the symmetrized comparison process.
 
     Each Gaussian copy is eta(t'_j) + a_j * xi with eta drawn from the grid
@@ -101,7 +103,7 @@ def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
     implied = G + np.outer(a, a)
     block = dec.K_isymi[1:, 1:]
     scale = max(1.0, float(np.max(np.abs(block))))
-    if float(np.max(np.abs(implied - block))) > check_tol * scale:
+    if float(np.max(np.abs(implied - block))) > _REPRESENTATION_TOL * scale:
         raise ValueError("representation Gram matrix disagrees with the "
                          "symmetrized kernel block")
     factor = _psd_factor(G)
@@ -181,7 +183,9 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     paths where it clears (1 - eps) sqrt(2 X(d)), the upper frequency counts
     paths whose two-sided maximum stays below (1 + eps) sqrt(2 X(d)).
     When f and g are given the symmetrized comparison process is sampled and
-    its determinant ratio is reported alongside.
+    its determinant ratio is reported alongside.  The conditional correlation
+    of the increments is factored by plain Cholesky, with no shift: one that
+    is not positive definite raises numpy's LinAlgError, a ValueError.
     """
     rows: list[LILRow] = []
     for spec in grid_specs:
@@ -198,7 +202,6 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
         a_extra = 0.0
         nu = 1.0
         if f is not None or g is not None:
-            from .kernel_algebra import assemble_kernel, decompose
             dec = decompose(assemble_kernel(base, f, g, spec))
             nu = dec.nu
             a_extra = dec.a      # full vector, index 0 is the point d
@@ -207,7 +210,7 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
         cond = C - np.outer(cross, cross) / G00
         dd = np.sqrt(np.diag(cond))
         corr = cond / np.outer(dd, dd)
-        factor = np.linalg.cholesky(corr + 1e-13 * np.eye(len(dd)))
+        factor = np.linalg.cholesky(corr)
         rng = philox(seed)
         m = len(offsets)
         eta_d = sqrt(G00) * rng.standard_normal((n_paths, k))

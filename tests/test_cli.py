@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from permlab import regular_variation_constant
 from permlab.cli import main
 
 
@@ -34,6 +36,29 @@ def test_potential_eval_deterministic(brownian_psi, tmp_path):
     main(args + ["--out", str(out1)])
     main(args + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _stable_u0(index, x, y):
+    c = regular_variation_constant(index)
+    return 0.5 * c * (x ** (index - 1) + y ** (index - 1) - abs(x - y) ** (index - 1))
+
+
+@pytest.mark.parametrize("kind, beta, psi, x, y, exact", [
+    ("u0", "0", {"kind": "stable", "index": 1.5}, 0.3, 0.8,
+     _stable_u0(1.5, 0.3, 0.8)),
+    ("vbeta", "0.5", {"kind": "gaussian_plus", "C": 0.5, "atoms": []}, 1.0, 2.0,
+     math.exp(-1.0) * -math.expm1(-2.0)),
+])
+def test_potential_eval_two_point_bound_covers_the_closed_form(
+        tmp_path, kind, beta, psi, x, y, exact):
+    spec, out = tmp_path / "psi.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps(psi))
+    rc = main(["potential", "eval", "--psi", str(spec), "--beta", beta,
+               "--kind", kind, "--x", str(x), "--y", str(y), "--out", str(out)])
+    assert rc == 0
+    _, _, value, err_bound = out.read_text().strip().splitlines()[1].split(",")
+    assert 0.0 < float(err_bound) < 1e-8
+    assert abs(float(value) - exact) <= float(err_bound)
 
 
 def test_potential_eval_family(tmp_path):

@@ -23,7 +23,7 @@ from permlab.kernel_algebra import Decomposition
 STABLE = CharExponent.pure_stable(1.5)
 
 
-def _inversion_route(ak, negativity_tol=1e-10, sign_tol=1e-10):
+def _inversion_route(ak, negativity_tol=1e-10):
     """decompose as it was before A had a closed form."""
     G = np.asarray(ak.G, dtype=la.LD)
     G_lu = la.lu_factor(G)
@@ -79,7 +79,6 @@ def _inversion_route(ak, negativity_tol=1e-10, sign_tol=1e-10):
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,
-        sign_tol=sign_tol,
     )
 
 

@@ -6,7 +6,7 @@ from permlab import (ConstantExcessive, GridSpec, assemble_kernel,
                      brownian_min_kernel, brownian_unit_base, decompose,
                      laplace_check, lil_harness, make_flat_pair,
                      sample_chi_square, sample_isymi_representation,
-                     sandwich_check, trend_is_nondecreasing)
+                     sampling, sandwich_check, trend_is_nondecreasing)
 
 OU = brownian_unit_base()
 
@@ -150,6 +150,18 @@ def test_lil_flags_degenerate_kernel():
     rows = lil_harness(AllOnes(), None, None, specs, k=1, n_paths=100, seed=1)
     assert all(r.degenerate for r in rows)
     assert all(np.isnan(r.freq_lower) for r in rows)
+
+
+def test_lil_rejects_a_singular_increment_correlation(monkeypatch):
+    # two equal rows: the correlation is not positive definite, and no shift
+    # may make it so
+    def equal_rows(base, d, offsets, direction):
+        return 1.0, np.zeros(len(offsets)), np.ones((len(offsets), len(offsets)))
+
+    monkeypatch.setattr(sampling, "_increment_structure", equal_rows)
+    specs = [GridSpec(d=0.0, theta=0.3, n=20, q=0.5)]
+    with pytest.raises(np.linalg.LinAlgError):
+        lil_harness(OU, None, None, specs, k=1, n_paths=100, seed=1)
 
 
 def test_lil_flat_pair_statistic_matches_symmetric_law():

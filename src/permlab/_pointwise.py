@@ -1,8 +1,8 @@
 """Entrywise evaluation of scalar formulas over arrays.
 
 numpy's vector exp and power can differ from libm in the last ulp, and so
-from the scalar formulas behind the kernels: quadrature, math.exp, float
-powers, and the numpy-scalar power inside a scalar call of an expression.
+from the scalar formulas behind the kernels: math.exp, float powers, and
+the numpy-scalar power inside a scalar call of an expression.
 Grids of those kernels call the scalar formula once per distinct value.
 """
 

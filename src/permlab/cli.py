@@ -46,6 +46,10 @@ _BASE_FIELDS = {
 }
 _LEVY_BASES = {"levy": LevyBase, "levy_hit_zero": HitZeroLevyBase,
                "levy_v": VBetaBase}
+# the kernel of each Levy family with the bound its quadrature reports
+_LEVY_BOUNDS = {"levy": lambda pot, x, y: pot.u_with_error(x - y),
+                "levy_hit_zero": lambda pot, x, y: pot.u0_with_error(x, y),
+                "levy_v": lambda pot, x, y: pot.v_with_error(x, y)}
 
 
 def base_from_spec(spec: dict):
@@ -101,9 +105,12 @@ def _cmd_potential_eval(args) -> int:
         if isinstance(spec, dict) and "family" not in spec:
             spec = {**spec, "family": args.family}
         base = base_from_spec(spec)
+        with_error = _LEVY_BOUNDS.get(spec.get("family"))
         for x, y in zip(xs, ys):
             yy = x if y is None else y
-            rows.append(f"{x!r},{yy!r},{base.kernel(x, yy)!r},0.0")
+            val, err = (with_error(base.pot, x, yy) if with_error
+                        else (base.kernel(x, yy), 0.0))
+            rows.append(f"{x!r},{yy!r},{val!r},{float(err)!r}")
     else:
         if args.psi is None:
             raise ValueError("potential eval needs --psi or --family")
@@ -262,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="u")
     p_eval.add_argument("--family",
                         choices=["pq", "vpq", "scale", "exp_decay",
-                                 "stable_hit_zero"],
-                        help="closed-form family instead of --psi")
+                                 "stable_hit_zero", *_LEVY_BASES],
+                        help="kernel family instead of --psi")
     p_eval.add_argument("--spec", help="family spec JSON path")
     p_eval.add_argument("--x", nargs="+", required=True)
     p_eval.add_argument("--y", nargs="*")

@@ -13,7 +13,9 @@ quadrature; nothing here special-cases the quadratic exponent, whose closed
 form is used only by tests as an oracle.
 
 u, sigma2, phi, u0 and v take scalars or numpy arrays that broadcast
-together; the quadrature runs once per distinct |x|.
+together.  The quadrature runs once per distinct |x|: an array sends all of
+its uncached |x| through the array route of the quadrature in one call, and
+a value does not depend on which call computed it.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from math import cos, gamma as gamma_fn, pi
 
 import numpy as np
 
-from ._pointwise import map_distinct
 from .exponents import CharExponent
 from .quadrature import (QuadratureConfig, cosine_halfline,
-                         one_minus_cos_halfline)
+                         cosine_halfline_array, one_minus_cos_halfline,
+                         one_minus_cos_halfline_array)
 
 __all__ = [
     "LevyPotential",
@@ -52,6 +54,13 @@ def regular_variation_constant(r: float) -> float:
     if not _MIN_RV_INDEX < r <= 2.0:
         raise ValueError(f"index must lie in ({_MIN_RV_INDEX}, 2], got {r}")
     return -1.0 / (gamma_fn(r) * cos(pi * r / 2.0))
+
+
+def _store(cache, factor, xs, vals, errs):
+    """cache[x] = (factor * value / pi, factor * bound / pi) for each x; the
+    scalar and the array routes scale and round alike."""
+    for x, val, err in zip(xs, vals, errs):
+        cache[float(x)] = (factor * float(val) / pi, factor * float(err) / pi)
 
 
 @dataclass
@@ -80,23 +89,38 @@ class LevyPotential:
 
         return w
 
+    def _gather(self, cache, factor, transform, x):
+        """Values at |x| from cache, after one transform call fills in every
+        distinct |x| it lacks."""
+        ax = np.abs(np.asarray(x, dtype=float))
+        distinct, where = np.unique(ax.ravel(), return_inverse=True)
+        missing = [t for t in distinct.tolist() if t not in cache]
+        if missing:
+            c, g = self.psi.tail_minorant()
+            vals, errs = transform(self._weight(self.beta), np.array(missing),
+                                   self.quad, c, g)
+            _store(cache, factor, missing, vals, errs)
+        out = np.array([cache[t][0] for t in distinct.tolist()])
+        return out[where].reshape(ax.shape)
+
     # -- the killed potential density ----------------------------------
 
     def u_with_error(self, x: float) -> tuple[float, float]:
         if self.beta <= 0.0:
             raise ValueError("the potential density needs beta > 0")
         x = float(abs(x))
-        hit = self._u_cache.get(x)
-        if hit is not None:
-            return hit
-        c, g = self.psi.tail_minorant()
-        val, err = cosine_halfline(self._weight(self.beta), x, self.quad, c, g)
-        out = (val / pi, err / pi)
-        self._u_cache[x] = out
-        return out
+        if x not in self._u_cache:
+            c, g = self.psi.tail_minorant()
+            val, err = cosine_halfline(self._weight(self.beta), x, self.quad, c, g)
+            _store(self._u_cache, 1.0, [x], [val], [err])
+        return self._u_cache[x]
 
     def u(self, x):
-        return map_distinct(lambda t: self.u_with_error(t)[0], abs(x))
+        if np.ndim(x) == 0:     # a float, from the same array code
+            return self.u_with_error(x)[0]
+        if self.beta <= 0.0:
+            raise ValueError("the potential density needs beta > 0")
+        return self._gather(self._u_cache, 1.0, cosine_halfline_array, x)
 
     # -- increment variance, any beta >= 0 -----------------------------
 
@@ -104,30 +128,17 @@ class LevyPotential:
         x = float(abs(x))
         if x == 0.0:
             return 0.0, 0.0
-        hit = self._s_cache.get(x)
-        if hit is not None:
-            return hit
-        c, g = self.psi.tail_minorant()
-        wz = self._weight_at_zero_limit(x)
-        val, err = one_minus_cos_halfline(self._weight(self.beta), x, self.quad,
-                                          c, g, weight_at_zero=wz)
-        out = (2.0 * val / pi, 2.0 * err / pi)
-        self._s_cache[x] = out
-        return out
+        if x not in self._s_cache:
+            c, g = self.psi.tail_minorant()
+            val, err = one_minus_cos_halfline(self._weight(self.beta), x,
+                                              self.quad, c, g)
+            _store(self._s_cache, 2.0, [x], [val], [err])
+        return self._s_cache[x]
 
     def sigma2(self, x):
-        return map_distinct(lambda t: self.sigma2_with_error(t)[0], abs(x))
-
-    def _weight_at_zero_limit(self, x: float) -> float:
-        # limit of (1 - cos(lam x)) / (beta + psi(lam)) at lam -> 0
-        if self.beta > 0.0:
-            return 0.0
-        g0, _ = self.psi.support()
-        if self.psi.is_pure_gaussian:
-            return x * x / (2.0 * self.psi.gaussian_coeff)
-        if g0 < 2.0:
-            return 0.0
-        return x * x / (2.0 * self.psi.total_mass)
+        if np.ndim(x) == 0:     # a float, from the same array code
+            return self.sigma2_with_error(x)[0]
+        return self._gather(self._s_cache, 2.0, one_minus_cos_halfline_array, x)
 
     # -- unkilled objects ----------------------------------------------
 

@@ -3,26 +3,49 @@
 The integrals here look like int_0^inf cos(lam*x) w(lam) dlam with w positive,
 decreasing and w(lam) <= c_tail^-1 * lam^-gamma beyond lam = 1 for some
 gamma > 1.  The half line is split at the first cosine zero z0 past
-max(1, _SPLIT_SCALE/|x|): the head [0, z0] is handled by adaptive quadrature,
-the rest period by period over consecutive cosine zeros, _BATCH half periods
-of _GL_ORDER Gauss-Legendre nodes at a time.  Those contributions strictly
-alternate in sign with decreasing magnitude, so iterated averaging of the
-partial sums (Euler acceleration) converges far faster than the raw series,
-which matters when gamma is close to 1.
+max(1, _SPLIT_SCALE/|x|).
 
-The non-oscillating tail int_{lam0}^inf w is integrated on [1, inf) in units
-of lam0, so that scipy's map of [1, inf) onto (0, 1] sees its mass however
-far out lam0 lies.
+The head [0, z0] is integrated for every |x| of a call at once, as one array
+of (node x panel) values.  Each panel carries QUADPACK's Gauss-Kronrod pair
+(Piessens et al., QUADPACK, 1983): the 15-point Kronrod sum is the value,
+and its bound is |K15 - G7| plus the rounding of the sum itself,
+gamma_16 * sum |w_i f_i| for 15 products and additions and the scaling by
+the half-length (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 4); adding up n panels adds gamma_n times the sum of their magnitudes.
+The panels start at the break points 1, 10, 100 and 1e4 below z0.  While
+the bound of an |x| exceeds _HEAD_SHARE of its budget, each of its panels
+whose |K15 - G7| exceeds that tolerance's share for the panel's length is
+split into _SPLIT_WAYS equal parts, up to _QUAD_LIMIT panels per |x|.  The
+rounding terms take no part in that choice, since splitting cannot shrink
+them; quarters rather than halves grade the panels toward lam = 0, where
+psi is not smooth, in half the passes.  Sums over nodes and panels run in a
+fixed order, so a value does not depend on the other |x| of its call.  The
+Kronrod nodes are interior, so lam = 0, where w may blow up, is never
+evaluated; 1 - cos(lam*x) is written as 2 sin^2(lam*x/2), which has no
+cancellation at small lam*x.
+
+The rest is summed period by period over consecutive cosine zeros, _BATCH
+half periods of _GL_ORDER Gauss-Legendre nodes at a time, for chunks of
+_ROWS values of |x| in lockstep.  Those contributions strictly alternate in
+sign with decreasing magnitude, so iterated averaging of the partial sums
+(Euler acceleration) converges far faster than the raw series, which
+matters when gamma is close to 1.
+
+The non-oscillating tail int_{lam0}^inf w is integrated one lam0 at a time
+by scipy's quad, on [1, inf) in units of lam0, so that scipy's map of
+[1, inf) onto (0, 1] sees its mass however far out lam0 lies.
 
 Truncation never happens silently: period sums stopped at max_half_periods
-add the analytic tail bound of the power minorant to the reported error, and
-evaluation fails loudly when the achieved bound exceeds the budget.
+add the analytic tail bound of the power minorant to the reported error,
+and evaluation fails loudly, for the smallest failing |x| of a call, when a
+head overruns its panels or the achieved bound exceeds the budget.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -31,25 +54,79 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "cosine_halfline",
+    "cosine_halfline_array",
     "one_minus_cos_halfline",
+    "one_minus_cos_halfline_array",
     "smooth_tail",
 ]
 
 _SPLIT_SCALE = 10.0   # head/tail split at max(1, _SPLIT_SCALE/|x|)
+_HEAD_BREAKS = np.array([0.0, 1.0, 10.0, 100.0, 1e4])  # first panel edges
+_QUAD_LIMIT = 400     # panels of a head, and subintervals of a scipy quad call
 _GL_ORDER = 16        # nodes per half period
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _BATCH = 32           # half periods generated per acceleration pass
-_QUAD_LIMIT = 400     # subintervals of each adaptive quad call
+# |K15 - G7| overstates the error of K15 by orders of magnitude; refining
+# to a small share of the budget keeps the head's bound no looser than the
+# other parts of a total
+_HEAD_SHARE = 1 / 64  # of the budget, for the head
+_SPLIT_WAYS = 4       # equal parts a head panel is split into
+_SPLIT_EDGES = np.arange(_SPLIT_WAYS + 1) / _SPLIT_WAYS
+_ROWS = 16            # |x| per chunk, which keeps the working set under 1 MB
+
+# QUADPACK's qk15 on [-1, 1] by halves, from the outermost node inwards:
+# Kronrod nodes (the Gauss nodes are every second one), Kronrod weights and
+# 7-point Gauss weights
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+_K15_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+# rows weighting (f, f, |f|): K15, G7 (zero off its nodes) and K15 again
+_GK_WEIGHTS = np.zeros((3, 15))
+_GK_WEIGHTS[0] = _GK_WEIGHTS[2] = np.concatenate((_WGK, _WGK[-2::-1]))
+_GK_WEIGHTS[1, 1::2] = np.concatenate((_WG, _WG[-2::-1]))
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u) for unit roundoff u = 2^-53."""
+    nu = np.asarray(n, dtype=float) * 2.0 ** -53
+    return nu / (1.0 - nu)
+
+
+_PANEL_ROUNDING = float(_gamma(16))
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Error budget max(abs_tol, rel_tol * |value|) and the cap on period sums."""
+
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_half_periods: int = 4096
 
-    def budget(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
+    def __post_init__(self):
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
+            raise ValueError(f"tolerances must be nonnegative, got abs_tol="
+                             f"{self.abs_tol!r} and rel_tol={self.rel_tol!r}")
+        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
+            raise ValueError("abs_tol and rel_tol cannot both be 0")
+        n = self.max_half_periods
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"max_half_periods must be an integer >= 1, got {n!r}")
+
+    def budget(self, scale):
+        """The error allowed at scale; elementwise for arrays."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(scale))
 
 
 class QuadratureError(RuntimeError):
@@ -61,78 +138,205 @@ class QuadratureError(RuntimeError):
         self.err_bound = err_bound
 
 
-def _averaged_alternating(partials: np.ndarray) -> tuple[float, float]:
-    """Iterated mean of alternating-series partial sums plus an error estimate.
+# -- the head ------------------------------------------------------------------
+
+def _cos(lam, ax):
+    return np.cos(lam * ax)
+
+
+def _one_minus_cos(lam, ax):
+    s = np.sin(lam * (0.5 * ax))
+    return 2.0 * s * s
+
+
+def _split_points(ax: np.ndarray) -> np.ndarray:
+    """The first cosine zero z0 past max(1, _SPLIT_SCALE/ax), for each ax."""
+    lam_star = np.maximum(1.0, _SPLIT_SCALE / ax)
+    k0 = np.ceil(lam_star * ax / np.pi - 0.5)
+    return (k0 + 0.5) * np.pi / ax
+
+
+def _panels(osc, weight, ax, owner, left, right):
+    """Rows left, right, K15 value, |K15 - G7| and the rounding term of the
+    panels [left, right], panel i oscillating at frequency ax[owner[i]]."""
+    half = 0.5 * (right - left)
+    lam = (left + half) + half * _K15_NODES[:, None]
+    f = osc(lam, ax[owner]) * weight(lam)
+    # accumulate sums node by node, in the same order for every panel
+    terms = _GK_WEIGHTS[:, :, None] * f
+    np.abs(terms[2], out=terms[2])
+    k, g, size = np.add.accumulate(terms, axis=1)[:, -1]
+    return np.stack((left, right, half * k, half * np.abs(k - g),
+                     _PANEL_ROUNDING * half * size))
+
+
+def _head(osc, weight, ax: np.ndarray, z0: np.ndarray, cfg: QuadratureConfig):
+    """int_0^z0 osc(lam, ax) w(lam) dlam for each entry of ax.
+
+    Returns the values, their bounds and a mask of the entries whose panels
+    would have exceeded _QUAD_LIMIT.
+    """
+    n = ax.size
+    # panels [0, 1], [1, 10], ... up to the last break point below z0, then z0
+    count = np.sum(_HEAD_BREAKS < z0[:, None], axis=1)
+    owner = np.repeat(np.arange(n), count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    right = np.where(j + 1 < count[owner],
+                     _HEAD_BREAKS[np.minimum(j + 1, _HEAD_BREAKS.size - 1)],
+                     z0[owner])
+    panels = _panels(osc, weight, ax, owner, _HEAD_BREAKS[j], right)
+    overran = np.zeros(n, dtype=bool)
+    while True:
+        left, right, val, trunc, rnd = panels
+        # the panels of one entry keep an order set by its own splits alone,
+        # and bincount sums them in that order
+        head = np.bincount(owner, val, n)
+        err = (np.bincount(owner, trunc + rnd, n)
+               + _gamma(count) * np.bincount(owner, np.abs(val), n))
+        tol = cfg.budget(head) * _HEAD_SHARE
+        split = (((err > tol) & ~overran)[owner]
+                 & (trunc * z0[owner] > tol[owner] * (right - left)))
+        grown = count + (_SPLIT_WAYS - 1) * np.bincount(owner[split], minlength=n)
+        over = grown > _QUAD_LIMIT
+        if over.any():
+            overran |= over
+            split &= ~over[owner]
+            grown[over] = count[over]
+        if not split.any():
+            return head, err, overran
+        count = grown
+        edges = left[split] + (right - left)[split] * _SPLIT_EDGES[:, None]
+        edges[-1] = right[split]
+        new_owner = np.tile(owner[split], _SPLIT_WAYS)
+        fresh = _panels(osc, weight, ax, new_owner, edges[:-1].ravel(),
+                        edges[1:].ravel())
+        keep = ~split
+        owner = np.concatenate((owner[keep], new_owner))
+        panels = np.concatenate((panels[:, keep], fresh), axis=1)
+
+
+# -- the period sums -------------------------------------------------------------
+
+def _averaged_alternating(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated means of each row of alternating-series partial sums, and
+    error estimates.
 
     The error estimate is the change between the last two averaging levels,
-    which tracks the true error well for smoothly decaying terms.  partials
-    needs at least two entries.
+    which tracks the true error well for smoothly decaying terms.  Rows need
+    at least two entries.
     """
     prev, cur = partials, partials
-    while cur.size > 1:
-        prev, cur = cur, 0.5 * (cur[:-1] + cur[1:])
-    value = float(cur[-1])
-    return value, abs(value - float(prev[-1]))
+    while cur.shape[1] > 1:
+        prev, cur = cur, 0.5 * (cur[:, :-1] + cur[:, 1:])
+    value = cur[:, -1]
+    return value, np.abs(value - prev[:, -1])
 
 
-def _period_sums(weight, ax: float, z0: float, cfg: QuadratureConfig,
-                 tol: float, c_tail: float,
-                 gamma: float) -> tuple[float, float, float]:
-    """sum of int_{z_i}^{z_{i+1}} cos(ax*lam) w(lam) dlam over cosine zeros z_i.
+def _period_sums(weight, ax, z0, tol, cfg, c_tail, gamma):
+    """sum of int_{z_i}^{z_{i+1}} cos(ax*lam) w(lam) dlam over cosine zeros
+    z_i >= z0, for each entry of ax against its own tolerance tol.
 
-    Returns the accelerated sum, its error estimate and the analytic bound on
-    the part beyond the last half period, which is 0.0 unless the sums stopped
+    The entries run in lockstep until each converges.  Returns the
+    accelerated sums, their error estimates and the analytic bounds on the
+    part beyond the last half period, which are 0.0 unless the sums stopped
     at max_half_periods without converging.
     """
+    value, err, tail = np.empty(ax.size), np.empty(ax.size), np.zeros(ax.size)
+    live = np.arange(ax.size)
     half = np.pi / ax
-    terms = np.empty(0)
-    while terms.size < cfg.max_half_periods:
-        left = z0 + np.arange(terms.size, terms.size + _BATCH) * half
-        mid = left + 0.5 * half
-        lam = mid[:, None] + 0.5 * half * _GL_NODES[None, :]
-        vals = np.cos(lam * ax) * weight(lam)
-        terms = np.concatenate((terms, 0.5 * half * vals @ _GL_WEIGHTS))
+    total = np.zeros(ax.size)
+    partials = np.empty((ax.size, 0))
+    done = 0
+    while live.size:
+        h = half[live, None]
+        mid = z0[live, None] + np.arange(done, done + _BATCH) * h + 0.5 * h
+        lam = mid + 0.5 * h * _GL_NODES[:, None, None]
+        vals = np.cos(lam * ax[live, None]) * weight(lam)
+        # accumulate node by node, in the same order for every entry
+        s = np.add.accumulate(_GL_WEIGHTS[:, None, None] * vals, axis=0)[-1]
+        terms = 0.5 * h * s
+        done += _BATCH
         # accumulate adds in sequence, the order of a running total
-        value, err = _averaged_alternating(np.add.accumulate(terms)[-64:])
-        last = abs(terms[-1])
-        if err + min(last, err) < tol or last < tol * 1e-3:
-            return value, err + last * 2.0 ** (-min(terms.size, 50)), 0.0
-    # int_{z_end}^inf dt / (c_tail * t^gamma), z_end >= z0 >= 1
-    z_end = z0 + cfg.max_half_periods * np.pi / ax
-    tail = z_end ** (1.0 - gamma) / (c_tail * (gamma - 1.0))
-    return value, err + abs(terms[-1]), tail
+        run = np.add.accumulate(np.concatenate((total[:, None], terms), axis=1),
+                                axis=1)[:, 1:]
+        total = run[:, -1]
+        partials = np.concatenate((partials, run), axis=1)[:, -64:]
+        val, e = _averaged_alternating(partials)
+        last = np.abs(terms[:, -1])
+        conv = (e + np.minimum(last, e) < tol[live]) | (last < tol[live] * 1e-3)
+        stop = conv | (done >= cfg.max_half_periods)
+        value[live[stop]] = val[stop]
+        err[live[stop]] = np.where(conv, e + last * 2.0 ** (-min(done, 50)),
+                                   e + last)[stop]
+        # int_{z_end}^inf dt / (c_tail * t^gamma), z_end >= z0 >= 1
+        cut = live[stop & ~conv]
+        z_end = z0[cut] + cfg.max_half_periods * np.pi / ax[cut]
+        tail[cut] = z_end ** (1.0 - gamma) / (c_tail * (gamma - 1.0))
+        live, total, partials = live[~stop], total[~stop], partials[~stop]
+    return value, err, tail
 
 
-def _split_head(integrand, ax: float, cfg: QuadratureConfig):
-    """The split point z0 for frequency ax and the head int_0^z0 integrand."""
-    lam_star = max(1.0, _SPLIT_SCALE / ax)
-    k0 = int(np.ceil(lam_star * ax / np.pi - 0.5))
-    z0 = (k0 + 0.5) * np.pi / ax
-    pts = [p for p in (1.0, 10.0, 100.0, 1e4) if p < z0]
-    head, head_err = quad(integrand, 0.0, z0, epsabs=cfg.abs_tol / 4,
-                          epsrel=cfg.rel_tol / 4, limit=_QUAD_LIMIT,
-                          points=pts or None)
-    return z0, head, head_err
+# -- the transforms ----------------------------------------------------------------
+
+_OVERRUN = f"head did not converge in {_QUAD_LIMIT} panels"
+
+
+def _fail_where(failures: dict, idx, mask, message: str, value, err):
+    """Note a QuadratureError for each index idx[mask] that has none yet."""
+    for i, v, e in zip(idx[mask], value[mask], err[mask]):
+        failures.setdefault(int(i), QuadratureError(message, float(v), float(e)))
+
+
+def _by_chunks(rows, xs) -> tuple[np.ndarray, np.ndarray]:
+    """rows(ax) applied to chunks of _ROWS entries of |xs|, which bounds the
+    working set; raises the QuadratureError of the smallest failing |x|."""
+    ax = np.abs(np.asarray(xs, dtype=float))
+    value, err = np.empty(ax.size), np.empty(ax.size)
+    failures: dict[int, QuadratureError] = {}
+    for start in range(0, ax.size, _ROWS):
+        chunk = slice(start, start + _ROWS)
+        value[chunk], err[chunk], failed = rows(ax[chunk])
+        failures.update((start + i, exc) for i, exc in failed.items())
+    if failures:
+        raise failures[min(failures, key=lambda i: ax[i])]
+    return value, err
+
+
+def _cosine_rows(weight, ax, cfg, c_tail, gamma):
+    value, err = np.empty(ax.size), np.empty(ax.size)
+    failures: dict[int, QuadratureError] = {}
+    for i in np.flatnonzero(ax == 0.0):
+        try:
+            value[i], err[i] = smooth_tail(weight, 0.0, cfg)
+        except QuadratureError as exc:
+            failures[int(i)] = exc
+    pos = np.flatnonzero(ax > 0.0)
+    a = ax[pos]
+    z0 = _split_points(a)
+    head, head_err, overran = _head(_cos, weight, a, z0, cfg)
+    _fail_where(failures, pos, overran, _OVERRUN, head, head_err)
+    series, series_err, tail = _period_sums(weight, a, z0, cfg.budget(head) / 2,
+                                            cfg, c_tail, gamma)
+    v = head + series
+    e = head_err + series_err + tail + _gamma(2) * (np.abs(head) + np.abs(series))
+    _fail_where(failures, pos, e > cfg.budget(v),
+                "cosine transform did not converge", v, e)
+    value[pos], err[pos] = v, e
+    return value, err, failures
+
+
+def cosine_halfline_array(weight, xs, cfg: QuadratureConfig, c_tail: float,
+                          gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^inf cos(x*lam) w(lam) dlam and certified error bounds, for each
+    entry x of the 1-d array xs."""
+    return _by_chunks(lambda ax: _cosine_rows(weight, ax, cfg, c_tail, gamma), xs)
 
 
 def cosine_halfline(weight, x: float, cfg: QuadratureConfig,
                     c_tail: float, gamma: float) -> tuple[float, float]:
     """int_0^inf cos(x*lam) w(lam) dlam with a certified error bound."""
-    if x == 0.0:
-        return smooth_tail(weight, 0.0, cfg)
-    ax = abs(x)
-
-    def integrand(lam):
-        return float(np.cos(lam * ax) * weight(np.asarray(lam)))
-
-    z0, head, head_err = _split_head(integrand, ax, cfg)
-    series, series_err, tail = _period_sums(weight, ax, z0, cfg,
-                                            cfg.budget(head) / 2, c_tail, gamma)
-    err = head_err + series_err + tail
-    value = head + series
-    if err > cfg.budget(value):
-        raise QuadratureError("cosine transform did not converge", value, err)
-    return value, err
+    value, err = cosine_halfline_array(weight, [x], cfg, c_tail, gamma)
+    return float(value[0]), float(err[0])
 
 
 def smooth_tail(weight, lam0: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -162,31 +366,45 @@ def smooth_tail(weight, lam0: float, cfg: QuadratureConfig) -> tuple[float, floa
     return total, total_err
 
 
+def _one_minus_cos_rows(weight, ax, cfg, c_tail, gamma):
+    value, err = np.zeros(ax.size), np.zeros(ax.size)
+    failures: dict[int, QuadratureError] = {}
+    pos = np.flatnonzero(ax > 0.0)
+    a = ax[pos]
+    z0 = _split_points(a)
+    head, head_err, overran = _head(_one_minus_cos, weight, a, z0, cfg)
+    _fail_where(failures, pos, overran, _OVERRUN, head, head_err)
+    flat, flat_err = np.empty(a.size), np.empty(a.size)
+    for p in range(a.size):
+        try:
+            flat[p], flat_err[p] = smooth_tail(weight, z0[p], cfg)
+        except QuadratureError as exc:
+            failures.setdefault(int(pos[p]), exc)
+            # the error is noted; a finite stand-in keeps the series cheap
+            flat[p], flat_err[p] = 0.0, np.inf
+    scale = np.abs(head) + np.abs(flat)
+    series, series_err, tail = _period_sums(weight, a, z0, cfg.budget(scale) / 2,
+                                            cfg, c_tail, gamma)
+    v = head + flat - series
+    e = (head_err + flat_err + series_err + tail
+         + _gamma(2) * (scale + np.abs(series)))
+    _fail_where(failures, pos, e > 4 * cfg.budget(np.maximum(np.abs(v), scale)),
+                "increment-variance transform did not converge", v, e)
+    value[pos], err[pos] = v, e
+    return value, err, failures
+
+
+def one_minus_cos_halfline_array(weight, xs, cfg: QuadratureConfig,
+                                 c_tail: float,
+                                 gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^inf (1 - cos(x*lam)) w(lam) dlam and error bounds, for each entry
+    x of the 1-d array xs."""
+    return _by_chunks(
+        lambda ax: _one_minus_cos_rows(weight, ax, cfg, c_tail, gamma), xs)
+
+
 def one_minus_cos_halfline(weight, x: float, cfg: QuadratureConfig,
-                           c_tail: float, gamma: float,
-                           weight_at_zero: float = 0.0) -> tuple[float, float]:
-    """int_0^inf (1 - cos(x*lam)) w(lam) dlam.
-
-    weight_at_zero supplies the finite limit of (1-cos(lam*x))*w(lam) at
-    lam = 0 when w itself blows up there (the unkilled case).
-    """
-    if x == 0.0:
-        return 0.0, 0.0
-    ax = abs(x)
-
-    def integrand(lam):
-        if lam == 0.0:
-            return weight_at_zero
-        return float((1.0 - np.cos(lam * ax)) * weight(np.asarray(lam)))
-
-    z0, head, head_err = _split_head(integrand, ax, cfg)
-    flat, flat_err = smooth_tail(weight, z0, cfg)
-    scale = abs(head) + abs(flat)
-    series, series_err, tail = _period_sums(weight, ax, z0, cfg,
-                                            cfg.budget(scale) / 2, c_tail, gamma)
-    err = head_err + flat_err + series_err + tail
-    value = head + flat - series
-    if err > 4 * cfg.budget(max(abs(value), scale)):
-        raise QuadratureError("increment-variance transform did not converge",
-                              value, err)
-    return value, err
+                           c_tail: float, gamma: float) -> tuple[float, float]:
+    """int_0^inf (1 - cos(x*lam)) w(lam) dlam with an error bound."""
+    value, err = one_minus_cos_halfline_array(weight, [x], cfg, c_tail, gamma)
+    return float(value[0]), float(err[0])

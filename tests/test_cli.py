@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from permlab import regular_variation_constant
+from permlab import (LevyPotential, exponent_from_spec,
+                     regular_variation_constant)
 from permlab.cli import main
 
 
@@ -71,6 +72,29 @@ def test_potential_eval_family(tmp_path):
     assert rc == 0
     row = out.read_text().strip().splitlines()[1]
     assert float(row.split(",")[2]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("family, beta, bound", [
+    ("levy", 1.0, lambda pot, x, y: pot.u_with_error(x - y)),
+    ("levy_hit_zero", None, lambda pot, x, y: pot.u0_with_error(x, y)),
+    ("levy_v", 1.0, lambda pot, x, y: pot.v_with_error(x, y)),
+])
+def test_potential_eval_levy_family_reports_its_bounds(tmp_path, family, beta,
+                                                       bound):
+    psi = {"kind": "mixture", "atoms": [[1.3, 0.8], [1.8, 0.6]]}
+    doc = {"family": family, "psi": psi}
+    if beta is not None:
+        doc["beta"] = beta
+    spec, out = tmp_path / "levy.json", tmp_path / "levy.csv"
+    spec.write_text(json.dumps(doc))
+    rc = main(["potential", "eval", "--family", family, "--spec", str(spec),
+               "--x", "0.3", "1.2", "--y", "0.8", "--out", str(out)])
+    assert rc == 0
+    pot = LevyPotential(exponent_from_spec(psi), beta=beta or 0.0)
+    for row, x in zip(out.read_text().strip().splitlines()[1:], (0.3, 1.2)):
+        value, err = (float(v) for v in row.split(",")[2:])
+        assert (value, err) == bound(pot, x, 0.8)
+        assert 0.0 < err < 1e-8
 
 
 def test_kernel_analyze(tmp_path):

@@ -178,3 +178,61 @@ def test_quadrature_failure_is_loud():
     pot = LevyPotential(CharExponent.pure_stable(1.2), beta=0.0, quad=cfg)
     with pytest.raises(QuadratureError):
         pot.sigma2(1e-3)
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_half_periods": 0}, {"max_half_periods": -3},
+    {"max_half_periods": 2.5}, {"max_half_periods": True},
+    {"abs_tol": -1e-9}, {"rel_tol": float("nan")},
+    {"abs_tol": 0.0, "rel_tol": 0.0},
+])
+def test_quadrature_config_rejects_invalid_fields(fields):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**fields)
+
+
+def test_quadrature_config_accepts_one_zero_tolerance():
+    assert QuadratureConfig(abs_tol=0.0).budget(2.0) == pytest.approx(2e-7)
+    cfg = QuadratureConfig(rel_tol=0.0, max_half_periods=np.int64(32))
+    assert cfg.budget(2.0) == 1e-9
+
+
+def test_max_half_periods_zero_is_refused_before_any_evaluation():
+    # it used to be accepted, and the first evaluation then crashed inside
+    # the period sums with UnboundLocalError
+    with pytest.raises(ValueError, match="max_half_periods"):
+        LevyPotential(CharExponent.pure_stable(1.5), beta=1.0,
+                      quad=QuadratureConfig(max_half_periods=0)).u(1.0)
+
+
+def test_grid_values_equal_each_point_evaluated_alone():
+    # one array call over 40 offsets against 40 calls of one point each, on
+    # fresh caches: values and bounds must agree bit for bit
+    psi = CharExponent.stable_mixture([(1.3, 0.8), (1.8, 0.6)])
+    offsets = np.concatenate(([0.0], np.geomspace(1e-4, 8.0, 39)))
+    for beta, grid_of, one_of in ((1.0, "u", "u_with_error"),
+                                  (0.0, "sigma2", "sigma2_with_error")):
+        grid, alone = (LevyPotential(psi, beta=beta) for _ in range(2))
+        values = getattr(grid, grid_of)(offsets)
+        singles = [getattr(alone, one_of)(x) for x in offsets]
+        assert np.array_equal(values, [v for v, _ in singles])
+        assert [getattr(grid, one_of)(x) for x in offsets] == singles
+
+
+def test_a_failing_grid_raises_for_its_smallest_failing_offset():
+    # at this budget the largest two of these offsets fail and the rest pass;
+    # the grid comes in descending order and with both signs
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
+    psi = CharExponent.pure_stable(1.12)
+    xs = np.geomspace(1e-3, 10.0, 12)[:0:-1] * np.array([1, -1] * 5 + [1])
+    failing = []
+    one_at_a_time = LevyPotential(psi, beta=0.5, quad=cfg)
+    for x in xs:
+        try:
+            one_at_a_time.u_with_error(x)
+        except QuadratureError as exc:
+            failing.append((abs(x), str(exc)))
+    assert len(failing) == 2
+    with pytest.raises(QuadratureError) as grid:
+        LevyPotential(psi, beta=0.5, quad=cfg).u(xs)
+    assert str(grid.value) == min(failing)[1]

@@ -2,8 +2,9 @@
 
 The grid Gram matrices get badly conditioned as geometric grids refine, and
 the sign checks downstream run at 1e-10 tolerances, so factorization is done
-in numpy longdouble (80-bit on x86) rather than double.  Grids are capped
-small enough that the cubic cost is irrelevant.
+in numpy longdouble (80-bit on x86) rather than double.  The cubic cost is
+not small: numpy runs longdouble without BLAS, and a traced grid-algebra
+benchmark run spends about two thirds of its time in this module.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def lu_solve(factored, b: np.ndarray) -> np.ndarray:
 
 
 def inv(a: np.ndarray, factored=None) -> np.ndarray:
-    """Inverse with one step of Newton refinement.
-
-    The refinement squares the LU residual, which keeps entrywise identity
-    checks meaningful on badly conditioned Gram matrices.  factored, when
-    given, is lu_factor(a), so that a caller who holds it factors a once.
+    """Inverse with up to two steps of Newton refinement, each squaring the
+    residual, which keeps entrywise identity checks meaningful on badly
+    conditioned Gram matrices; refinement stops once the residual is below
+    1e-30.  factored, when given, is lu_factor(a), so that a caller who
+    holds it factors a once.
     """
     a = np.asarray(a, dtype=LD)
     n = a.shape[0]

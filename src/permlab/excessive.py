@@ -6,6 +6,9 @@ capped concave family for scale kernels.  Arbitrary callables are rejected
 because nothing could certify them.  The discrete surrogate for
 excessiveness, min over j of (U^-1 f)_j >= -tol on a grid Gram matrix U, is
 exposed here and consumed by the kernel-algebra layer.
+
+Every excessive function and derivative takes a scalar, giving a float, or
+an array, giving an array of its shape equal to the scalar calls bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _wire as wire
+from ._pointwise import map_distinct
 from .bases import ScaleMinBase, mirror_upper
 from .diffusion import concave_cap_value
 
@@ -26,6 +30,7 @@ __all__ = [
     "ScaleConcaveExcessive",
     "make_flat_pair",
     "gram_surrogate_min",
+    "on_grid",
     "excessive_from_spec",
 ]
 
@@ -47,14 +52,15 @@ class IndicatorPotential:
         if not self.a < self.b:
             raise ValueError("window must satisfy a < b")
 
-    def __call__(self, x: float) -> float:
-        lo, hi = x - self.b, x - self.a
-        val, _ = quad(lambda t: self.base.radial(t), lo, hi,
-                      epsabs=1e-10, epsrel=1e-9, limit=100,
-                      points=[0.0] if lo < 0.0 < hi else None)
-        return val
+    def __call__(self, x):
+        def window(t: float) -> float:
+            lo, hi = t - self.b, t - self.a
+            return quad(self.base.radial, lo, hi, epsabs=1e-10, epsrel=1e-9,
+                        limit=100, points=[0.0] if lo < 0.0 < hi else None)[0]
 
-    def derivative(self, x: float) -> float:
+        return map_distinct(window, x)
+
+    def derivative(self, x):
         return self.base.radial(x - self.a) - self.base.radial(x - self.b)
 
 
@@ -66,12 +72,18 @@ class AtomicPotential:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not self.atoms:
+            raise ValueError("an atomic potential needs at least one atom")
         for _, w in self.atoms:
             if w <= 0.0:
                 raise ValueError("atom weights must be positive")
 
-    def __call__(self, x: float) -> float:
-        return sum(w * self.base.kernel(x, loc) for loc, w in self.atoms)
+    def __call__(self, x):
+        locs, w = np.array(self.atoms).T
+        terms = self.base.gram(np.ravel(x), locs) * w
+        # summed one atom after another, in their order
+        total = np.add.accumulate(terms, axis=-1)[:, -1].reshape(np.shape(x))
+        return total if total.ndim else float(total)
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,8 @@ class ConstantExcessive:
         if self.c < 0.0:
             raise ValueError("constant must be nonnegative")
 
-    def __call__(self, x: float) -> float:
-        return self.c
+    def __call__(self, x):
+        return np.full(np.shape(x), self.c) if np.ndim(x) else float(self.c)
 
 
 @dataclass(frozen=True)
@@ -100,17 +112,22 @@ class ScaleConcaveExcessive:
         if self.x0 <= 0.0:
             raise ValueError("flat point must be positive")
 
-    def __call__(self, x: float) -> float:
-        s = self.base.pot.s
-        return concave_cap_value(self.p, float(s(self.x0)), float(s(x)))
-
-    def derivative(self, x: float) -> float:
+    # numpy's vector power can differ from libm's in the last ulp, so the cap
+    # and its slope run once per distinct point, as s does
+    def __call__(self, x):
         s = self.base.pot.s
         s0 = float(s(self.x0))
-        sx = float(s(x))
-        if sx >= s0:
-            return 0.0
-        return (self.p / s0) * ((s0 - sx) / s0) ** (self.p - 1.0) * float(s.diff()(x))
+        return map_distinct(lambda t: concave_cap_value(self.p, s0, float(s(t))), x)
+
+    def derivative(self, x):
+        s, ds = self.base.pot.s, self.base.pot.s.diff()
+        s0 = float(s(self.x0))
+
+        def slope(t):   # 0 beyond x0, where s(t) >= s0
+            inside = max((s0 - float(s(t))) / s0, 0.0)
+            return (self.p / s0) * inside ** (self.p - 1.0) * float(ds(t))
+
+        return map_distinct(slope, x)
 
 
 def make_flat_pair(base, x0: float):
@@ -132,18 +149,15 @@ def make_flat_pair(base, x0: float):
         g = ScaleConcaveExcessive(base, 4.0, x0)
     else:
         raise ValueError("no flat-pair construction for this base")
-    for fn in (f, g):
-        if abs(fn.derivative(x0)) > _FLAT_DERIVATIVE_TOL:
-            raise ValueError("constructed function is not flat at x0")
+    if max(abs(f.derivative(x0)), abs(g.derivative(x0))) > _FLAT_DERIVATIVE_TOL:
+        raise ValueError("constructed function is not flat at x0")
     # second-difference disparity certifies non-proportionality
     h = 1e-2 * (abs(x0) + 1.0)
     side = -1.0 if isinstance(base, ScaleMinBase) else 1.0
-    xs = (x0 + side * h, x0 + side * 2 * h)
-    ratios = []
-    for fn in (f, g):
-        d2 = fn(xs[1]) - 2.0 * fn(xs[0]) + fn(x0)
-        ratios.append(d2 / max(fn(x0), 1e-300))
-    if abs(ratios[0] - ratios[1]) <= 1e-12 * max(map(abs, ratios)):
+    xs = np.array([x0, x0 + side * h, x0 + side * 2 * h])
+    at_x0, near, far = np.array([f(xs), g(xs)]).T
+    ratios = (far - 2.0 * near + at_x0) / np.maximum(at_x0, 1e-300)
+    if abs(ratios[0] - ratios[1]) <= 1e-12 * np.max(np.abs(ratios)):
         raise ValueError("flat pair degenerated to proportional functions")
     return f, g
 
@@ -154,11 +168,15 @@ def gram_surrogate_min(base, fn, points) -> float:
     Nonnegative (up to roundoff) exactly when fn passes the discrete
     excessiveness surrogate on this grid.
     """
-    pts = [float(p) for p in points]
+    pts = np.asarray(points, dtype=float)
     U = mirror_upper(base.gram(pts, pts))
-    fvec = np.array([float(fn(p)) for p in pts])
-    coeffs = np.linalg.solve(U, fvec)
-    return float(np.min(coeffs))
+    return float(np.min(np.linalg.solve(U, on_grid(fn, pts))))
+
+
+def on_grid(fn, pts: np.ndarray) -> np.ndarray:
+    """fn(pts) as a new float array of pts' shape; a scalar result is
+    broadcast, and a result of another shape raises ValueError."""
+    return np.array(np.broadcast_to(fn(pts), pts.shape), dtype=float)
 
 
 _FIELDS = {

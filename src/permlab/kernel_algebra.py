@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _linalg as la
 from .bases import mirror_upper
+from .excessive import on_grid
 
 __all__ = [
     "GridSpec",
@@ -123,8 +124,7 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")
-    fvec = np.array([float(f(p)) for p in pts])
-    gvec = np.array([float(g(p)) for p in pts])
+    fvec, gvec = on_grid(f, pts), on_grid(g, pts)
     degenerate = False
     if np.all(fvec == 0.0) and np.all(gvec == 0.0):
         if not allow_degenerate:
@@ -276,15 +276,13 @@ def grid_condition_diagnostic(spec: GridSpec, increment_variance) -> float:
     Small values indicate the gap-to-variance condition that lets rough
     kernels dispense with flat border functions; kernels with a linear
     increment variance make it grow like m(n).  Reported as a diagnostic
-    only, since no finite-n threshold is available.
+    only, since no finite-n threshold is available.  increment_variance
+    takes the array of all pairwise gaps in one call.
     """
     t = np.concatenate(([0.0], spec.offsets()))
-    worst = 0.0
-    for j in range(len(t)):
-        for k in range(j + 1, len(t)):
-            gap = abs(t[k] - t[j])
-            worst = max(worst, gap / increment_variance(gap))
-    return spec.m * worst
+    j, k = np.triu_indices(len(t), 1)
+    gaps = np.abs(t[k] - t[j])
+    return spec.m * float(np.max(gaps / increment_variance(gaps)))
 
 
 def rowsum_residuals(dec: Decomposition) -> dict:

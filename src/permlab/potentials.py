@@ -186,14 +186,11 @@ def check_sigma2_asymptotics(pot: LevyPotential, xs) -> list[tuple[float, float]
     """
     r = pot.psi.index_at_infinity()
     c_r = regular_variation_constant(r)
-    rows = []
-    for x in xs:
-        x = float(x)
-        if not 0.0 < abs(x):
-            raise ValueError("asymptotic check needs x != 0")
-        ratio = pot.sigma2(x) * abs(x) * float(pot.psi(1.0 / x)) / c_r
-        rows.append((x, ratio))
-    return rows
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.abs(xs) > 0.0):
+        raise ValueError("asymptotic check needs x != 0")
+    ratios = pot.sigma2(xs) * np.abs(xs) * pot.psi(1.0 / xs) / c_r
+    return list(zip(xs.tolist(), ratios.tolist()))
 
 
 @dataclass
@@ -215,40 +212,26 @@ def check_sigma2_regularity(pot: LevyPotential, grid) -> RegularityReport:
         nonpositive up to _REGULARITY_SLACK; skipped otherwise, where nothing
         is claimed.
     """
-    grid = [float(x) for x in grid]
-    if any(x <= 0.0 for x in grid):
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0.0):
         raise ValueError("regularity grid must be positive")
-
-    deriv_ok = True
-    max_ratio = 0.0
-    witness = None
-    for x in grid:
-        h = _REGULARITY_STEP * x
-        s_p = pot.sigma2(x + h)
-        s_m = pot.sigma2(x - h)
-        s_0 = pot.sigma2(x)
-        deriv = (s_p - s_m) / (2.0 * h)
-        bound = s_0 / x
-        ratio = abs(deriv) / bound if bound > 0 else np.inf
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + _REGULARITY_SLACK:
-            deriv_ok = False
-            witness = witness if witness is not None else x
+    h = _REGULARITY_STEP * grid
+    s_p, s_m, s_0 = pot.sigma2(np.array([grid + h, grid - h, grid]))
+    bound = s_0 / grid
+    ratio = np.divide(np.abs((s_p - s_m) / (2.0 * h)), bound,
+                      out=np.full_like(bound, np.inf), where=bound > 0.0)
+    steep = grid[ratio > 1.0 + _REGULARITY_SLACK]      # in grid order
+    deriv = (not steep.size, float(np.max(ratio, initial=0.0)),
+             float(steep[0]) if steep.size else None)
     if pot.psi.is_pure_gaussian or pot.beta != 0.0:
-        return RegularityReport(deriv_ok, max_ratio, witness, False, True, None)
+        return RegularityReport(*deriv, False, True, None)
 
-    conc_ok = True
-    conc_witness = None
-    xs = sorted(grid)
-    vals = [pot.sigma2(x) for x in xs]
-    for i in range(1, len(xs) - 1):
-        hl = xs[i] - xs[i - 1]
-        hr = xs[i + 1] - xs[i]
-        # divided second difference; <= 0 for a concave function
-        d2 = 2.0 * (hl * vals[i + 1] - (hl + hr) * vals[i] + hr * vals[i - 1])
-        d2 /= hl * hr * (hl + hr)
-        if d2 > _REGULARITY_SLACK * max(1.0, abs(vals[i])):
-            conc_ok = False
-            conc_witness = conc_witness if conc_witness is not None else xs[i]
-    return RegularityReport(deriv_ok, max_ratio, witness, True, conc_ok,
-                            conc_witness)
+    xs, first = np.unique(grid, return_index=True)   # distinct and increasing
+    vals = s_0[first]
+    hl, hr = xs[1:-1] - xs[:-2], xs[2:] - xs[1:-1]
+    # divided second difference; <= 0 for a concave function
+    d2 = 2.0 * (hl * vals[2:] - (hl + hr) * vals[1:-1] + hr * vals[:-2])
+    d2 /= hl * hr * (hl + hr)
+    convex = xs[1:-1][d2 > _REGULARITY_SLACK * np.maximum(1.0, np.abs(vals[1:-1]))]
+    return RegularityReport(*deriv, True, not convex.size,
+                            float(convex[0]) if convex.size else None)

@@ -145,10 +145,9 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray, m: np.ndarray,
     ext[:n, n] = 1.0
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
-    inv_ok = True
-    if mass <= 1.0 + 1e-12 and mass > 0.0:
-        a = np.asarray(la.inv(np.asarray(ext, dtype=la.LD)), dtype=float)
-        inv_ok = Decomposition.offdiag_positive_excess(a) <= 1e-10
+    # det ext = det u, so the inverse exists for every mass
+    a = np.asarray(la.inv(np.asarray(ext, dtype=la.LD)), dtype=float)
+    inv_ok = Decomposition.offdiag_positive_excess(a) <= 1e-10
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 
 

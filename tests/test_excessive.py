@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from permlab import (AtomicPotential, CharExponent, ConstantExcessive,
-                     ExpDecayBase, IndicatorPotential, LevyBase, LevyPotential,
-                     ScaleConcaveExcessive, StableHitZeroBase,
-                     brownian_min_kernel, brownian_unit_base,
+from permlab import (Affine, AtomicPotential, CharExponent, ConstantExcessive,
+                     Exp, ExpDecayBase, GridSpec, HitZeroLevyBase,
+                     IndicatorPotential, LevyBase, LevyPotential, Pow, PQBase,
+                     PQPotential, Prod, ScaleConcaveExcessive, ScaleMinBase,
+                     ScalePotential, StableHitZeroBase, VBetaBase, VPQBase,
+                     assemble_kernel, brownian_min_kernel, brownian_unit_base,
                      excessive_from_spec, gram_surrogate_min, make_flat_pair)
 
 OU = brownian_unit_base()
@@ -59,6 +61,98 @@ def test_atomic_potential():
                                      rel=1e-12)
     with pytest.raises(ValueError):
         AtomicPotential(OU, ((0.0, -1.0),))
+    with pytest.raises(ValueError):
+        AtomicPotential(OU, ())
+
+
+# -- the array contract ----------------------------------------------------
+
+STABLE = CharExponent.pure_stable(1.5)
+
+
+def _pq_pot():
+    return PQPotential(Pow(Affine(1.0, 3.0), 1.5), Exp(Affine(-1.0, 0.0)),
+                       beta=0.5)
+
+
+# every base family of the workloads, built afresh on each call, so that a
+# quadrature-backed base starts with empty caches
+BASES = {
+    "exp_decay": lambda: ExpDecayBase(0.7, 0.3),
+    "levy": lambda: LevyBase(LevyPotential(STABLE, beta=1.0)),
+    "levy_hit_zero": lambda: HitZeroLevyBase(LevyPotential(STABLE, beta=0.0)),
+    "stable_hit_zero": lambda: StableHitZeroBase(0.6),
+    "levy_v": lambda: VBetaBase(LevyPotential(STABLE, beta=1.0)),
+    "pq": lambda: PQBase(_pq_pot()),
+    "vpq": lambda: VPQBase(_pq_pot()),
+    "scale": lambda: ScaleMinBase(ScalePotential(
+        Prod(Exp(Affine(0.3, 0.0)), Pow(Affine(1.0, 0.0), 1.5)))),
+    # scipy's quad over the cusp of a stable u takes seconds per window, so
+    # the indicator runs on the smooth Gaussian u
+    "levy_gaussian": lambda: LevyBase(LevyPotential(CharExponent.gaussian(0.5),
+                                                    beta=1.0)),
+}
+
+KINDS = {
+    "atoms": lambda base: AtomicPotential(base, ((1.1, 0.7), (1.35, 0.4),
+                                                 (0.8, 0.25))),
+    "const": lambda base: ConstantExcessive(0.7),
+    # window edges off the grid: the Levy u raises QuadratureError at
+    # 0 < |x| < ~1e-7, which the derivative would meet at an edge
+    "indicator": lambda base: IndicatorPotential(base, 0.85, 1.55),
+    "scale_concave": lambda base: ScaleConcaveExcessive(base, 3.0, 1.3),
+}
+
+CONTRACT_CASES = ([("atoms", family) for family in BASES]
+                  + [("scale_concave", "scale"), ("const", "exp_decay"),
+                     ("indicator", "exp_decay"), ("indicator", "levy_gaussian")])
+
+# 2 x 4 positive points near the atoms, on both sides of the cap; closed
+# forms also run on 240 points, where a last-ulp difference of numpy's vector
+# formulas from the scalar ones would show
+PTS = 1.2 + np.array([[-0.3, -0.01, -1e-3, 0.0], [1e-4, 0.02, 0.25, 0.5]])
+DENSE = np.linspace(0.55, 1.75, 240).reshape(2, 120)
+
+
+def _excessive(kind, family):
+    return KINDS[kind](BASES[family]())
+
+
+@pytest.mark.parametrize("kind, family", CONTRACT_CASES)
+def test_array_call_equals_scalar_calls(kind, family):
+    fn, ref = _excessive(kind, family), _excessive(kind, family)
+    pts = PTS if "levy" in family else DENSE
+    methods = ["__call__"] + (["derivative"] if hasattr(fn, "derivative") else [])
+    for name in methods:
+        got = getattr(fn, name)(pts)
+        want = np.array([[getattr(ref, name)(x) for x in row] for row in pts])
+        assert got.shape == pts.shape
+        assert got.tobytes() == want.tobytes()
+        assert type(getattr(fn, name)(1.2)) is float
+        assert type(getattr(fn, name)(PTS[0, 0])) is float
+
+
+@pytest.mark.parametrize("family", BASES)
+def test_atoms_sum_as_the_former_scalar_loop(family):
+    fn = _excessive("atoms", family)
+    pts = PTS if "levy" in family else DENSE
+    want = [sum(w * fn.base.kernel(x, loc) for loc, w in fn.atoms)
+            for x in pts.ravel()]
+    assert fn(pts).tobytes() == np.array(want).reshape(pts.shape).tobytes()
+
+
+def test_assemble_kernel_broadcasts_and_copies_border_values():
+    spec = GridSpec(1.0, 0.5, 20, 0.5)
+    pts = spec.points()
+    ak = assemble_kernel(OU, lambda x: 0.7, ConstantExcessive(1.0), spec)
+    assert ak.fvec.shape == pts.shape and np.all(ak.fvec == 0.7)
+    # the callable returns the grid itself; the kernel keeps its own copy
+    ak = assemble_kernel(OU, lambda x: x, ConstantExcessive(1.0), pts)
+    assert np.array_equal(ak.fvec, pts) and not np.shares_memory(ak.fvec, pts)
+    with pytest.raises(ValueError):
+        assemble_kernel(OU, lambda x: np.ones(3), ConstantExcessive(1.0), spec)
+    with pytest.raises(ValueError):
+        assemble_kernel(OU, ConstantExcessive(1.0), lambda x: x[:, None], spec)
 
 
 def test_constant_excessive():
@@ -148,15 +242,20 @@ def test_resolvent_identity_links_killed_and_unkilled_potentials():
 
     nodes, weights = np.polynomial.legendre.leggauss(10)
 
+    def rule(lo, hi):
+        """Gauss-Legendre nodes and weights of [lo, hi] along a last axis."""
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, 0.5 * (hi - lo) * weights
+
     def u0_potential(x):
-        # split the window at x, where the kernel has its kink
+        # split the window at x, where the kernel has its kink; a piece of
+        # zero width gets zero weights
+        x = np.asarray(x, dtype=float)
+        cut = np.clip(x, a, b)
         total = 0.0
-        for lo, hi in ((a, min(max(x, a), b)), (min(max(x, a), b), b)):
-            if hi <= lo:
-                continue
-            ys = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-            ws = 0.5 * (hi - lo) * weights
-            total += float(sum(w * pot0.u0(x, y) for y, w in zip(ys, ws)))
+        for lo, hi in ((a, cut), (cut, b)):
+            ys, ws = rule(np.broadcast_to(lo, x.shape), hi)
+            total = total + np.sum(ws * pot0.u0(x[..., None], ys), axis=-1)
         return total
 
     # outer integral over the full line, cut off where the killed kernel is
@@ -170,14 +269,8 @@ def test_resolvent_identity_links_killed_and_unkilled_potentials():
         k = max(1, int(np.ceil((hi - lo) / 3.0))) if hi - lo > 1.5 else 2
         edges = np.linspace(lo, hi, k + 1)
         panels.extend(zip(edges[:-1], edges[1:]))
-    rhs = 0.0
-    for lo, hi in panels:
-        ys = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-        ws = 0.5 * (hi - lo) * weights
-        for y, w in zip(ys, ws):
-            dens = beta * u0_potential(y)
-            if a <= y <= b:
-                dens += 1.0
-            rhs += w * potb.v(x, y) * dens
+    ys, ws = rule(*np.array(panels).T)
+    dens = beta * u0_potential(ys) + ((a <= ys) & (ys <= b))
+    rhs = np.sum(ws * potb.v(x, ys) * dens)
     lhs = u0_potential(x)
     assert rhs == pytest.approx(lhs, rel=2e-3)

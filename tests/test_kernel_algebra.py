@@ -75,8 +75,8 @@ def test_assemble_rejects_negative_excessive():
 
 
 def test_assemble_rejects_zero_at_distinguished_point():
-    f = lambda x: max(x - 1.0, 0.0)
-    with pytest.raises(ValueError):
+    f = lambda x: np.maximum(x - 1.0, 0.0)
+    with pytest.raises(ValueError, match="distinguished point"):
         assemble_kernel(OU, f, ONE, GridSpec(1.0, 0.5, 20, 0.5))
 
 
@@ -254,3 +254,15 @@ def test_grid_condition_diagnostic_direction():
     grow = [grid_condition_diagnostic(GridSpec(0.0, 0.5, n, 0.5), linear)
             for n in (20, 100, 200)]
     assert grow[0] < grow[1] < grow[2]
+
+
+def test_grid_condition_diagnostic_matches_the_pairwise_loop():
+    from permlab.kernel_algebra import grid_condition_diagnostic
+
+    spec = GridSpec(0.0, 0.5, 30, 0.5)
+    variance = lambda x: 1.3 * np.asarray(x) ** 0.7
+    t = np.concatenate(([0.0], spec.offsets()))
+    worst = max(abs(t[k] - t[j]) / variance(abs(t[k] - t[j]))
+                for j in range(len(t)) for k in range(j + 1, len(t)))
+    assert grid_condition_diagnostic(spec, variance) == pytest.approx(
+        spec.m * worst, rel=1e-14)

@@ -159,6 +159,39 @@ def test_regularity_skips_pure_quadratic_concavity():
     assert not rep.concavity_checked
 
 
+class _SquareSigma2:
+    """sigma2(x) = x^2 at beta = 0: convex, and |d sigma2/dx| = 2 sigma2(x)/x,
+    so both regularity checks fail at every point.  Counts sigma2 calls."""
+
+    psi = CharExponent.pure_stable(1.5)
+    beta = 0.0
+
+    def __init__(self):
+        self.calls = 0
+
+    def sigma2(self, x):
+        self.calls += 1
+        return np.asarray(x) ** 2
+
+
+def test_regularity_reports_first_witnesses_from_one_sigma2_call():
+    pot = _SquareSigma2()
+    rep = check_sigma2_regularity(pot, [0.9, 0.3, 0.6, 0.3, 1.2])
+    assert pot.calls == 1
+    # the first failing point in grid order, and in increasing order for
+    # concavity, where the repeated 0.3 counts once
+    assert not rep.derivative_ok and rep.derivative_witness == 0.9
+    assert rep.max_derivative_ratio == pytest.approx(2.0, rel=1e-6)
+    assert rep.concavity_checked and not rep.concavity_ok
+    assert rep.concavity_witness == 0.6
+
+
+def test_asymptotic_check_rejects_zero():
+    pot = LevyPotential(CharExponent.pure_stable(1.5), beta=1.0)
+    with pytest.raises(ValueError):
+        check_sigma2_asymptotics(pot, [1e-3, 0.0])
+
+
 def test_u_requires_positive_killing():
     pot = LevyPotential(CharExponent.pure_stable(1.5), beta=0.0)
     with pytest.raises(ValueError):

@@ -82,6 +82,19 @@ def test_partial_rebirth_mass_warning():
     assert seen and seen[0] > 1.0
 
 
+def test_partial_rebirth_flag_is_computed_for_every_mass():
+    # the inverse of the extension is [[u^-1, -u^-1 1], [-mu, 1 + mass]], so
+    # its sign pattern is that of u^-1 and its row sums whatever the mass
+    mu = np.array([0.8, 0.7])
+    u = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert partial_rebirth_potential(u, mu, np.ones(2)).inverse_m_matrix_ok
+    # u^-1 = [[5, -2], [-2, 1]] has a negative row sum
+    u = np.array([[1.0, 2.0], [2.0, 5.0]])
+    for scale in (0.0, 0.5, 1.0):
+        ext = partial_rebirth_potential(u, scale * mu, np.ones(2))
+        assert not ext.inverse_m_matrix_ok
+
+
 def test_partial_rebirth_scale_diffusion_window_density():
     # discretized hit-zero diffusion with a continuous rebirth density
     # supported below x0: the extended potential row reproduces

@@ -10,11 +10,12 @@ theta^(n+1-j), and two excessive functions f, g, the augmented matrix
 
 has det K = det G and the closed-form inverse A = [[1 + rho, -v^T],
 [-r, G^-1]] with r = G^-1 g, v = G^-1 f and rho = v . g = f . r, so G is
-factored once.  The symmetrized comparison kernel inverts A with its
-off-diagonal pairs replaced by their geometric means.  The determinant ratio
+factored once.  The symmetrized comparison kernel K_isymi inverts A_sym, A
+with its off-diagonal pairs replaced by their geometric means, in block form
+from the inverse of the lower block G_a of A_sym.  The determinant ratio
 nu = 1 + rho - h G h^T (h_j = sqrt(r_j v_j)) controls how far the
-non-symmetric law can drift from the symmetric one.  det K and the block
-form of the comparison kernel are checked by their own factorizations.  All
+non-symmetric law can drift from the symmetric one.  det K is checked by its
+own factorization, K_isymi by the size of one Newton correction.  All
 factorizations run in extended precision; conditioning is estimated and
 reported, and singular Gram matrices are rejected rather than regularized,
 since jitter would silently move nu.
@@ -118,9 +119,8 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     the distinguished point.
     """
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
-    if isinstance(grid, GridSpec) and getattr(base, "positive_domain", False):
-        if np.any(pts <= 0.0):
-            raise GridError("grid touches the forbidden origin of this base")
+    if getattr(base, "positive_domain", False) and np.any(pts <= 0.0):
+        raise GridError("grid touches the forbidden origin of this base")
     G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")
@@ -167,11 +167,10 @@ class Decomposition:
     a: np.ndarray
     A: np.ndarray
     A_sym: np.ndarray
-    K_isymi: np.ndarray
-    isymi_block: np.ndarray       # analytic block form of K_isymi
+    K_isymi: np.ndarray           # A_sym^-1, in block form from G_a^-1
     det_ratio_error: float        # |det K / det G - 1|
     rho_identity_error: float     # |rho - v G r| (scaled)
-    block_identity_error: float   # K_isymi vs its analytic block form
+    block_identity_error: float   # one Newton correction of K_isymi (scaled)
 
     @staticmethod
     def offdiag_positive_excess(mat: np.ndarray) -> float:
@@ -223,20 +222,17 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     # the result is exactly symmetric
     A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
     np.fill_diagonal(A_sym, np.diag(A))
-    K_isymi = la.inv(A_sym)
 
-    # the closed block form of K_isymi, written with the border of A itself so
-    # that the comparison is free of the float64 assembly rounding of K
-    G_a = np.asarray(A_sym[1:, 1:], dtype=la.LD)
-    h_a = -np.asarray(A_sym[0, 1:], dtype=la.LD)
-    rho_a = A[0, 0] - 1.0
-    G_from_a = la.inv(G_a)
-    Gh_a = G_from_a @ h_a
-    nu_a = la.LD(1.0) + rho_a - h_a @ Gh_a
-    block = _bordered(1.0 / nu_a, Gh_a / nu_a, Gh_a / nu_a,
-                      G_from_a + np.outer(Gh_a, Gh_a) / nu_a)
-    scale = max(1.0, float(np.max(np.abs(block))))
-    block_err = float(np.max(np.abs(K_isymi - block))) / scale
+    # A_sym^-1 in block form via nu_a, the Schur complement of its lower block
+    G_a_inv = la.inv(A_sym[1:, 1:])
+    w = G_a_inv @ -A_sym[0, 1:]
+    nu_a = A_sym[0, 0] + A_sym[0, 1:] @ w
+    K_isymi = _bordered(1.0 / nu_a, w / nu_a, w / nu_a,
+                        G_a_inv + np.outer(w, w) / nu_a)
+    # one Newton correction K_isymi (I - A_sym K_isymi), measured, not applied
+    correction = K_isymi @ (np.eye(len(A_sym), dtype=la.LD) - A_sym @ K_isymi)
+    block_err = (float(np.max(np.abs(correction)))
+                 / max(1.0, float(np.max(np.abs(K_isymi)))))
 
     sign_k, log_k = la.slogdet(ak.K_ld)
     sign_g, log_g = la.slogdet(G, ak.G_lu)
@@ -251,7 +247,6 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
         h=np.asarray(h, float), nu=nu, a=np.asarray(a, float),
         A=np.asarray(A, float), A_sym=np.asarray(A_sym, float),
         K_isymi=np.asarray(K_isymi, float),
-        isymi_block=np.asarray(block, float),
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,

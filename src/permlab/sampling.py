@@ -57,15 +57,21 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+def _check_counts(k: int, n_paths: int):
+    if k < 1 or n_paths < 1:
+        raise ValueError(f"k and n_paths must be at least 1, got {k}, {n_paths}")
+
+
+def _gaussian_copies(cov, k: int, n_paths: int, rng) -> np.ndarray:
+    """(n_paths, k, dim) independent centered Gaussians with covariance cov."""
+    _check_counts(k, n_paths)
+    factor = _psd_factor(cov)
+    return rng.standard_normal((n_paths, k, factor.shape[0])) @ factor.T
+
+
 def sample_chi_square(cov, k: int, n_paths: int, seed: int) -> np.ndarray:
     """(n_paths, dim) samples of sum of k squared centered Gaussians over 2."""
-    if k < 1 or n_paths < 1:
-        raise ValueError("k and n_paths must be positive")
-    factor = _psd_factor(cov)
-    dim = factor.shape[0]
-    rng = philox(seed)
-    z = rng.standard_normal((n_paths, k, dim))
-    eta = z @ factor.T
+    eta = _gaussian_copies(cov, k, n_paths, philox(seed))
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
@@ -106,12 +112,9 @@ def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
     if float(np.max(np.abs(implied - block))) > _REPRESENTATION_TOL * scale:
         raise ValueError("representation Gram matrix disagrees with the "
                          "symmetrized kernel block")
-    factor = _psd_factor(G)
-    dim = G.shape[0]
     rng = philox(seed)
-    z = rng.standard_normal((n_paths, k, dim))
-    xi = rng.standard_normal((n_paths, k, 1))
-    eta = z @ factor.T + xi * a[None, None, :]
+    eta = _gaussian_copies(G, k, n_paths, rng)
+    eta = eta + rng.standard_normal((n_paths, k, 1)) * a[None, None, :]
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
@@ -187,6 +190,7 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     of the increments is factored by plain Cholesky, with no shift: one that
     is not positive definite raises numpy's LinAlgError, a ValueError.
     """
+    _check_counts(k, n_paths)
     rows: list[LILRow] = []
     for spec in grid_specs:
         if not isinstance(spec, GridSpec):

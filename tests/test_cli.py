@@ -244,6 +244,8 @@ def _usage_error(tmp_path, capsys, docs, argv=None):
 MODEL = {"states": [0, 1], "m": [1.0, 1.0],
          "generator": [[-1.0, 0.3], [0.3, -0.8]], "mu": [0.5, 0.0]}
 SCALE = {"family": "scale", "s": {"kind": "affine", "a": 1.0}}
+LIL = {"base": EXP_DECAY, "schedule": [10], "grid": {
+    "d": 0.0, "theta": 0.3, "q": 0.5}, "k": 1, "paths": 10, "seed": 1}
 
 
 @pytest.mark.parametrize("docs, field", [
@@ -304,9 +306,13 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
     ["potential", "eval", "--psi", "psi", "--kind", "vbeta", "--x", "0.1"],
     ["potential", "eval", "--psi", "psi", "--x", "0.1", "0.2",
      "--y", "0.1", "0.2", "0.3"],
+    ["lil", "run", "--config", "k0"],
+    ["lil", "run", "--config", "paths0"],
 ])
 def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
-    _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE}, argv)
+    _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE,
+                                    "k0": {**LIL, "k": 0},
+                                    "paths0": {**LIL, "paths": 0}}, argv)
 
 
 def test_rebirth_sim_accepts_the_return_point_as_start(model_path, capsys):

@@ -1,11 +1,13 @@
 """The closed-form decomposition against the inversion route it replaced.
 
 decompose builds A = K^-1 in closed form from the one factorization of G
-that assemble_kernel keeps.  The reference below is the earlier decompose,
-which factored G again for r and v, inverted K outright and took log det G
+that assemble_kernel keeps, and K_isymi = A_sym^-1 in block form from the
+inverse of the lower block of A_sym.  The reference below is the earlier
+decompose, which factored G again for r and v, inverted K and A_sym
+outright, checked the latter against its block form and took log det G
 from a fresh factorization; the condition number came from a fresh inverse
 of G.  Everything that does not depend on A must equal it bit for bit, and
-A must equal the direct inverse of K to rounding.
+A and K_isymi must equal the direct inverses of K and A_sym to rounding.
 """
 
 import numpy as np
@@ -18,9 +20,16 @@ from permlab import (Affine, CharExponent, Exp,
                      VBetaBase, VPQBase, assemble_kernel, brownian_unit_base,
                      decompose)
 from permlab import _linalg as la
-from permlab.kernel_algebra import Decomposition
+from permlab.kernel_algebra import Decomposition, _bordered
 
 STABLE = CharExponent.pure_stable(1.5)
+
+
+def _symmetrized(A):
+    """A with each off-diagonal pair replaced by minus its geometric mean."""
+    A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
+    np.fill_diagonal(A_sym, np.diag(A))
+    return A_sym
 
 
 def _inversion_route(ak, negativity_tol=1e-10):
@@ -44,8 +53,7 @@ def _inversion_route(ak, negativity_tol=1e-10):
 
     K = ak.K_ld
     A = la.inv(K)
-    A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
-    np.fill_diagonal(A_sym, np.diag(A))
+    A_sym = _symmetrized(A)
     K_isymi = la.inv(A_sym)
 
     G_a = np.asarray(A_sym[1:, 1:], dtype=la.LD)
@@ -75,7 +83,6 @@ def _inversion_route(ak, negativity_tol=1e-10):
         h=np.asarray(h, float), nu=nu, a=np.asarray(a, float),
         A=np.asarray(A, float), A_sym=np.asarray(A_sym, float),
         K_isymi=np.asarray(K_isymi, float),
-        isymi_block=np.asarray(block, float),
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,
@@ -140,6 +147,16 @@ def test_closed_form_equals_the_inversion_route(family, spec):
     assert float(np.max(np.abs(dec.A - direct))) <= 1e-12 * scale
     assert dec.block_identity_error <= 1e-10
 
+    # K_isymi against the direct inverse of the A_sym that decompose builds
+    # (the reference's A_sym, from la.inv(K), differs by more than 1e-12)
+    g, f = (np.asarray(x, dtype=la.LD) for x in (ak.gvec, ak.fvec))
+    r, v = la.lu_solve(ak.G_lu, g), la.lu_solve(ak.G_lu, f)
+    A_sym = _symmetrized(_bordered(1.0 + v @ g, -v, -r, ak.G_inv))
+    assert np.array_equal(np.asarray(A_sym, float), dec.A_sym)
+    direct = np.asarray(la.inv(A_sym), dtype=float)
+    scale = float(np.max(np.abs(direct)))
+    assert float(np.max(np.abs(dec.K_isymi - direct))) <= 1e-12 * scale
+
 
 def test_each_matrix_is_factored_once(monkeypatch):
     factored, inverted = [], []
@@ -158,5 +175,14 @@ def test_each_matrix_is_factored_once(monkeypatch):
     ak = _kernel("exp_decay", UP)
     decompose(ak)
     n = len(ak.points)
-    assert factored == [n, n + 1, n, n + 1]     # G, A_sym, G_a, K
-    assert inverted == [n, n + 1, n]            # G, A_sym, G_a
+    assert factored == [n, n, n + 1]     # G, G_a, K
+    assert inverted == [n, n]            # G, G_a
+
+
+def test_block_identity_error_sees_a_wrong_lower_block_inverse(monkeypatch):
+    ak = _kernel("exp_decay", UP)
+    assert decompose(ak).block_identity_error <= 1e-10
+    real_inv = la.inv
+    monkeypatch.setattr(la, "inv", lambda a, *args: real_inv(a, *args)
+                        * (1.0 + 1e-8))
+    assert decompose(ak).block_identity_error > 1e-10

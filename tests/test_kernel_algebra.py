@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from permlab import (ConstantExcessive, GridError, GridSpec, assemble_kernel,
-                     brownian_min_kernel, brownian_unit_base, decompose,
-                     make_flat_pair, min_kernel_inverse, rowsum_residuals)
+from permlab import (ConstantExcessive, GridError, GridSpec, StableHitZeroBase,
+                     assemble_kernel, brownian_min_kernel, brownian_unit_base,
+                     decompose, make_flat_pair, min_kernel_inverse,
+                     rowsum_residuals)
 from permlab import _linalg as la
 
 MK = brownian_min_kernel()
@@ -101,6 +102,10 @@ def test_grid_touching_origin_rejected_for_hit_zero_base():
     spec = GridSpec(d=0.02, theta=0.5, n=30, q=0.5, direction=-1)
     with pytest.raises(GridError):
         assemble_kernel(MK, ONE, ONE, spec)
+    # explicit points too: a process killed at 0 cannot reach -0.3 from 0.5
+    for pts in ([0.5, -0.3, 0.2, 0.4], [0.5, 0.0, 0.2]):
+        with pytest.raises(GridError, match="origin"):
+            assemble_kernel(StableHitZeroBase(0.6), ONE, ONE, pts)
 
 
 # -- decomposition ----------------------------------------------------------

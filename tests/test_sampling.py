@@ -52,6 +52,23 @@ def test_covariance_rejections():
         sample_chi_square(np.array([[1.0]]), 0, 10, 0)
 
 
+@pytest.mark.parametrize("k, n_paths", [(0, 10), (-1, 10), (1, 0)])
+def test_samplers_reject_fewer_than_one_copy_or_path(k, n_paths):
+    f = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
+    spec = GridSpec(d=1.0, theta=0.7, n=20, q=0.7)
+    dec = decompose(assemble_kernel(OU, f, f, spec))
+    calls = [
+        lambda: sample_chi_square(np.eye(1), k, n_paths, 0),
+        lambda: sample_isymi_representation(dec, k, n_paths, 0),
+        lambda: sandwich_check(dec, k, lambda x: x[:, 0] > 1.0, n_paths, 0),
+        lambda: lil_harness(OU, None, None, [spec], k, n_paths, 0),
+        lambda: lil_harness(OU, f, f, [spec], k, n_paths, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at least 1"):
+            call()
+
+
 def test_laplace_transform_scalar():
     emp, analytic, z = laplace_check(np.array([[1.0]]), 1, [1.0], 200_000, 5)
     assert analytic == pytest.approx(2.0 ** -0.5, rel=1e-12)

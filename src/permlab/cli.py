@@ -116,13 +116,8 @@ def _cmd_potential_eval(args) -> int:
             raise ValueError("potential eval needs --psi or --family")
         if args.kind in ("u0", "vbeta") and not args.y:
             raise ValueError(f"--kind {args.kind} needs --y")
-        from .quadrature import QuadratureConfig
-        cfg = QuadratureConfig()
-        if args.tol_scale != 1.0:
-            cfg = QuadratureConfig(abs_tol=cfg.abs_tol * args.tol_scale,
-                                   rel_tol=cfg.rel_tol * args.tol_scale)
         pot = LevyPotential(exponent_from_spec(_load_json(args.psi)),
-                            beta=args.beta, quad=cfg)
+                            beta=args.beta)
         for x, y in zip(xs, ys):
             if args.kind == "u":
                 val, err = pot.u_with_error(x)
@@ -255,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="kernel, potential, and local-time laboratory")
-    parser.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply evaluation tolerances for exploratory "
-                             "runs; the verify battery ignores it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pot = sub.add_parser("potential", help="evaluate potential kernels")

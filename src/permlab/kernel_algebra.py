@@ -10,21 +10,26 @@ theta^(n+1-j), and two excessive functions f, g, the augmented matrix
 
 has det K = det G and the closed-form inverse A = [[1 + rho, -v^T],
 [-r, G^-1]] with r = G^-1 g, v = G^-1 f and rho = v . g = f . r, so G is
-factored once.  The symmetrized comparison kernel K_isymi inverts A_sym, A
-with its off-diagonal pairs replaced by their geometric means, in block form
-from the inverse of the lower block G_a of A_sym.  The determinant ratio
-nu = 1 + rho - h G h^T (h_j = sqrt(r_j v_j)) controls how far the
-non-symmetric law can drift from the symmetric one.  det K is checked by its
-own factorization, K_isymi by the size of one Newton correction.  All
-factorizations run in extended precision; conditioning is estimated and
-reported, and singular Gram matrices are rejected rather than regularized,
-since jitter would silently move nu.
+factored once.  Its lower block G^-1 is symmetric, so the symmetrized
+A_sym = [[1 + rho, -h^T], [-h, G^-1]] only replaces the border pairs by their
+geometric means h_j = sqrt(r_j v_j).  The Schur complement of G^-1 in A_sym
+is the determinant ratio nu = 1 + rho - h G h^T, which controls how far the
+non-symmetric law can drift from the symmetric one, and the comparison
+kernel has the closed form
+
+    K_isymi = A_sym^-1 = [[1/nu, (G h)^T / nu], [G h / nu, G + a a^T]],
+
+a = G h / sqrt(nu), the covariance of eta + a xi.  So only G and K are
+factored.  det K is checked by its own factorization, K_isymi by the size of
+one Newton correction.  All factorizations run in extended precision;
+conditioning is estimated and reported, and singular Gram matrices are
+rejected rather than regularized, since jitter would silently move nu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import e as _e, exp, floor
+from math import e as _e, exp, floor, isfinite
 
 import numpy as np
 
@@ -66,6 +71,8 @@ class GridSpec:
     direction: int = 1
 
     def __post_init__(self):
+        if not isfinite(self.d):
+            raise GridError("d must be finite")
         if not 0.0 < self.theta < 1.0:
             raise GridError("theta must lie in (0, 1)")
         if not 0.0 < self.q < 1.0:
@@ -119,6 +126,8 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     the distinguished point.
     """
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
+    if not np.all(np.isfinite(pts)):
+        raise GridError("grid points must be finite")
     if getattr(base, "positive_domain", False) and np.any(pts <= 0.0):
         raise GridError("grid touches the forbidden origin of this base")
     G = mirror_upper(base.gram(pts, pts))
@@ -165,9 +174,9 @@ class Decomposition:
     h: np.ndarray
     nu: float
     a: np.ndarray
-    A: np.ndarray
-    A_sym: np.ndarray
-    K_isymi: np.ndarray           # A_sym^-1, in block form from G_a^-1
+    A: np.ndarray                 # K^-1 in closed form from G^-1
+    A_sym: np.ndarray             # A with its border pairs replaced by -h
+    K_isymi: np.ndarray           # A_sym^-1 in closed form from G and G h
     det_ratio_error: float        # |det K / det G - 1|
     rho_identity_error: float     # |rho - v G r| (scaled)
     block_identity_error: float   # one Newton correction of K_isymi (scaled)
@@ -214,21 +223,16 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
 
     h = np.sqrt(np.clip(r * v, 0.0, None))
     Gh = G @ h
-    nu = float(1.0 + rho - h @ Gh)
+    nu_ld = 1.0 + rho - h @ Gh
+    nu = float(nu_ld)
     a = np.asarray(Gh, dtype=la.LD) / np.sqrt(la.LD(max(nu, 1e-300)))
 
     A = _bordered(1.0 + rho_ld, -v, -r, ak.G_inv)
-    # geometric mean of each off-diagonal pair; A[i, j] A[j, i] commutes, so
-    # the result is exactly symmetric
-    A_sym = -np.sqrt(np.clip(A * A.T, 0.0, None))
-    np.fill_diagonal(A_sym, np.diag(A))
-
-    # A_sym^-1 in block form via nu_a, the Schur complement of its lower block
-    G_a_inv = la.inv(A_sym[1:, 1:])
-    w = G_a_inv @ -A_sym[0, 1:]
-    nu_a = A_sym[0, 0] + A_sym[0, 1:] @ w
-    K_isymi = _bordered(1.0 / nu_a, w / nu_a, w / nu_a,
-                        G_a_inv + np.outer(w, w) / nu_a)
+    # G^-1 is symmetric, so only the border pairs (-v_j, -r_j) need their
+    # geometric mean -h_j; the Schur complement of G^-1 in A_sym is nu
+    A_sym = _bordered(1.0 + rho_ld, -h, -h, ak.G_inv)
+    K_isymi = _bordered(1.0 / nu_ld, Gh / nu_ld, Gh / nu_ld,
+                        G + np.outer(Gh, Gh) / nu_ld)
     # one Newton correction K_isymi (I - A_sym K_isymi), measured, not applied
     correction = K_isymi @ (np.eye(len(A_sym), dtype=la.LD) - A_sym @ K_isymi)
     block_err = (float(np.max(np.abs(correction)))

@@ -33,9 +33,6 @@ __all__ = [
     "trend_is_nondecreasing",
 ]
 
-_REPRESENTATION_TOL = 1e-6   # scaled gap between G + a a^T and the K_isymi block
-
-
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -81,6 +78,9 @@ def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
     Returns (empirical, analytic, z_score) with the z-score in sample
     standard errors of the Monte Carlo mean.
     """
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths for the standard error, "
+                         f"got {n_paths}")
     s = np.asarray(s_vec, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("Laplace arguments must be nonnegative")
@@ -99,22 +99,12 @@ def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
     """Chi-square samples of the symmetrized comparison process.
 
     Each Gaussian copy is eta(t'_j) + a_j * xi with eta drawn from the grid
-    Gram matrix and xi an independent standard normal; the implied Gram
-    matrix is verified against the symmetrized kernel block before sampling.
-    The guard catches wrong-formula bugs, which show up at full scale, while
-    tolerating the conditioning-driven noise of deep grids.
+    Gram matrix and xi an independent standard normal, so its Gram matrix is
+    G + a a^T, the lower block of dec.K_isymi by construction.
     """
-    G = dec.kernel.G
-    a = dec.a
-    implied = G + np.outer(a, a)
-    block = dec.K_isymi[1:, 1:]
-    scale = max(1.0, float(np.max(np.abs(block))))
-    if float(np.max(np.abs(implied - block))) > _REPRESENTATION_TOL * scale:
-        raise ValueError("representation Gram matrix disagrees with the "
-                         "symmetrized kernel block")
     rng = philox(seed)
-    eta = _gaussian_copies(G, k, n_paths, rng)
-    eta = eta + rng.standard_normal((n_paths, k, 1)) * a[None, None, :]
+    eta = _gaussian_copies(dec.kernel.G, k, n_paths, rng)
+    eta = eta + rng.standard_normal((n_paths, k, 1)) * dec.a[None, None, :]
     return 0.5 * np.sum(eta * eta, axis=1)
 
 

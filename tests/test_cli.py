@@ -5,7 +5,7 @@ import pytest
 
 from permlab import (LevyPotential, exponent_from_spec,
                      regular_variation_constant)
-from permlab.cli import main
+from permlab.cli import build_parser, main
 
 
 @pytest.fixture
@@ -238,6 +238,7 @@ def _usage_error(tmp_path, capsys, docs, argv=None):
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith("error: ")
+    assert message.count("\n") == 1
     return message
 
 
@@ -308,11 +309,19 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
      "--y", "0.1", "0.2", "0.3"],
     ["lil", "run", "--config", "k0"],
     ["lil", "run", "--config", "paths0"],
+    ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g",
+     "--grid", "nan,0.3,20,0.5"],
+    ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g",
+     "--grid", "inf,0.3,20,0.5"],
+    ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g",
+     "--grid=-inf,0.3,20,0.5"],
 ])
 def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
     _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE,
                                     "k0": {**LIL, "k": 0},
-                                    "paths0": {**LIL, "paths": 0}}, argv)
+                                    "paths0": {**LIL, "paths": 0},
+                                    "base": EXP_DECAY, "f": CONST, "g": CONST},
+                 argv)
 
 
 def test_rebirth_sim_accepts_the_return_point_as_start(model_path, capsys):
@@ -329,12 +338,18 @@ def test_verify_core_suite_exits_zero(capsys):
     assert out.count("[PASS]") == 10
 
 
-def test_tol_scale_flag_accepted(brownian_psi, tmp_path):
-    out = tmp_path / "u.csv"
-    rc = main(["--tol-scale", "100", "potential", "eval", "--psi",
-               brownian_psi, "--beta", "0.5", "--kind", "u", "--x", "1",
-               "--out", str(out)])
-    assert rc == 0
+def test_tol_scale_flag_is_a_usage_error(brownian_psi, capsys):
+    # the flag changed nothing outside potential eval --psi, so it is gone
+    flag = ["--tol-scale", "100"]
+    argv = ["potential", "eval", "--psi", brownian_psi, "--beta", "0.5",
+            "--kind", "u", "--x", "1"]
+    for full, says in ((flag + argv, "invalid choice: '100'"),
+                       (argv + flag, "unrecognized arguments: --tol-scale")):
+        with pytest.raises(SystemExit) as err:
+            main(full)
+        assert err.value.code == 2
+        assert says in capsys.readouterr().err
+    assert "--tol-scale" not in build_parser().format_help()
 
 
 def test_lil_run_with_border_functions(tmp_path):

@@ -1,24 +1,27 @@
 """The closed-form decomposition against the inversion route it replaced.
 
 decompose builds A = K^-1 in closed form from the one factorization of G
-that assemble_kernel keeps, and K_isymi = A_sym^-1 in block form from the
-inverse of the lower block of A_sym.  The reference below is the earlier
+that assemble_kernel keeps, and K_isymi = A_sym^-1 in closed form from G and
+G h, so that only G and K are factored.  The reference below is the earlier
 decompose, which factored G again for r and v, inverted K and A_sym
 outright, checked the latter against its block form and took log det G
 from a fresh factorization; the condition number came from a fresh inverse
 of G.  Everything that does not depend on A must equal it bit for bit, and
 A and K_isymi must equal the direct inverses of K and A_sym to rounding.
+A 50-digit inverse of A_sym checks K_isymi on a deep grid.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from permlab import (Affine, CharExponent, Exp,
+from permlab import (Affine, AtomicPotential, CharExponent, Exp,
                      ExpDecayBase, GridSpec, HitZeroLevyBase, LevyBase,
                      LevyPotential, Pow, PQBase, PQPotential, Prod,
                      ScaleMinBase, ScalePotential, StableHitZeroBase,
                      VBetaBase, VPQBase, assemble_kernel, brownian_unit_base,
-                     decompose)
+                     decompose, sample_isymi_representation)
 from permlab import _linalg as la
 from permlab.kernel_algebra import Decomposition, _bordered
 
@@ -151,7 +154,8 @@ def test_closed_form_equals_the_inversion_route(family, spec):
     # (the reference's A_sym, from la.inv(K), differs by more than 1e-12)
     g, f = (np.asarray(x, dtype=la.LD) for x in (ak.gvec, ak.fvec))
     r, v = la.lu_solve(ak.G_lu, g), la.lu_solve(ak.G_lu, f)
-    A_sym = _symmetrized(_bordered(1.0 + v @ g, -v, -r, ak.G_inv))
+    h = np.sqrt(np.clip(r * v, 0.0, None))
+    A_sym = _bordered(1.0 + v @ g, -h, -h, ak.G_inv)
     assert np.array_equal(np.asarray(A_sym, float), dec.A_sym)
     direct = np.asarray(la.inv(A_sym), dtype=float)
     scale = float(np.max(np.abs(direct)))
@@ -175,14 +179,57 @@ def test_each_matrix_is_factored_once(monkeypatch):
     ak = _kernel("exp_decay", UP)
     decompose(ak)
     n = len(ak.points)
-    assert factored == [n, n, n + 1]     # G, G_a, K
-    assert inverted == [n, n]            # G, G_a
+    assert factored == [n, n + 1]        # G, K
+    assert inverted == [n]               # G
 
 
-def test_block_identity_error_sees_a_wrong_lower_block_inverse(monkeypatch):
+def test_block_identity_error_sees_a_wrong_lower_block_inverse():
     ak = _kernel("exp_decay", UP)
     assert decompose(ak).block_identity_error <= 1e-10
-    real_inv = la.inv
-    monkeypatch.setattr(la, "inv", lambda a, *args: real_inv(a, *args)
-                        * (1.0 + 1e-8))
-    assert decompose(ak).block_identity_error > 1e-10
+    wrong = replace(ak, G_inv=ak.G_inv * (1.0 + 1e-8))
+    assert decompose(wrong).block_identity_error > 1e-10
+
+
+# 18 points down to 2^-20 below d, cond(G) = 4.3e7.  exp_decay has a
+# tridiagonal G^-1, so most entries of the computed one are rounding noise,
+# and atoms on grid points make r and v nearly unit vectors
+DEEP = GridSpec(d=0.6541, theta=0.5, n=20, q=0.5, direction=-1)
+DEEP_ATOMS = [(2, 3, 9), (1, 16, 6)]
+
+
+def _deep_kernel(atoms):
+    base = ExpDecayBase(0.7765, 1.016)
+    pts = DEEP.points()
+    f = AtomicPotential(base, ((pts[atoms[0]], 0.66), (pts[atoms[1]], 0.26)))
+    g = AtomicPotential(base, ((pts[atoms[2]], 0.83),))
+    return assemble_kernel(base, f, g, DEEP)
+
+
+@pytest.mark.parametrize("atoms", DEEP_ATOMS)
+def test_k_isymi_matches_a_50_digit_inverse_on_a_deep_grid(atoms):
+    mp = pytest.importorskip("mpmath")
+    ak = _deep_kernel(atoms)
+    assert ak.cond > 1e7
+    dec = decompose(ak)
+    with mp.workdps(50):
+        G_inv = mp.inverse(mp.matrix(ak.G.tolist()))
+        r = G_inv * mp.matrix(ak.gvec.tolist())
+        v = G_inv * mp.matrix(ak.fvec.tolist())
+        n = len(ak.points)
+        A_sym = mp.matrix(n + 1, n + 1)
+        A_sym[0, 0] = 1 + sum(v[i] * ak.gvec[i] for i in range(n))
+        for i in range(n):
+            # the same clip of r v at zero as decompose
+            A_sym[0, i + 1] = A_sym[i + 1, 0] = -mp.sqrt(max(r[i] * v[i], 0))
+            for j in range(n):
+                A_sym[i + 1, j + 1] = G_inv[i, j]
+        ref = np.array(mp.inverse(A_sym).tolist(), dtype=float)
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(dec.K_isymi - ref))) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("atoms", DEEP_ATOMS)
+def test_representation_accepts_a_deep_grid(atoms):
+    dec = decompose(_deep_kernel(atoms))
+    x = sample_isymi_representation(dec, 1, 1000, seed=3)
+    assert x.shape == (1000, len(DEEP.points())) and np.all(x >= 0.0)

@@ -40,7 +40,9 @@ def test_grid_descending_direction():
 
 def test_grid_parameter_validation():
     for kwargs in ({"theta": 1.1}, {"theta": 0.0}, {"q": 1.0}, {"n": 0},
-                   {"direction": 2}):
+                   {"direction": 2}, {"d": float("nan")}, {"d": float("inf")},
+                   {"d": -float("inf")}, {"theta": float("nan")},
+                   {"q": float("nan")}):
         full = {"d": 1.0, "theta": 0.5, "n": 20, "q": 0.5}
         full.update(kwargs)
         with pytest.raises(GridError):
@@ -106,6 +108,14 @@ def test_grid_touching_origin_rejected_for_hit_zero_base():
     for pts in ([0.5, -0.3, 0.2, 0.4], [0.5, 0.0, 0.2]):
         with pytest.raises(GridError, match="origin"):
             assemble_kernel(StableHitZeroBase(0.6), ONE, ONE, pts)
+
+
+def test_assemble_rejects_non_finite_points():
+    # NaN passes both the positivity and the condition checks
+    for bad in (float("nan"), float("inf")):
+        for pts in ([bad, 0.2, 0.4], [0.5, 0.2, bad]):
+            with pytest.raises(GridError, match="finite"):
+                assemble_kernel(OU, ONE, ONE, pts)
 
 
 # -- decomposition ----------------------------------------------------------

@@ -91,6 +91,13 @@ def test_laplace_rejects_negative_argument():
         laplace_check(np.array([[1.0]]), 1, [-0.1], 100, 0)
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_laplace_rejects_fewer_than_two_paths(n_paths):
+    # its z-score divides by a ddof=1 standard deviation
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        laplace_check(np.array([[1.0]]), 1, [1.0], n_paths, 5)
+
+
 def test_isymi_representation_symmetric_case():
     f = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
     spec = GridSpec(d=1.0, theta=0.7, n=20, q=0.7)

@@ -99,36 +99,37 @@ def _cmd_potential_eval(args) -> int:
         raise ValueError(f"--y takes one value or one per --x value; got "
                          f"{len(ys)} for {len(xs)}")
     if args.family:
+        if any(v is not None for v in (args.psi, args.kind, args.beta)):
+            raise ValueError("--family takes no --psi, --kind or --beta")
         if args.spec is None:
             raise ValueError("--family needs --spec")
         spec = _load_json(args.spec)
-        if isinstance(spec, dict) and "family" not in spec:
-            spec = {**spec, "family": args.family}
+        if (isinstance(spec, dict)
+                and spec.setdefault("family", args.family) != args.family):
+            raise ValueError(f"--family {args.family} disagrees with the spec's "
+                             f"family {spec['family']!r}")
         base = base_from_spec(spec)
-        with_error = _LEVY_BOUNDS.get(spec.get("family"))
+        with_error = _LEVY_BOUNDS.get(args.family)
         for x, y in zip(xs, ys):
             yy = x if y is None else y
             val, err = (with_error(base.pot, x, yy) if with_error
                         else (base.kernel(x, yy), 0.0))
             rows.append(f"{x!r},{yy!r},{val!r},{float(err)!r}")
     else:
-        if args.psi is None:
-            raise ValueError("potential eval needs --psi or --family")
-        if args.kind in ("u0", "vbeta") and not args.y:
-            raise ValueError(f"--kind {args.kind} needs --y")
+        if args.psi is None or args.spec is not None:
+            raise ValueError("potential eval needs --psi, or --family with --spec")
+        kind = args.kind or "u"
+        # u and sigma2 take one point, u0 and vbeta two
+        if (kind in ("u0", "vbeta")) != bool(args.y):
+            need = "takes no" if args.y else "needs"
+            raise ValueError(f"--kind {kind} {need} --y")
         pot = LevyPotential(exponent_from_spec(_load_json(args.psi)),
-                            beta=args.beta)
+                            beta=0.0 if args.beta is None else args.beta)
+        evaluate = {"u": pot.u_with_error, "sigma2": pot.sigma2_with_error,
+                    "u0": pot.u0_with_error, "vbeta": pot.v_with_error}[kind]
         for x, y in zip(xs, ys):
-            if args.kind == "u":
-                val, err = pot.u_with_error(x)
-                y_out = ""
-            elif args.kind == "sigma2":
-                val, err = pot.sigma2_with_error(x)
-                y_out = ""
-            elif args.kind == "u0":
-                (val, err), y_out = pot.u0_with_error(x, y), repr(y)
-            else:
-                (val, err), y_out = pot.v_with_error(x, y), repr(y)
+            val, err = evaluate(x) if y is None else evaluate(x, y)
+            y_out = "" if y is None else repr(y)
             rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
     _write_lines(args.out, rows)
     return 0
@@ -194,13 +195,9 @@ def _cmd_lil_run(args) -> int:
 
 # -- rebirth -----------------------------------------------------------------
 
-def _check_paths(n_paths: int):
-    if n_paths < 2:     # the reports carry ddof=1 standard errors
-        raise ValueError(f"--paths must be at least 2, got {n_paths}")
-
-
 def _cmd_rebirth_sim(args) -> int:
-    _check_paths(args.paths)
+    if args.paths < 2:     # the report carries ddof=1 standard errors
+        raise ValueError(f"--paths must be at least 2, got {args.paths}")
     chain, mu, _ = chain_from_spec(_load_json(args.model))
     model = PartialRebirthModel(chain, mu)
     ext = model.extension()   # first: a chain that never dies has none
@@ -256,16 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     pot_sub = p_pot.add_subparsers(dest="subcommand", required=True)
     p_eval = pot_sub.add_parser("eval")
     p_eval.add_argument("--psi", help="exponent spec JSON path")
-    p_eval.add_argument("--beta", type=float, default=0.0)
+    p_eval.add_argument("--beta", type=float, help="with --psi; default 0")
     p_eval.add_argument("--kind", choices=["u", "sigma2", "u0", "vbeta"],
-                        default="u")
+                        help="with --psi; default u")
     p_eval.add_argument("--family",
                         choices=["pq", "vpq", "scale", "exp_decay",
                                  "stable_hit_zero", *_LEVY_BASES],
                         help="kernel family instead of --psi")
     p_eval.add_argument("--spec", help="family spec JSON path")
     p_eval.add_argument("--x", nargs="+", required=True)
-    p_eval.add_argument("--y", nargs="*")
+    p_eval.add_argument("--y", nargs="*", help="not with --kind u or sigma2")
     p_eval.add_argument("--out", default="-")
     p_eval.set_defaults(func=_cmd_potential_eval)
 
@@ -275,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--base", required=True)
     p_an.add_argument("--f", required=True)
     p_an.add_argument("--g", required=True)
-    p_an.add_argument("--grid", required=True, metavar="d,theta,n,q")
+    p_an.add_argument("--grid", required=True, metavar="d,theta,n,q",
+                      help="a negative d needs the form --grid=-0.5,...")
     p_an.add_argument("--direction", type=int, default=1, choices=[1, -1])
     p_an.add_argument("--out", default="-")
     p_an.set_defaults(func=_cmd_kernel_analyze)

@@ -108,10 +108,10 @@ class PQPotential:
     def sigma2(self, x: float, y: float) -> float:
         return self.u(x, x) + self.u(y, y) - 2.0 * self.u(x, y)
 
-    def eigen_residual(self, b: Expr, n: int = 101) -> float:
+    def eigen_residual(self, b: Expr) -> float:
         """Max relative residual of (1/2)(b f')' = beta f for f in {p, q}."""
         lo, hi = self.interval
-        xs = np.linspace(lo, hi, n)
+        xs = np.linspace(lo, hi, 101)
         b1 = b.diff()
         worst = 0.0
         for f in (self.p, self.q):

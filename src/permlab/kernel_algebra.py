@@ -48,12 +48,14 @@ __all__ = [
     "min_kernel_inverse",
     "rowsum_residuals",
     "MAX_GRID_POINTS",
+    "SIGN_TOL",
+    "offdiag_positive_excess",
 ]
 
 MAX_GRID_POINTS = 200
 _LOGLOG_CAP = exp(-_e)   # largest admissible offset, log log 1/t >= 1
 _NEGATIVITY_TOL = 1e-10  # scaled dip of r, v below zero that decompose accepts
-_SIGN_TOL = 1e-10        # scaled sign excess the M-matrix checks accept
+SIGN_TOL = 1e-10         # scaled sign excess the M-matrix checks accept
 
 
 class GridError(ValueError):
@@ -115,15 +117,14 @@ class AugmentedKernel:
     G_lu: tuple             # la.lu_factor(G), the one factorization of G
     G_inv: np.ndarray       # its refined inverse, the lower block of A
     cond: float
-    degenerate: bool = False
 
 
-def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
-                    cond_limit: float = 1e12) -> AugmentedKernel:
+def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedKernel:
     """Build the augmented matrix for a base kernel and two excessive functions.
 
     grid may be a GridSpec or an explicit point array whose first entry is
-    the distinguished point.
+    the distinguished point.  f, g >= 0 on the grid and > 0 at that point,
+    except f = g = 0 on the grid, which is the symmetric kernel (nu = 1).
     """
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
     if not np.all(np.isfinite(pts)):
@@ -134,17 +135,10 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")
     fvec, gvec = on_grid(f, pts), on_grid(g, pts)
-    degenerate = False
-    if np.all(fvec == 0.0) and np.all(gvec == 0.0):
-        if not allow_degenerate:
-            raise ValueError("f = g = 0 is a degenerate kernel; "
-                             "pass allow_degenerate=True in tests")
-        degenerate = True
-    else:
-        if np.any(fvec < 0.0) or np.any(gvec < 0.0):
-            raise ValueError("excessive functions must be nonnegative on the grid")
-        if fvec[0] <= 0.0 or gvec[0] <= 0.0:
-            raise ValueError("f and g must be positive at the distinguished point")
+    if np.any(fvec < 0.0) or np.any(gvec < 0.0):
+        raise ValueError("excessive functions must be nonnegative on the grid")
+    if (fvec[0] <= 0.0 or gvec[0] <= 0.0) and (np.any(fvec) or np.any(gvec)):
+        raise ValueError("f and g must be positive at the distinguished point")
     G_ld = np.asarray(G, dtype=la.LD)
     G_lu = la.lu_factor(G_ld)
     G_inv = la.inv(G_ld, G_lu)
@@ -154,8 +148,7 @@ def assemble_kernel(base, f, g, grid, *, allow_degenerate: bool = False,
     K_ld = _bordered(1.0, fvec, gvec, G_ld + np.outer(np.asarray(gvec, la.LD),
                                                        np.asarray(fvec, la.LD)))
     K = np.asarray(K_ld, dtype=float)
-    return AugmentedKernel(pts, G, fvec, gvec, K, K_ld, G_lu, G_inv, cond,
-                           degenerate)
+    return AugmentedKernel(pts, G, fvec, gvec, K, K_ld, G_lu, G_inv, cond)
 
 
 def _bordered(corner, row, col, inner) -> np.ndarray:
@@ -181,26 +174,27 @@ class Decomposition:
     rho_identity_error: float     # |rho - v G r| (scaled)
     block_identity_error: float   # one Newton correction of K_isymi (scaled)
 
-    @staticmethod
-    def offdiag_positive_excess(mat: np.ndarray) -> float:
-        """Largest off-diagonal entry after scaling rows by the diagonal."""
-        scaled = mat / np.abs(np.diag(mat))[:, None]
-        off = scaled - np.diag(np.diag(scaled))
-        return float(np.max(off))
-
-    def entrywise_negative_excess(self, mat: np.ndarray) -> float:
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        return float(-np.min(mat) / scale)
-
     @property
     def a_is_m_matrix(self) -> bool:
-        return (self.offdiag_positive_excess(self.A) <= _SIGN_TOL
-                and self.entrywise_negative_excess(self.kernel.K) <= _SIGN_TOL)
+        return (offdiag_positive_excess(self.A) <= SIGN_TOL
+                and _entrywise_negative_excess(self.kernel.K) <= SIGN_TOL)
 
     @property
     def a_sym_is_m_matrix(self) -> bool:
-        return (self.offdiag_positive_excess(self.A_sym) <= _SIGN_TOL
-                and self.entrywise_negative_excess(self.K_isymi) <= _SIGN_TOL)
+        return (offdiag_positive_excess(self.A_sym) <= SIGN_TOL
+                and _entrywise_negative_excess(self.K_isymi) <= SIGN_TOL)
+
+
+def offdiag_positive_excess(mat: np.ndarray) -> float:
+    """Largest off-diagonal entry after scaling rows by the diagonal."""
+    scaled = mat / np.abs(np.diag(mat))[:, None]
+    off = scaled - np.diag(np.diag(scaled))
+    return float(np.max(off))
+
+
+def _entrywise_negative_excess(mat: np.ndarray) -> float:
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    return float(-np.min(mat) / scale)
 
 
 def decompose(ak: AugmentedKernel) -> Decomposition:

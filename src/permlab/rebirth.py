@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg as la
 from . import _wire as wire
-from .kernel_algebra import Decomposition
+from .kernel_algebra import SIGN_TOL, offdiag_positive_excess
 from .sampling import philox, sample_chi_square
 
 __all__ = [
@@ -116,28 +116,39 @@ class RebirthExtension:
     inverse_m_matrix_ok: bool
 
 
-def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray, m: np.ndarray,
-                              *, warn_mass=None) -> RebirthExtension:
+def _rebirth_measure(mu) -> tuple[np.ndarray, float]:
+    """(mu, its mass) for a rebirth measure, which must be nonnegative."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(mu >= 0.0):
+        raise ValueError("rebirth measure must be nonnegative")
+    return mu, float(np.sum(mu))
+
+
+def _probability_measure(mu) -> np.ndarray:
+    """The rebirth measure of full rebirth, which must have mass 1."""
+    mu, mass = _rebirth_measure(mu)
+    if abs(mass - 1.0) > 1e-12:
+        raise ValueError("full rebirth needs a probability measure")
+    return mu
+
+
+def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
+                              m: np.ndarray) -> RebirthExtension:
     """Extend the potential by a return point fed by the measure mu.
 
     f(y) = sum_x u(x, y) mu(x); the extension has u + f(y) on the base block,
     f(y) along the return-point row, and ones in the return-point column.
-    Mass above 1 is allowed for analysis but flagged, since no transient
-    process realizes it.
+    Mass above 1 is accepted for analysis, although no transient process
+    realizes it and PartialRebirthModel refuses to simulate it.
     """
     u = np.asarray(u, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    mu, _ = _rebirth_measure(mu)
     m = np.asarray(m, dtype=float)
     n = u.shape[0]
-    if np.any(mu < 0.0):
-        raise ValueError("rebirth measure must be nonnegative")
     if np.max(np.abs(u - u.T)) > 1e-10 * np.max(np.abs(u)):
         raise ValueError("potential matrix must be symmetric")
     if np.any(u <= 0.0):
         raise ValueError("potential matrix must be strictly positive")
-    mass = float(np.sum(mu))
-    if mass > 1.0 + 1e-12 and warn_mass is not None:
-        warn_mass(mass)
     f = u.T @ mu
     ext = np.empty((n + 1, n + 1))
     ext[:n, :n] = u + f[None, :]
@@ -147,7 +158,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray, m: np.ndarray,
     m_ext = np.concatenate([m, [1.0]])
     # det ext = det u, so the inverse exists for every mass
     a = np.asarray(la.inv(np.asarray(ext, dtype=la.LD)), dtype=float)
-    inv_ok = Decomposition.offdiag_positive_excess(a) <= 1e-10
+    inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 
 
@@ -160,12 +171,10 @@ def full_rebirth_potential(u_p: np.ndarray, mu: np.ndarray, m: np.ndarray,
     the output satisfies p * sum_y w(x, y) m(y) = 1 identically.
     """
     u_p = np.asarray(u_p, dtype=float)
-    mu = np.asarray(mu, dtype=float)
     m = np.asarray(m, dtype=float)
     if p <= 0.0:
         raise ValueError("resolvent rate must be positive")
-    if abs(float(np.sum(mu)) - 1.0) > 1e-12:
-        raise ValueError("full rebirth needs a probability measure")
+    mu = _probability_measure(mu)
     row_mass = u_p @ m
     if np.any(p * row_mass >= 1.0):
         raise ValueError("p * potential mass reaches 1: inconsistent base")
@@ -304,10 +313,8 @@ class PartialRebirthModel:
     mu: np.ndarray
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if np.any(self.mu < 0.0):
-            raise ValueError("rebirth measure must be nonnegative")
-        if float(np.sum(self.mu)) > 1.0 + 1e-12:
+        self.mu, mass = _rebirth_measure(self.mu)
+        if mass > 1.0 + 1e-12:
             raise ValueError("simulation needs rebirth mass at most 1")
 
     def extension(self) -> RebirthExtension:
@@ -349,9 +356,7 @@ class FullRebirthModel:
     p: float
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if abs(float(np.sum(self.mu)) - 1.0) > 1e-12 or np.any(self.mu < 0.0):
-            raise ValueError("full rebirth needs a probability measure")
+        self.mu = _probability_measure(self.mu)
         if self.p <= 0.0:
             raise ValueError("observation rate must be positive")
         if np.all(self.chain.kill_rates <= 1e-14):

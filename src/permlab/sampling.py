@@ -232,11 +232,11 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     return rows
 
 
-def trend_is_nondecreasing(freqs, n_paths: int, z: float = 2.33) -> bool:
-    """One-sided trend check: each step may drop at most z binomial errors."""
+def trend_is_nondecreasing(freqs, n_paths: int) -> bool:
+    """One-sided trend check: each step may drop at most 2 binomial errors."""
     freqs = list(freqs)
     for a, b in zip(freqs[:-1], freqs[1:]):
         se = sqrt(max(a * (1 - a), b * (1 - b), 1e-12) / n_paths)
-        if b < a - z * sqrt(2.0) * se:
+        if b < a - 2.0 * sqrt(2.0) * se:
             return False
     return True

@@ -69,13 +69,13 @@ def criterion_1() -> CriterionResult:
 
 # -- 2: normalization constants ------------------------------------------
 
-def _c_constant_oracle(r: float, periods: int = 400) -> float:
+def _c_constant_oracle(r: float) -> float:
     """Independent quadrature oracle for (4/pi) int sin^2(s/2) s^-r ds.
 
     The first period uses a dyadically graded mesh because the integrand
-    behaves like s^(2-r) at zero; later periods use plain Gauss-Legendre,
-    and the tail is the analytic power part plus an integration-by-parts
-    correction whose remainder is O(r * A^(-r-1)).
+    behaves like s^(2-r) at zero; the next 399 use plain Gauss-Legendre, and
+    the tail from A = 400 periods is the analytic power part plus an
+    integration-by-parts correction whose remainder is O(r * A^(-r-1)).
     """
     nodes, weights = np.polynomial.legendre.leggauss(32)
 
@@ -88,9 +88,9 @@ def _c_constant_oracle(r: float, periods: int = 400) -> float:
     edges = width * 2.0 ** np.arange(-48.0, 1.0)
     total = sum(chunk(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
     total += edges[0] ** (3.0 - r) / (2.0 * (3.0 - r))   # series head below the mesh
-    for k in range(1, periods):
+    for k in range(1, 400):
         total += chunk(k * width, (k + 1) * width)
-    a = periods * width
+    a = 400 * width
     total += a ** (1.0 - r) / (r - 1.0)          # power part of the tail
     total += sin(a) * a ** (-r) - r * cos(a) * a ** (-r - 1.0)
     return (2.0 / pi) * total
@@ -163,8 +163,9 @@ def _random_instance(rng):
     return base, random_excessive(), random_excessive(), spec
 
 
-def criterion_4(n_instances: int = 50) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
+    n_instances = 50
     rng = np.random.default_rng(20240517)
     done = 0
     attempts = 0
@@ -234,7 +235,7 @@ def criterion_6() -> CriterionResult:
 
 # -- 7: Laplace-transform battery ------------------------------------------
 
-def criterion_7(n_paths: int = 1_000_000) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
     ou = np.exp(-np.abs(np.subtract.outer([0.0, 0.4, 1.1], [0.0, 0.4, 1.1])))
     mk = 2.0 * np.minimum.outer([0.5, 0.9, 1.4], [0.5, 0.9, 1.4])
@@ -247,7 +248,7 @@ def criterion_7(n_paths: int = 1_000_000) -> CriterionResult:
     ]
     zs = []
     for i, (cov, k, s) in enumerate(battery):
-        _, _, z = laplace_check(cov, k, s, n_paths, seed=1000 + i)
+        _, _, z = laplace_check(cov, k, s, 1_000_000, seed=1000 + i)
         zs.append(abs(z))
     elapsed = time.perf_counter() - t0
     ok = max(zs) <= 4.0 and elapsed < 60.0
@@ -257,15 +258,15 @@ def criterion_7(n_paths: int = 1_000_000) -> CriterionResult:
 
 # -- 8: iterated-logarithm trend -------------------------------------------
 
-def criterion_8(n_paths: int = 2000) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     t0 = time.perf_counter()
     base = brownian_unit_base()
     specs = [GridSpec(d=0.0, theta=0.3, n=n, q=0.5) for n in (20, 30, 40)]
-    rows = lil_harness(base, None, None, specs, k=1, n_paths=n_paths,
+    rows = lil_harness(base, None, None, specs, k=1, n_paths=2000,
                        seed=99, eps_list=(0.3,))
     lower = [r.freq_lower for r in rows]
     upper = [r.freq_upper for r in rows]
-    trend_ok = trend_is_nondecreasing(lower, n_paths, z=2.0)
+    trend_ok = trend_is_nondecreasing(lower, 2000)
     lower_ok = lower[-1] >= 0.9
     upper_ok = upper[-1] >= 0.9
     ok = trend_ok and lower_ok and upper_ok
@@ -291,14 +292,17 @@ def _three_state_chain() -> FiniteChain:
     return FiniteChain(Q, m)
 
 
-def criterion_9(n_paths: int = 20000) -> CriterionResult:
+def _rebirth_cases():
+    """(chain, rebirth measure, start state) of criteria 9 and 11."""
+    return [(_two_state_chain(), np.array([0.5, 0.0]), 0),
+            (_three_state_chain(), np.array([0.2, 0.1, 0.3]), 1)]
+
+
+def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
-    for chain, mu, start in [
-        (_two_state_chain(), np.array([0.5, 0.0]), 0),
-        (_three_state_chain(), np.array([0.2, 0.1, 0.3]), 1),
-    ]:
-        res = PartialRebirthModel(chain, mu).simulate(start, n_paths, seed=31)
+    for chain, mu, start in _rebirth_cases():
+        res = PartialRebirthModel(chain, mu).simulate(start, 20000, seed=31)
         scale = np.maximum(1.0, res.elapsed)
         worst = max(worst, float(np.max(res.occupation_error / scale)))
     ok = worst <= 1e-12
@@ -336,13 +340,11 @@ def criterion_10() -> CriterionResult:
                    f"{worst_decomp:.2e} over 20 chains", t0)
 
 
-def criterion_11(n_paths: int = 100_000) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     t0 = time.perf_counter()
+    n_paths = 100_000
     worst = 0.0
-    for chain, mu, start in [
-        (_two_state_chain(), np.array([0.5, 0.0]), 0),
-        (_three_state_chain(), np.array([0.2, 0.1, 0.3]), 1),
-    ]:
+    for chain, mu, start in _rebirth_cases():
         model = PartialRebirthModel(chain, mu)
         ext = model.extension()
         res = model.simulate(start, n_paths, seed=57)
@@ -356,13 +358,13 @@ def criterion_11(n_paths: int = 100_000) -> CriterionResult:
                    f"max |z| = {worst:.2f} at {n_paths} paths, {elapsed:.1f}s", t0)
 
 
-def criterion_12(n_paths: int = 1_000_000) -> CriterionResult:
+def criterion_12() -> CriterionResult:
     t0 = time.perf_counter()
     one = FiniteChain(np.array([[-1.3]]), np.array([0.7]))
     c = one.potential()[0, 0]
     s = 0.9
     rep1 = ek_identity_check(one, 0, lambda X: np.exp(-s * X[:, 0]),
-                             n_paths, seed=73)
+                             1_000_000, seed=73)
     closed = (1.0 + s * c) ** -1.5
     oracle_z = abs(rep1.lhs - closed) / rep1.lhs_se
 
@@ -373,7 +375,7 @@ def criterion_12(n_paths: int = 1_000_000) -> CriterionResult:
     def box_indicator(X):
         return np.all(X <= box[None, :], axis=1).astype(float)
 
-    rep3 = ek_identity_check(chain, 1, box_indicator, n_paths, seed=74)
+    rep3 = ek_identity_check(chain, 1, box_indicator, 1_000_000, seed=74)
     elapsed = time.perf_counter() - t0
     ok = abs(rep1.z) <= 4.0 and abs(rep3.z) <= 4.0 and oracle_z <= 4.0
     return _result(12, "local-time isomorphism identity", ok,
@@ -457,13 +459,13 @@ SUITES = {
 }
 
 
-def run_suite(suite: str = "full", emit=print) -> list[CriterionResult]:
+def run_suite(suite: str = "full") -> list[CriterionResult]:
+    """Run a suite's criteria in order, printing each result line."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")
     results = []
     for cid in SUITES[suite]:
         res = CRITERIA[cid]()
         results.append(res)
-        if emit is not None:
-            emit(res.line())
+        print(res.line())
     return results

@@ -49,5 +49,5 @@ def test_criterion_8_attainable_parts():
     lower = [r.freq_lower for r in rows]
     print("criterion 8 components: lower", lower,
           "upper", rows[-1].freq_upper)
-    assert trend_is_nondecreasing(lower, 2000, z=2.0)
+    assert trend_is_nondecreasing(lower, 2000)
     assert rows[-1].freq_upper >= 0.9

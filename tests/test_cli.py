@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from permlab import (LevyPotential, exponent_from_spec,
+from permlab import (GridSpec, LevyPotential, exponent_from_spec,
                      regular_variation_constant)
 from permlab.cli import build_parser, main
 
@@ -113,6 +113,39 @@ def test_kernel_analyze(tmp_path):
     assert report["nu"] >= 1.0 - 1e-12
     assert report["det_ratio"] <= 1e-10
     assert report["m"] == 13
+
+
+def _kernel_argv(tmp_path, docs):
+    """kernel analyze, with each document written to its own file."""
+    argv = ["kernel", "analyze"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+def test_kernel_analyze_accepts_the_zero_pair(tmp_path, capsys):
+    # f = g = 0 is the symmetric kernel: nu = 1 and a zero border
+    zero = {"kind": "const", "c": 0.0}
+    argv = _kernel_argv(tmp_path, {"base": EXP_DECAY, "f": zero, "g": zero})
+    assert main(argv + ["--grid", "1.0,0.7,20,0.7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nu"] == 1.0
+    assert report["rho"] == 0.0
+
+
+def test_kernel_analyze_takes_a_negative_d_after_an_equals_sign(tmp_path,
+                                                                capsys):
+    # after a space argparse takes "-1.0,..." for an option, so d < 0 needs "="
+    pts = GridSpec(d=-1.0, theta=0.7, n=20, q=0.7).points()
+    argv = _kernel_argv(tmp_path, {
+        "base": {"family": "exp_decay", "beta": 0.5, "C": 0.5},
+        "f": {"kind": "atoms", "atoms": [[float(pts[0]), 1.0]]},
+        "g": {"kind": "atoms", "atoms": [[float(pts[-1]), 1.0]]}})
+    assert main(argv + ["--grid=-1.0,0.7,20,0.7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == 13 and report["mmatrix_ok"] is True
 
 
 def test_lil_run(tmp_path):
@@ -305,7 +338,7 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
     ["potential", "eval", "--x", "0.1"],
     ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1"],
     ["potential", "eval", "--psi", "psi", "--kind", "vbeta", "--x", "0.1"],
-    ["potential", "eval", "--psi", "psi", "--x", "0.1", "0.2",
+    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1", "0.2",
      "--y", "0.1", "0.2", "0.3"],
     ["lil", "run", "--config", "k0"],
     ["lil", "run", "--config", "paths0"],
@@ -315,6 +348,22 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
      "--grid", "inf,0.3,20,0.5"],
     ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g",
      "--grid=-inf,0.3,20,0.5"],
+    # flags that the chosen route would otherwise ignore
+    ["potential", "eval", "--psi", "psi", "--family", "exp_decay",
+     "--spec", "base", "--x", "0.1"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--kind", "u", "--x", "0.1"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--beta", "0.5", "--x", "0.1"],
+    ["potential", "eval", "--family", "pq", "--spec", "base", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--spec", "base",
+     "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--x", "0.1",
+     "--y", "0.2"],
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--kind", "u",
+     "--x", "0.1", "--y", "0.2"],
+    ["potential", "eval", "--psi", "psi", "--kind", "sigma2", "--x", "0.1",
+     "--y", "0.2"],
 ])
 def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
     _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE,

@@ -125,8 +125,7 @@ def _kernel(family, spec):
     """
     if family == "zero_pair":
         zero = lambda x: 0.0
-        return assemble_kernel(brownian_unit_base(), zero, zero, spec,
-                               allow_degenerate=True)
+        return assemble_kernel(brownian_unit_base(), zero, zero, spec)
     base = BASES[family]()
     f = lambda x: base.kernel(x, 0.7)
     g = lambda x: base.kernel(x, 0.3) + 0.5 * base.kernel(x, 0.9)

@@ -78,19 +78,21 @@ def test_assemble_rejects_negative_excessive():
 
 
 def test_assemble_rejects_zero_at_distinguished_point():
-    f = lambda x: np.maximum(x - 1.0, 0.0)
-    with pytest.raises(ValueError, match="distinguished point"):
-        assemble_kernel(OU, f, ONE, GridSpec(1.0, 0.5, 20, 0.5))
+    # f = 0 on the whole grid is no exception while g is not zero too
+    for f in (lambda x: np.maximum(x - 1.0, 0.0), lambda x: 0.0):
+        with pytest.raises(ValueError, match="distinguished point"):
+            assemble_kernel(OU, f, ONE, GridSpec(1.0, 0.5, 20, 0.5))
 
 
-def test_degenerate_zero_pair_is_flagged():
+def test_zero_pair_is_the_symmetric_kernel():
+    # f = g = 0 needs no flag: the border of K is zero, nu = 1 and a = 0
     zero = lambda x: 0.0
-    with pytest.raises(ValueError):
-        assemble_kernel(OU, zero, zero, GridSpec(1.0, 0.5, 20, 0.5))
-    ak = assemble_kernel(OU, zero, zero, GridSpec(1.0, 0.5, 20, 0.5),
-                         allow_degenerate=True)
-    assert ak.degenerate
-    assert np.allclose(ak.K[0, 1:], 0.0)
+    ak = assemble_kernel(OU, zero, zero, GridSpec(1.0, 0.5, 20, 0.5))
+    assert np.all(ak.K[0, 1:] == 0.0) and np.all(ak.K[1:, 0] == 0.0)
+    assert np.array_equal(ak.K[1:, 1:], ak.G)
+    dec = decompose(ak)
+    assert dec.nu == 1.0
+    assert np.all(dec.a == 0.0)
 
 
 def test_assemble_rejects_singular_gram():

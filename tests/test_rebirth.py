@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from permlab import (FiniteChain, PartialRebirthModel, chain_from_spec,
-                     ek_identity_check, full_rebirth_potential,
+from permlab import (FiniteChain, FullRebirthModel, PartialRebirthModel,
+                     chain_from_spec, ek_identity_check, full_rebirth_potential,
                      partial_rebirth_potential)
 
 
@@ -74,14 +74,6 @@ def test_partial_rebirth_zero_measure():
     assert np.allclose(ext.u_ext[:, 2], 1.0)
 
 
-def test_partial_rebirth_mass_warning():
-    u = np.array([[2.0, 1.0], [1.0, 2.0]])
-    seen = []
-    partial_rebirth_potential(u, np.array([0.8, 0.7]), np.ones(2),
-                              warn_mass=seen.append)
-    assert seen and seen[0] > 1.0
-
-
 def test_partial_rebirth_flag_is_computed_for_every_mass():
     # the inverse of the extension is [[u^-1, -u^-1 1], [-mu, 1 + mass]], so
     # its sign pattern is that of u^-1 and its row sums whatever the mass
@@ -126,6 +118,20 @@ def test_full_rebirth_requires_probability_measure():
     u = chain.potential()
     with pytest.raises(ValueError):
         full_rebirth_potential(u, np.array([0.5, 0.2]), chain.m, p=0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda chain, mu: full_rebirth_potential(chain.potential(rate=0.5), mu,
+                                             chain.m, 0.5),
+    lambda chain, mu: FullRebirthModel(chain, mu, 0.5),
+    lambda chain, mu: partial_rebirth_potential(chain.potential(), mu, chain.m),
+    lambda chain, mu: PartialRebirthModel(chain, mu),
+], ids=["full_rebirth_potential", "FullRebirthModel",
+        "partial_rebirth_potential", "PartialRebirthModel"])
+def test_every_rebirth_rejects_a_signed_measure(build):
+    # [1.5, -0.5] sums to 1, but no chain is reborn with negative probability
+    with pytest.raises(ValueError, match="nonnegative"):
+        build(two_state(), np.array([1.5, -0.5]))
 
 
 def test_full_rebirth_mass_identity_and_symmetry():

@@ -116,7 +116,7 @@ def test_isymi_representation_symmetric_case():
 def test_isymi_representation_degenerate_pair():
     zero = lambda x: 0.0
     spec = GridSpec(d=1.0, theta=0.7, n=20, q=0.7)
-    ak = assemble_kernel(OU, zero, zero, spec, allow_degenerate=True)
+    ak = assemble_kernel(OU, zero, zero, spec)
     dec = decompose(ak)
     assert np.allclose(dec.a, 0.0)
     x = sample_isymi_representation(dec, 2, 50_000, seed=9)

@@ -10,12 +10,14 @@ recovers elapsed time path by path as a pure bookkeeping identity.
 All three simulators (the partially reborn chain, the fully reborn chain up
 to an exponential clock, and the h-conditioned chain of the isomorphism
 check) build a table of cumulative move laws over (states..., exit) and hand
-it to one vectorized engine, _jump_chain.  Each round moves every live path
+it to one vectorized engine, _jump_rounds.  Each round moves every live path
 once.  The engine draws from one Philox stream in a fixed order: first the
 observation clocks, one per path, when there is a clock; then, every round,
 one exponential holding time per live path, one uniform per path that
 continues (its next move), and one uniform per path that takes the exit and
-is reborn (its re-entry state).
+is reborn (its re-entry state).  The two rebirth simulators go through
+_jump_chain, which also keeps each path's elapsed time and occupation error;
+the conditioned chain needs only its local times and skips that bookkeeping.
 """
 
 from __future__ import annotations
@@ -264,6 +266,19 @@ def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     restart law, moves it to a state drawn from that law.  With a clock_rate
     each path is stopped at an independent exponential clock.
     """
+    L, elapsed, rounds = _jump_rounds(seed, start, n_paths, hold_rate, cumtable,
+                                      m, clock_rate, restart, True)
+    return SimulationResult(L, elapsed, np.abs(L @ m - elapsed), rounds)
+
+
+def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
+                 cumtable: np.ndarray, m: np.ndarray, clock_rate, restart,
+                 timed: bool):
+    """The engine of every simulator: (local times, elapsed, rounds).
+
+    Elapsed time is kept only when timed, and is None otherwise; a clock
+    needs it.  It takes no draw, so the local times do not depend on it.
+    """
     n_states = len(hold_rate)
     if not 0 <= start < n_states:
         raise ValueError(f"start state {start} is outside 0..{n_states - 1}")
@@ -275,7 +290,7 @@ def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
         clock = rng.exponential(1.0 / clock_rate, size=n_paths)
     state = np.full(n_paths, start, dtype=np.int64)
     L = np.zeros((n_paths, n_states))
-    elapsed = np.zeros(n_paths)
+    elapsed = np.zeros(n_paths) if timed else None
     alive = np.ones(n_paths, dtype=bool)
     rounds = 0
     while np.any(alive):
@@ -289,7 +304,8 @@ def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
             over = elapsed[idx] + hold > clock[idx]
             hold = np.where(over, clock[idx] - elapsed[idx], hold)
         L[idx, s] += hold / m[s]        # each live path appears once in idx
-        elapsed[idx] += hold
+        if timed:
+            elapsed[idx] += hold
         if clock_rate is not None:
             alive[idx[over]] = False
             idx, s = idx[~over], s[~over]
@@ -303,8 +319,7 @@ def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
                             > restart[None, :]).sum(axis=1)
             state[idx] = nxt
         rounds += 1
-    occ_err = np.abs(L @ m - elapsed)
-    return SimulationResult(L, elapsed, occ_err, rounds)
+    return L, elapsed, rounds
 
 
 @dataclass
@@ -408,8 +423,9 @@ def _simulate_conditioned(chain: FiniteChain, y: int, n_paths: int,
     table = np.zeros((n, n + 1))             # targets: states..., death
     table[:, :n] = off * h[None, :] / (hold_rate * h)[:, None]
     table[y, n] = 1.0 / (chain.m[y] * h[y] * hold_rate[y])
-    return _jump_chain(seed, y, n_paths, hold_rate, _cumulative(table),
-                       chain.m).local_times
+    # no clock and no report: the engine keeps no elapsed time
+    return _jump_rounds(seed, y, n_paths, hold_rate, _cumulative(table),
+                        chain.m, None, None, False)[0]
 
 
 def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,

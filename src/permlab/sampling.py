@@ -5,6 +5,14 @@ Randomness comes from a counter-based Philox generator keyed by the run seed;
 all draws happen in fixed path-major order, so results are bit-identical for
 a given (config, seed) regardless of how the caller schedules work.
 
+The samplers work through the paths in blocks of _BLOCK, so that no
+temporary spans every path.  Blocking never moves a draw.  Consecutive
+standard-normal draws equal one draw of their concatenation, so a block's
+normals are drawn as the block is reached wherever nothing else follows them
+in the stream.  Where another draw follows (xi after eta or z), the first
+draw stays whole: ziggurat normals consume a data-dependent number of raw
+draws, so xi's place in the stream is known only after all of it.
+
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
 subtracting kernel values, because on deep geometric grids the kernel entries
@@ -33,6 +41,12 @@ __all__ = [
     "trend_is_nondecreasing",
 ]
 
+_BLOCK = 4096            # paths per block of the samplers
+# _psd_factor's eigenvalue fallback sets eigenvalues down to
+# -_EIG_CLIP_TOL * max(trace, 1) to zero; one below that is indefinite
+_EIG_CLIP_TOL = 1e-10
+
+
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -48,7 +62,7 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(cov)
         trace = float(np.trace(cov))
-        if float(np.min(vals)) < -1e-10 * max(trace, 1.0):
+        if float(np.min(vals)) < -_EIG_CLIP_TOL * max(trace, 1.0):
             raise ValueError(
                 f"covariance indefinite: eigenvalue {np.min(vals):.3e}")
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -59,17 +73,27 @@ def _check_counts(k: int, n_paths: int):
         raise ValueError(f"k and n_paths must be at least 1, got {k}, {n_paths}")
 
 
-def _gaussian_copies(cov, k: int, n_paths: int, rng) -> np.ndarray:
-    """(n_paths, k, dim) independent centered Gaussians with covariance cov."""
-    _check_counts(k, n_paths)
-    factor = _psd_factor(cov)
-    return rng.standard_normal((n_paths, k, factor.shape[0])) @ factor.T
+def _blocks(n_paths: int):
+    """Slices of at most _BLOCK consecutive paths covering 0..n_paths."""
+    return [slice(i, min(i + _BLOCK, n_paths))
+            for i in range(0, n_paths, _BLOCK)]
 
 
 def sample_chi_square(cov, k: int, n_paths: int, seed: int) -> np.ndarray:
-    """(n_paths, dim) samples of sum of k squared centered Gaussians over 2."""
-    eta = _gaussian_copies(cov, k, n_paths, philox(seed))
-    return 0.5 * np.sum(eta * eta, axis=1)
+    """(n_paths, dim) samples of sum of k squared centered Gaussians over 2.
+
+    Path i uses normals i*k*dim .. (i+1)*k*dim - 1 of the stream, drawn
+    block by block.
+    """
+    _check_counts(k, n_paths)
+    factor = _psd_factor(cov)
+    dim = factor.shape[0]
+    rng = philox(seed)
+    x = np.empty((n_paths, dim))
+    for b in _blocks(n_paths):
+        eta = rng.standard_normal((b.stop - b.start, k, dim)) @ factor.T
+        x[b] = 0.5 * np.sum(eta * eta, axis=1)
+    return x
 
 
 def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
@@ -100,12 +124,20 @@ def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
 
     Each Gaussian copy is eta(t'_j) + a_j * xi with eta drawn from the grid
     Gram matrix and xi an independent standard normal, so its Gram matrix is
-    G + a a^T, the lower block of dec.K_isymi by construction.
+    G + a a^T, the lower block of dec.K_isymi by construction.  The normals
+    behind eta are drawn whole, since xi follows them in the stream; the
+    arithmetic runs in path blocks.
     """
+    _check_counts(k, n_paths)
+    factor = _psd_factor(dec.kernel.G)
     rng = philox(seed)
-    eta = _gaussian_copies(dec.kernel.G, k, n_paths, rng)
-    eta = eta + rng.standard_normal((n_paths, k, 1)) * dec.a[None, None, :]
-    return 0.5 * np.sum(eta * eta, axis=1)
+    z = rng.standard_normal((n_paths, k, factor.shape[0]))
+    xi = rng.standard_normal((n_paths, k, 1))
+    x = np.empty((n_paths, factor.shape[0]))
+    for b in _blocks(n_paths):
+        eta = z[b] @ factor.T + xi[b] * dec.a
+        x[b] = 0.5 * np.sum(eta * eta, axis=1)
+    return x
 
 
 @dataclass
@@ -167,6 +199,46 @@ class LILRow:
     degenerate: bool = False
 
 
+def _grid_statistics(G00, cross, C, psi, a, k: int, n_paths: int, seed: int):
+    """(stat, stat_abs, X(d)) over the paths of one grid; see lil_harness."""
+    # conditional decomposition: eta_d, then increments given eta_d
+    cond = C - np.outer(cross, cross) / G00
+    dd = np.sqrt(np.diag(cond))
+    factor = np.linalg.cholesky(cond / np.outer(dd, dd))
+    slope = cross / G00
+    m = len(dd)
+    rng = philox(seed)
+    eta_d = sqrt(G00) * rng.standard_normal((n_paths, k))
+    if a is not None:
+        z = rng.standard_normal((n_paths, k, m))
+        xi = rng.standard_normal((n_paths, k, 1))
+    out = np.empty((3, n_paths))
+    for b in _blocks(n_paths):
+        if a is None:
+            zb, xb = rng.standard_normal((b.stop - b.start, k, m)), None
+        else:
+            zb, xb = z[b], xi[b]
+        # a call per block, so that its temporaries die with it
+        out[:, b] = _block_statistics(zb, eta_d[b], xb, factor, dd, slope,
+                                      a, psi)
+    return out
+
+
+def _block_statistics(z, eta_d, xi, factor, dd, slope, a, psi):
+    """(stat, stat_abs, X(d)) of one block of paths from its normals.
+
+    z holds the block's increment normals, eta_d its values at d; xi and a
+    are the comparison process's extra normal and vector, or None.
+    """
+    delta = (z @ factor.T) * dd + slope * eta_d[:, :, None]
+    if xi is not None:
+        eta_d = eta_d + xi[:, :, 0] * a[0]
+        delta = delta + xi * (a[1:] - a[0])
+    dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
+    return (np.max(dX / psi, axis=1), np.max(np.abs(dX) / psi, axis=1),
+            0.5 * np.sum(eta_d * eta_d, axis=1))
+
+
 def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
                 eps_list=(0.1, 0.2, 0.3)) -> list[LILRow]:
     """Per-grid exceedance frequencies of the normalized running maximum.
@@ -176,52 +248,42 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     paths where it clears (1 - eps) sqrt(2 X(d)), the upper frequency counts
     paths whose two-sided maximum stays below (1 + eps) sqrt(2 X(d)).
     When f and g are given the symmetrized comparison process is sampled and
-    its determinant ratio is reported alongside.  The conditional correlation
-    of the increments is factored by plain Cholesky, with no shift: one that
-    is not positive definite raises numpy's LinAlgError, a ValueError.
+    its determinant ratio is reported alongside; one of them alone is a
+    ValueError.  The conditional correlation of the increments is factored by
+    plain Cholesky, with no shift: one that is not positive definite raises
+    numpy's LinAlgError, a ValueError.
+
+    Each grid restarts the stream at seed and draws, in this order: eta_d,
+    (n_paths, k), whole; the increment normals z, (n_paths, k, m); and, with
+    f and g, xi, (n_paths, k, 1), whole.  Without f and g, z is drawn block
+    by block as the paths are reached; with them z is drawn whole, because
+    xi follows it.  Everything over (paths, k, m) is computed one block of
+    _BLOCK paths at a time.
     """
     _check_counts(k, n_paths)
+    if (f is None) != (g is None):
+        raise ValueError("lil needs both border functions f and g, or neither")
     rows: list[LILRow] = []
     for spec in grid_specs:
         if not isinstance(spec, GridSpec):
             raise TypeError("grid_specs must contain GridSpec values")
         offsets = spec.offsets()
-        d = spec.d
-        G00, cross, C = _increment_structure(base, d, offsets, spec.direction)
+        G00, cross, C = _increment_structure(base, spec.d, offsets,
+                                             spec.direction)
         if np.min(np.diag(C)) <= 0.0:
             rows.extend(LILRow(spec.n, spec.m, eps, np.nan, np.nan, np.nan,
                                n_paths, degenerate=True) for eps in eps_list)
             continue
 
-        a_extra = 0.0
-        nu = 1.0
-        if f is not None or g is not None:
+        nu, a = 1.0, None
+        if f is not None:
             dec = decompose(assemble_kernel(base, f, g, spec))
-            nu = dec.nu
-            a_extra = dec.a      # full vector, index 0 is the point d
-
-        # conditional decomposition: eta_d, then increments given eta_d
-        cond = C - np.outer(cross, cross) / G00
-        dd = np.sqrt(np.diag(cond))
-        corr = cond / np.outer(dd, dd)
-        factor = np.linalg.cholesky(corr)
-        rng = philox(seed)
-        m = len(offsets)
-        eta_d = sqrt(G00) * rng.standard_normal((n_paths, k))
-        z = rng.standard_normal((n_paths, k, m))
-        delta = (z @ factor.T) * dd[None, None, :] \
-            + (cross / G00)[None, None, :] * eta_d[:, :, None]
-        if f is not None or g is not None:
-            xi = rng.standard_normal((n_paths, k, 1))
-            eta_d = eta_d + xi[:, :, 0] * a_extra[0]
-            delta = delta + xi * (a_extra[1:] - a_extra[0])[None, None, :]
-        dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
-        x_d = 0.5 * np.sum(eta_d * eta_d, axis=1)
+            nu, a = dec.nu, dec.a      # index 0 of a is the point d
 
         loglog = np.log(np.log(1.0 / offsets))
         psi = np.sqrt(2.0 * np.diag(C) * loglog)
-        stat = np.max(dX / psi[None, :], axis=1)
-        stat_abs = np.max(np.abs(dX) / psi[None, :], axis=1)
+        stat, stat_abs, x_d = _grid_statistics(G00, cross, C, psi, a, k,
+                                               n_paths, seed)
         target = np.sqrt(2.0 * x_d)
         for eps in eps_list:
             rows.append(LILRow(

@@ -442,3 +442,36 @@ def test_rebirth_sim_refuses_a_run_beyond_the_round_cap(tmp_path, capsys,
     slow = {**MODEL, "generator": [[-0.5, 0.5], [0.5, -0.500000001]]}
     message = _usage_error(tmp_path, capsys, {"model": slow})
     assert "jumps on average" in message and "200000-round cap" in message
+
+
+@pytest.mark.parametrize("border", ["f", "g"])
+def test_lil_run_with_one_border_is_a_usage_error(tmp_path, capsys, border,
+                                                  monkeypatch):
+    # with g = 0 the kernel u + g f is u whatever f is, so a lone border
+    # is most likely a typo; it is refused before any path is drawn
+    from permlab import sampling
+
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(sampling, "_grid_statistics", no_sampling)
+    message = _usage_error(tmp_path, capsys, {"config": {**LIL, border: CONST}})
+    assert "both border functions" in message
+
+
+def test_main_keeps_no_state_between_calls(brownian_psi, capsys):
+    from permlab import cli
+    u = ["potential", "eval", "--psi", brownian_psi, "--beta", "0.5",
+         "--x", "1"]
+    assert main(u) == 0
+    first = capsys.readouterr().out
+    assert main(u + ["--kind", "sigma2"]) == 0
+    other = capsys.readouterr().out
+    for bad in (["potential", "eval", "--x", "1"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as err:
+            main(bad)
+        assert err.value.code == 2
+    capsys.readouterr()
+    assert main(u) == 0
+    assert capsys.readouterr().out == first != other
+    assert cli._parser() is cli._parser()

@@ -486,3 +486,16 @@ def test_conditioned_rejects_state_outside_the_chain(y):
 def test_ek_check_needs_two_paths_for_its_standard_errors(paths):
     with pytest.raises(ValueError, match="at least 2 paths"):
         ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), paths, 1)
+
+
+def test_untimed_engine_gives_the_timed_local_times():
+    # the conditioned chain skips the elapsed-time bookkeeping; that takes no
+    # draw, so the local times and the rounds stay those of the timed route
+    from permlab.rebirth import _cumulative, _jump_chain, _jump_rounds, _jump_rows
+    chain = three_state()
+    args = (31, 1, 20_000, -np.diag(chain.Q), _cumulative(_jump_rows(chain)),
+            chain.m)
+    timed = _jump_chain(*args)
+    L, elapsed, rounds = _jump_rounds(*args, None, None, False)
+    assert elapsed is None
+    assert np.array_equal(L, timed.local_times) and rounds == timed.events

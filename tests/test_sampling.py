@@ -242,3 +242,156 @@ def test_isymi_chi_square_covariance_matches_kernel():
     sd = np.sqrt(np.diag(emp))
     se = np.outer(sd, sd) / np.sqrt(n) * 3.0
     assert np.all(np.abs(emp - want) <= 5 * se)
+
+
+# -- the whole-array routes, kept as oracles of the path-blocked ones ---------
+
+def _whole_chi_square(cov, k, n_paths, seed):
+    factor = sampling._psd_factor(cov)
+    z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[0]))
+    eta = z @ factor.T
+    return 0.5 * np.sum(eta * eta, axis=1)
+
+
+def _whole_isymi(dec, k, n_paths, seed):
+    rng = sampling.philox(seed)
+    factor = sampling._psd_factor(dec.kernel.G)
+    eta = rng.standard_normal((n_paths, k, factor.shape[0])) @ factor.T
+    eta = eta + rng.standard_normal((n_paths, k, 1)) * dec.a[None, None, :]
+    return 0.5 * np.sum(eta * eta, axis=1)
+
+
+def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
+               eps_list=(0.1, 0.2, 0.3)):
+    """The harness on whole (paths, k, m) arrays: (rows, per-grid
+    (stat, stat_abs, X(d)))."""
+    rows, stats = [], []
+    for spec in grid_specs:
+        offsets = spec.offsets()
+        G00, cross, C = sampling._increment_structure(base, spec.d, offsets,
+                                                      spec.direction)
+        a_extra, nu = 0.0, 1.0
+        if f is not None:
+            dec = decompose(assemble_kernel(base, f, g, spec))
+            nu, a_extra = dec.nu, dec.a
+        cond = C - np.outer(cross, cross) / G00
+        dd = np.sqrt(np.diag(cond))
+        factor = np.linalg.cholesky(cond / np.outer(dd, dd))
+        rng = sampling.philox(seed)
+        m = len(offsets)
+        eta_d = np.sqrt(G00) * rng.standard_normal((n_paths, k))
+        z = rng.standard_normal((n_paths, k, m))
+        delta = (z @ factor.T) * dd[None, None, :] \
+            + (cross / G00)[None, None, :] * eta_d[:, :, None]
+        if f is not None:
+            xi = rng.standard_normal((n_paths, k, 1))
+            eta_d = eta_d + xi[:, :, 0] * a_extra[0]
+            delta = delta + xi * (a_extra[1:] - a_extra[0])[None, None, :]
+        dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
+        x_d = 0.5 * np.sum(eta_d * eta_d, axis=1)
+        psi = np.sqrt(2.0 * np.diag(C) * np.log(np.log(1.0 / offsets)))
+        stat = np.max(dX / psi[None, :], axis=1)
+        stat_abs = np.max(np.abs(dX) / psi[None, :], axis=1)
+        stats.append(np.array([stat, stat_abs, x_d]))
+        target = np.sqrt(2.0 * x_d)
+        rows.extend(sampling.LILRow(
+            n=spec.n, m=spec.m, epsilon=eps,
+            freq_lower=float(np.mean(stat >= (1.0 - eps) * target)),
+            freq_upper=float(np.mean(stat_abs <= (1.0 + eps) * target)),
+            nu=nu, paths=n_paths) for eps in eps_list)
+    return rows, stats
+
+
+B = sampling._BLOCK
+BLOCK_EDGES = [1, B - 1, B, B + 1, int(2.5 * B)]
+F_OU = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
+G_OU = lambda x: 0.8 + 0.1 * x
+
+
+@pytest.mark.parametrize("n_paths", BLOCK_EDGES)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bordered", [False, True])
+def test_blocked_lil_equals_the_whole_array_route(monkeypatch, bordered, k,
+                                                  n_paths):
+    seen = []
+    blocked = sampling._grid_statistics
+
+    def spy(*args):
+        seen.append(blocked(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sampling, "_grid_statistics", spy)
+    f, g = (F_OU, G_OU) if bordered else (None, None)
+    specs = [GridSpec(d=1.0, theta=0.5, n=n, q=0.7) for n in (12, 16)]
+    rows = lil_harness(OU, f, g, specs, k, n_paths, seed=17)
+    want_rows, want_stats = _whole_lil(OU, f, g, specs, k, n_paths, seed=17)
+    assert rows == want_rows
+    assert len(seen) == len(want_stats) == 2
+    for got, want in zip(seen, want_stats):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_paths", BLOCK_EDGES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_blocked_chi_square_equals_the_whole_array_route(k, n_paths):
+    pts = [0.2, 0.5, 0.9, 1.4]
+    cov = np.exp(-np.abs(np.subtract.outer(pts, pts)))
+    assert np.array_equal(sample_chi_square(cov, k, n_paths, 23),
+                          _whole_chi_square(cov, k, n_paths, 23))
+    dec = decompose(assemble_kernel(OU, F_OU, G_OU,
+                                    GridSpec(d=1.0, theta=0.5, n=12, q=0.7)))
+    assert np.array_equal(sample_isymi_representation(dec, k, n_paths, 24),
+                          _whole_isymi(dec, k, n_paths, 24))
+
+
+@pytest.mark.parametrize("m", [12, 52, 104])
+def test_blocked_product_equals_the_whole_product(m):
+    # BLAS does not promise that a product of a row block equals the same
+    # rows of the whole product; the blocked samplers rely on it
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m))
+    factor = np.linalg.cholesky(a @ a.T + m * np.eye(m))
+    n = int(2.5 * B)
+    z = rng.standard_normal((n, 2, m))
+    blocked = np.concatenate([z[b] @ factor.T for b in sampling._blocks(n)])
+    assert np.array_equal(blocked, z @ factor.T)
+
+
+def test_lil_table_peaks_well_below_one_whole_array():
+    import tracemalloc
+    spec = GridSpec(d=0.0, theta=0.65, n=58, q=0.5)
+    n_paths, k = 50_000, 2
+    whole = 8 * n_paths * k * spec.m              # 41.6 MB at m = 52
+    assert spec.m == 52
+    tracemalloc.start()
+    try:
+        lil_harness(OU, None, None, [spec], k, n_paths, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * whole
+
+
+def _with_eigenvalues(vals):
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    cov = (q * vals) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+def test_psd_factor_clips_an_eigenvalue_inside_the_tolerance():
+    cov = _with_eigenvalues([2.0, 1.0, -0.5 * sampling._EIG_CLIP_TOL * 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)                   # so the fallback runs
+    factor = sampling._psd_factor(cov)
+    assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-9
+    assert np.all(sample_chi_square(cov, 1, 100, 1) >= 0.0)
+
+
+def test_psd_factor_rejects_an_eigenvalue_beyond_the_tolerance():
+    cov = _with_eigenvalues([2.0, 1.0, -2.0 * sampling._EIG_CLIP_TOL * 3.0])
+    lowest = np.linalg.eigvalsh(cov).min()
+    with pytest.raises(ValueError, match="indefinite") as err:
+        sampling._psd_factor(cov)
+    assert f"eigenvalue {lowest:.3e}" in str(err.value)
+    with pytest.raises(ValueError, match="indefinite"):
+        sample_chi_square(cov, 1, 100, 1)

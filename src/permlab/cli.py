@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -273,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--base", required=True)
     p_an.add_argument("--f", required=True)
     p_an.add_argument("--g", required=True)
-    p_an.add_argument("--grid", required=True, metavar="d,theta,n,q",
-                      help="a negative d needs the form --grid=-0.5,...")
+    p_an.add_argument("--grid", required=True, metavar="d,theta,n,q")
     p_an.add_argument("--direction", type=int, default=1, choices=[1, -1])
     p_an.add_argument("--out", default="-")
     p_an.set_defaults(func=_cmd_kernel_analyze)
@@ -318,9 +318,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# a value that argparse from Python 3.13 on reads as a negative number
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_grid(argv: list[str]) -> list[str]:
+    """argv with "--grid" and a negative d after it joined by "=": argparse
+    before Python 3.13 takes "-0.5,0.3,20,0.5" for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_grid(argv))
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:

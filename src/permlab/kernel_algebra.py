@@ -9,21 +9,23 @@ theta^(n+1-j), and two excessive functions f, g, the augmented matrix
          [  ...                      ]]
 
 has det K = det G and the closed-form inverse A = [[1 + rho, -v^T],
-[-r, G^-1]] with r = G^-1 g, v = G^-1 f and rho = v . g = f . r, so G is
-factored once.  Its lower block G^-1 is symmetric, so the symmetrized
-A_sym = [[1 + rho, -h^T], [-h, G^-1]] only replaces the border pairs by their
-geometric means h_j = sqrt(r_j v_j).  The Schur complement of G^-1 in A_sym
-is the determinant ratio nu = 1 + rho - h G h^T, which controls how far the
-non-symmetric law can drift from the symmetric one, and the comparison
-kernel has the closed form
+[-r, G^-1]] with r = G^-1 g, v = G^-1 f and rho = v . g = f . r, so K
+needs no inverse of its own.  Its lower block G^-1 is symmetric, so the
+symmetrized A_sym = [[1 + rho, -h^T], [-h, G^-1]] only replaces the border
+pairs by their geometric means h_j = sqrt(r_j v_j).  The Schur complement
+of G^-1 in A_sym is the determinant ratio nu = 1 + rho - h G h^T, which
+controls how far the non-symmetric law can drift from the symmetric one,
+and the comparison kernel has the closed form
 
     K_isymi = A_sym^-1 = [[1/nu, (G h)^T / nu], [G h / nu, G + a a^T]],
 
-a = G h / sqrt(nu), the covariance of eta + a xi.  So only G and K are
-factored.  det K is checked by its own factorization, K_isymi by the size of
-one Newton correction.  All factorizations run in extended precision;
-conditioning is estimated and reported, and singular Gram matrices are
-rejected rather than regularized, since jitter would silently move nu.
+a = G h / sqrt(nu), the covariance of eta + a xi.  So G and K take one
+extended-precision LU each: G's gives r, v and log det G, and K's checks
+det K.  G^-1 is LAPACK's float64 inverse refined by two Newton steps, and
+K_isymi is checked by the size of one Newton correction; both residuals are
+computed with exact products on float64 BLAS (_linalg).  Conditioning is
+estimated and reported, and singular Gram matrices are rejected rather than
+regularized, since jitter would silently move nu.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ class AugmentedKernel:
     gvec: np.ndarray
     K: np.ndarray
     K_ld: np.ndarray        # extended-precision assembly used by the algebra
-    G_lu: tuple             # la.lu_factor(G), the one factorization of G
-    G_inv: np.ndarray       # its refined inverse, the lower block of A
+    G_lu: tuple             # la.lu_factor(G), the longdouble LU of G
+    G_inv: np.ndarray       # la.inv(G), the lower block of A
     cond: float
 
 
@@ -141,7 +143,7 @@ def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedK
         raise ValueError("f and g must be positive at the distinguished point")
     G_ld = np.asarray(G, dtype=la.LD)
     G_lu = la.lu_factor(G_ld)
-    G_inv = la.inv(G_ld, G_lu)
+    G_inv = la.inv(G)
     cond = la.cond1(G_ld, G_inv)
     if cond > cond_limit:
         raise ValueError(f"Gram matrix numerically singular (cond ~ {cond:.3g})")
@@ -228,7 +230,7 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     K_isymi = _bordered(1.0 / nu_ld, Gh / nu_ld, Gh / nu_ld,
                         G + np.outer(Gh, Gh) / nu_ld)
     # one Newton correction K_isymi (I - A_sym K_isymi), measured, not applied
-    correction = K_isymi @ (np.eye(len(A_sym), dtype=la.LD) - A_sym @ K_isymi)
+    correction = la.correction(A_sym, K_isymi)
     block_err = (float(np.max(np.abs(correction)))
                  / max(1.0, float(np.max(np.abs(K_isymi)))))
 

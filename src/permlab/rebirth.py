@@ -93,7 +93,7 @@ class FiniteChain:
         """Expected discounted occupation times (rate*I - Q)^-1."""
         n = self.n_states
         mat = rate * np.eye(n) - self.Q
-        return np.asarray(la.inv(np.asarray(mat, dtype=la.LD)), dtype=float)
+        return np.asarray(la.inv(mat), dtype=float)
 
     def potential(self, rate: float = 0.0) -> np.ndarray:
         """Potential density matrix u(x, y) = occupation / m(y); symmetric."""
@@ -159,7 +159,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
     # det ext = det u, so the inverse exists for every mass
-    a = np.asarray(la.inv(np.asarray(ext, dtype=la.LD)), dtype=float)
+    a = np.asarray(la.inv(ext), dtype=float)
     inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 

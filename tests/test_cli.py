@@ -135,17 +135,31 @@ def test_kernel_analyze_accepts_the_zero_pair(tmp_path, capsys):
     assert report["rho"] == 0.0
 
 
-def test_kernel_analyze_takes_a_negative_d_after_an_equals_sign(tmp_path,
-                                                                capsys):
-    # after a space argparse takes "-1.0,..." for an option, so d < 0 needs "="
+def _negative_d_argv(tmp_path):
     pts = GridSpec(d=-1.0, theta=0.7, n=20, q=0.7).points()
-    argv = _kernel_argv(tmp_path, {
+    return _kernel_argv(tmp_path, {
         "base": {"family": "exp_decay", "beta": 0.5, "C": 0.5},
         "f": {"kind": "atoms", "atoms": [[float(pts[0]), 1.0]]},
         "g": {"kind": "atoms", "atoms": [[float(pts[-1]), 1.0]]}})
+
+
+def test_kernel_analyze_takes_a_negative_d_after_an_equals_sign(tmp_path,
+                                                                capsys):
+    argv = _negative_d_argv(tmp_path)
     assert main(argv + ["--grid=-1.0,0.7,20,0.7"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["m"] == 13 and report["mmatrix_ok"] is True
+
+
+def test_kernel_analyze_takes_a_negative_d_after_a_space(tmp_path, capsys):
+    # argparse before Python 3.13 reads "-1.0,..." as an option; main joins it
+    argv = _negative_d_argv(tmp_path)
+    assert main(argv + ["--grid=-1.0,0.7,20,0.7"]) == 0
+    joined = capsys.readouterr().out
+    assert main(argv + ["--grid", "-1.0,0.7,20,0.7"]) == 0
+    assert capsys.readouterr().out == joined
+    assert main(argv + ["--grid", "-.5,0.7,20,0.7"]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 13
 
 
 def test_lil_run(tmp_path):

@@ -4,6 +4,7 @@ matrix-algebra layers.
 Every base exposes kernel(x, y); translation-invariant ones additionally have
 radial(t) with kernel(x, y) = radial(x - y).  positive_domain marks state
 spaces that exclude the origin (kernels of processes killed on hitting 0).
+Both flags are class attributes, fixed by the family, not dataclass fields.
 
 Every base also has two array methods on a grid xs x ys:
 
@@ -61,6 +62,10 @@ def mirror_upper(mat: np.ndarray) -> np.ndarray:
 class _GridKernel:
     """gram through kernel, and the increment variance from kernel values."""
 
+    # each base overrides the flags that hold for it
+    positive_domain = False
+    translation_invariant = False
+
     def gram(self, xs, ys) -> np.ndarray:
         return self.kernel(*_grid(xs, ys))
 
@@ -80,8 +85,7 @@ class ExpDecayBase(_GridKernel):
 
     beta: float = 0.5
     C: float = 0.5
-    positive_domain: bool = False
-    translation_invariant: bool = True
+    translation_invariant = True
 
     def radial(self, t):
         rate, denom = sqrt(self.beta / self.C), 2.0 * sqrt(self.beta * self.C)
@@ -107,8 +111,7 @@ class LevyBase(_GridKernel):
     """Quadrature-backed translation-invariant potential, beta > 0."""
 
     pot: LevyPotential
-    positive_domain: bool = False
-    translation_invariant: bool = True
+    translation_invariant = True
 
     def radial(self, t):
         return self.pot.u(t)
@@ -125,8 +128,7 @@ class HitZeroLevyBase(_GridKernel):
     """Quadrature-backed kernel of the unkilled process stopped at zero."""
 
     pot: LevyPotential
-    positive_domain: bool = True
-    translation_invariant: bool = False
+    positive_domain = True
 
     def kernel(self, x, y):
         return self.pot.u0(x, y)
@@ -137,8 +139,7 @@ class StableHitZeroBase(_GridKernel):
     """Closed form stable hit-zero kernel (C_{rho+1}/2)(|x|^rho + |y|^rho - |x-y|^rho)."""
 
     rho: float
-    positive_domain: bool = True
-    translation_invariant: bool = False
+    positive_domain = True
 
     def kernel(self, x, y):
         c = regular_variation_constant(self.rho + 1.0) / 2.0
@@ -154,8 +155,7 @@ class VBetaBase(_GridKernel):
     """Killed-at-zero kernel u(x-y) - u(x)u(y)/u(0), beta > 0."""
 
     pot: LevyPotential
-    positive_domain: bool = True
-    translation_invariant: bool = False
+    positive_domain = True
 
     def kernel(self, x, y):
         return self.pot.v(x, y)
@@ -164,8 +164,6 @@ class VBetaBase(_GridKernel):
 @dataclass(frozen=True)
 class PQBase(_GridKernel):
     pot: PQPotential
-    positive_domain: bool = False
-    translation_invariant: bool = False
 
     def kernel(self, x, y):
         return self.pot.u(x, y)
@@ -174,8 +172,7 @@ class PQBase(_GridKernel):
 @dataclass(frozen=True)
 class VPQBase(_GridKernel):
     pot: PQPotential
-    positive_domain: bool = True
-    translation_invariant: bool = False
+    positive_domain = True
 
     def kernel(self, x, y):
         return self.pot.v(x, y)
@@ -184,8 +181,7 @@ class VPQBase(_GridKernel):
 @dataclass(frozen=True)
 class ScaleMinBase(_GridKernel):
     pot: ScalePotential
-    positive_domain: bool = True
-    translation_invariant: bool = False
+    positive_domain = True
 
     def kernel(self, x, y):
         return self.pot.u(x, y)

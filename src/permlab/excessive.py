@@ -47,7 +47,7 @@ class IndicatorPotential:
     b: float
 
     def __post_init__(self):
-        if not getattr(self.base, "translation_invariant", False):
+        if not self.base.translation_invariant:
             raise ValueError("indicator potentials need a translation-invariant base")
         if not self.a < self.b:
             raise ValueError("window must satisfy a < b")
@@ -138,7 +138,7 @@ def make_flat_pair(base, x0: float):
     bases get capped concave functions of exponents 3 and 4.  Other bases are
     rejected.  Flatness is checked numerically before returning.
     """
-    if getattr(base, "translation_invariant", False):
+    if base.translation_invariant:
         w1, w2 = _FLAT_WIDTHS
         f = IndicatorPotential(base, x0 - w1 / 2.0, x0 + w1 / 2.0)
         g = IndicatorPotential(base, x0 - w2 / 2.0, x0 + w2 / 2.0)

@@ -131,7 +131,7 @@ def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedK
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
     if not np.all(np.isfinite(pts)):
         raise GridError("grid points must be finite")
-    if getattr(base, "positive_domain", False) and np.any(pts <= 0.0):
+    if base.positive_domain and np.any(pts <= 0.0):
         raise GridError("grid touches the forbidden origin of this base")
     G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):

@@ -5,13 +5,14 @@ Randomness comes from a counter-based Philox generator keyed by the run seed;
 all draws happen in fixed path-major order, so results are bit-identical for
 a given (config, seed) regardless of how the caller schedules work.
 
-The samplers work through the paths in blocks of _BLOCK, so that no
-temporary spans every path.  Blocking never moves a draw.  Consecutive
-standard-normal draws equal one draw of their concatenation, so a block's
-normals are drawn as the block is reached wherever nothing else follows them
-in the stream.  Where another draw follows (xi after eta or z), the first
-draw stays whole: ziggurat normals consume a data-dependent number of raw
-draws, so xi's place in the stream is known only after all of it.
+Every sampler has one stream layout.  The harness first draws eta_d, the
+values at d of shape (paths, k), whole.  After that each path draws all of
+its normals together, path after path: k rows of width w, where w is the
+dimension, plus one last column for xi when the symmetrized comparison
+process eta + a xi is sampled.  Consecutive standard-normal draws equal one
+draw of their concatenation, so the samplers work through the paths in
+blocks of _BLOCK, draw a block's normals when the block is reached, and give
+the same result for any block size.  No temporary spans every path.
 
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
@@ -79,21 +80,27 @@ def _blocks(n_paths: int):
             for i in range(0, n_paths, _BLOCK)]
 
 
-def sample_chi_square(cov, k: int, n_paths: int, seed: int) -> np.ndarray:
-    """(n_paths, dim) samples of sum of k squared centered Gaussians over 2.
+def _chi_square(factor: np.ndarray, k: int, n_paths: int,
+                seed: int) -> np.ndarray:
+    """(n_paths, rows) samples of half the sum of k squares of factor z.
 
-    Path i uses normals i*k*dim .. (i+1)*k*dim - 1 of the stream, drawn
-    block by block.
+    z is standard normal of factor's width, so factor z has covariance
+    factor factor^T.  Path i uses normals i*k*width .. (i+1)*k*width - 1 of
+    the stream, drawn block by block.
     """
-    _check_counts(k, n_paths)
-    factor = _psd_factor(cov)
-    dim = factor.shape[0]
+    dim, width = factor.shape
     rng = philox(seed)
     x = np.empty((n_paths, dim))
     for b in _blocks(n_paths):
-        eta = rng.standard_normal((b.stop - b.start, k, dim)) @ factor.T
+        eta = rng.standard_normal((b.stop - b.start, k, width)) @ factor.T
         x[b] = 0.5 * np.sum(eta * eta, axis=1)
     return x
+
+
+def sample_chi_square(cov, k: int, n_paths: int, seed: int) -> np.ndarray:
+    """(n_paths, dim) samples of sum of k squared centered Gaussians over 2."""
+    _check_counts(k, n_paths)
+    return _chi_square(_psd_factor(cov), k, n_paths, seed)
 
 
 def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
@@ -123,21 +130,15 @@ def sample_isymi_representation(dec: Decomposition, k: int, n_paths: int,
     """Chi-square samples of the symmetrized comparison process.
 
     Each Gaussian copy is eta(t'_j) + a_j * xi with eta drawn from the grid
-    Gram matrix and xi an independent standard normal, so its Gram matrix is
-    G + a a^T, the lower block of dec.K_isymi by construction.  The normals
-    behind eta are drawn whole, since xi follows them in the stream; the
-    arithmetic runs in path blocks.
+    Gram matrix G = F F^T and xi an independent standard normal.  That is
+    [F, a] applied to dim + 1 standard normals, and [F, a][F, a]^T =
+    G + a a^T, the lower block of dec.K_isymi.  So this is a chi-square
+    sample with the factor [F, a]: each path draws k rows of dim + 1
+    normals, xi last in each row.
     """
     _check_counts(k, n_paths)
-    factor = _psd_factor(dec.kernel.G)
-    rng = philox(seed)
-    z = rng.standard_normal((n_paths, k, factor.shape[0]))
-    xi = rng.standard_normal((n_paths, k, 1))
-    x = np.empty((n_paths, factor.shape[0]))
-    for b in _blocks(n_paths):
-        eta = z[b] @ factor.T + xi[b] * dec.a
-        x[b] = 0.5 * np.sum(eta * eta, axis=1)
-    return x
+    factor = np.column_stack((_psd_factor(dec.kernel.G), dec.a))
+    return _chi_square(factor, k, n_paths, seed)
 
 
 @dataclass
@@ -206,32 +207,27 @@ def _grid_statistics(G00, cross, C, psi, a, k: int, n_paths: int, seed: int):
     dd = np.sqrt(np.diag(cond))
     factor = np.linalg.cholesky(cond / np.outer(dd, dd))
     slope = cross / G00
-    m = len(dd)
+    width = len(dd) if a is None else len(dd) + 1     # xi after the increments
     rng = philox(seed)
     eta_d = sqrt(G00) * rng.standard_normal((n_paths, k))
-    if a is not None:
-        z = rng.standard_normal((n_paths, k, m))
-        xi = rng.standard_normal((n_paths, k, 1))
     out = np.empty((3, n_paths))
     for b in _blocks(n_paths):
-        if a is None:
-            zb, xb = rng.standard_normal((b.stop - b.start, k, m)), None
-        else:
-            zb, xb = z[b], xi[b]
+        z = rng.standard_normal((b.stop - b.start, k, width))
         # a call per block, so that its temporaries die with it
-        out[:, b] = _block_statistics(zb, eta_d[b], xb, factor, dd, slope,
-                                      a, psi)
+        out[:, b] = _block_statistics(z, eta_d[b], factor, dd, slope, a, psi)
     return out
 
 
-def _block_statistics(z, eta_d, xi, factor, dd, slope, a, psi):
+def _block_statistics(z, eta_d, factor, dd, slope, a, psi):
     """(stat, stat_abs, X(d)) of one block of paths from its normals.
 
-    z holds the block's increment normals, eta_d its values at d; xi and a
-    are the comparison process's extra normal and vector, or None.
+    z holds the block's increment normals, followed in each row by xi when
+    a, the comparison process's vector, is given; eta_d holds the values at d.
     """
-    delta = (z @ factor.T) * dd + slope * eta_d[:, :, None]
-    if xi is not None:
+    m = len(dd)
+    delta = (z[:, :, :m] @ factor.T) * dd + slope * eta_d[:, :, None]
+    if a is not None:
+        xi = z[:, :, m:]
         eta_d = eta_d + xi[:, :, 0] * a[0]
         delta = delta + xi * (a[1:] - a[0])
     dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
@@ -253,12 +249,11 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     plain Cholesky, with no shift: one that is not positive definite raises
     numpy's LinAlgError, a ValueError.
 
-    Each grid restarts the stream at seed and draws, in this order: eta_d,
-    (n_paths, k), whole; the increment normals z, (n_paths, k, m); and, with
-    f and g, xi, (n_paths, k, 1), whole.  Without f and g, z is drawn block
-    by block as the paths are reached; with them z is drawn whole, because
-    xi follows it.  Everything over (paths, k, m) is computed one block of
-    _BLOCK paths at a time.
+    Each grid restarts the stream at seed and draws eta_d, (n_paths, k),
+    whole.  Then each path draws k rows of m increment normals, each row
+    followed by xi when f and g are given, block by block as the paths are
+    reached.  Everything over (paths, k, m) is computed one block of _BLOCK
+    paths at a time.
     """
     _check_counts(k, n_paths)
     if (f is None) != (g is None):

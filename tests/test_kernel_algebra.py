@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from permlab import (ConstantExcessive, GridError, GridSpec, StableHitZeroBase,
-                     assemble_kernel, brownian_min_kernel, brownian_unit_base,
-                     decompose, make_flat_pair, min_kernel_inverse,
-                     rowsum_residuals)
+from permlab import (ConstantExcessive, ExpDecayBase, GridError, GridSpec,
+                     StableHitZeroBase, assemble_kernel, brownian_min_kernel,
+                     brownian_unit_base, decompose, make_flat_pair,
+                     min_kernel_inverse, rowsum_residuals)
 from permlab import _linalg as la
 
 MK = brownian_min_kernel()
@@ -110,6 +110,15 @@ def test_grid_touching_origin_rejected_for_hit_zero_base():
     for pts in ([0.5, -0.3, 0.2, 0.4], [0.5, 0.0, 0.2]):
         with pytest.raises(GridError, match="origin"):
             assemble_kernel(StableHitZeroBase(0.6), ONE, ONE, pts)
+
+
+def test_domain_flags_are_not_constructor_arguments():
+    # a base that could be built with positive_domain=False would let a grid
+    # through the origin check above
+    with pytest.raises(TypeError):
+        StableHitZeroBase(0.6, positive_domain=False)
+    with pytest.raises(TypeError):
+        ExpDecayBase(translation_invariant=False)
 
 
 def test_assemble_rejects_non_finite_points():

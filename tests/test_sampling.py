@@ -254,17 +254,17 @@ def _whole_chi_square(cov, k, n_paths, seed):
 
 
 def _whole_isymi(dec, k, n_paths, seed):
-    rng = sampling.philox(seed)
-    factor = sampling._psd_factor(dec.kernel.G)
-    eta = rng.standard_normal((n_paths, k, factor.shape[0])) @ factor.T
-    eta = eta + rng.standard_normal((n_paths, k, 1)) * dec.a[None, None, :]
+    # eta + a xi is [F, a] applied to dim + 1 normals, xi last in each row
+    factor = np.column_stack((sampling._psd_factor(dec.kernel.G), dec.a))
+    z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
+    eta = z @ factor.T
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
 def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
                eps_list=(0.1, 0.2, 0.3)):
-    """The harness on whole (paths, k, m) arrays: (rows, per-grid
-    (stat, stat_abs, X(d)))."""
+    """The harness on whole (paths, k, m) arrays, (paths, k, m + 1) with
+    borders: (rows, per-grid (stat, stat_abs, X(d)))."""
     rows, stats = [], []
     for spec in grid_specs:
         offsets = spec.offsets()
@@ -280,11 +280,12 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
         rng = sampling.philox(seed)
         m = len(offsets)
         eta_d = np.sqrt(G00) * rng.standard_normal((n_paths, k))
-        z = rng.standard_normal((n_paths, k, m))
-        delta = (z @ factor.T) * dd[None, None, :] \
+        # with borders xi ends each row of increment normals
+        z = rng.standard_normal((n_paths, k, m if f is None else m + 1))
+        delta = (z[:, :, :m] @ factor.T) * dd[None, None, :] \
             + (cross / G00)[None, None, :] * eta_d[:, :, None]
         if f is not None:
-            xi = rng.standard_normal((n_paths, k, 1))
+            xi = z[:, :, m:]
             eta_d = eta_d + xi[:, :, 0] * a_extra[0]
             delta = delta + xi * (a_extra[1:] - a_extra[0])[None, None, :]
         dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
@@ -357,18 +358,36 @@ def test_blocked_product_equals_the_whole_product(m):
     assert np.array_equal(blocked, z @ factor.T)
 
 
-def test_lil_table_peaks_well_below_one_whole_array():
+def _traced_peak(call):
     import tracemalloc
-    spec = GridSpec(d=0.0, theta=0.65, n=58, q=0.5)
-    n_paths, k = 50_000, 2
-    whole = 8 * n_paths * k * spec.m              # 41.6 MB at m = 52
-    assert spec.m == 52
     tracemalloc.start()
     try:
-        lil_harness(OU, None, None, [spec], k, n_paths, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_lil_table_peaks_well_below_one_whole_array():
+    n_paths, k = 50_000, 2
+    whole = 8 * n_paths * k * 52                  # 41.6 MB
+    # m = 52 on both grids; the bordered one is conditioned for the algebra
+    for spec, f, g in ((GridSpec(d=0.0, theta=0.65, n=58, q=0.5), None, None),
+                       (GridSpec(d=1.0, theta=0.85, n=70, q=0.7), F_OU, G_OU)):
+        assert spec.m == 52
+        peak = _traced_peak(lambda: lil_harness(OU, f, g, [spec], k, n_paths,
+                                                seed=3))
+        assert peak < 0.5 * whole
+
+
+def test_isymi_sample_peaks_well_below_one_whole_array():
+    dec = decompose(assemble_kernel(OU, F_OU, G_OU,
+                                    GridSpec(d=1.0, theta=0.5, n=12, q=0.7)))
+    # the (paths, dim) result is a k-th of the whole normal array
+    n_paths, k = 100_000, 4
+    whole = 8 * n_paths * k * len(dec.a)
+    peak = _traced_peak(lambda: sample_isymi_representation(dec, k, n_paths,
+                                                            seed=4))
     assert peak < 0.5 * whole
 
 

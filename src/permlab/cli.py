@@ -208,8 +208,8 @@ def _cmd_rebirth_sim(args) -> int:
         raise ValueError(f"--start must lie in 0..{n}, got {args.start}")
     # each jump of a path takes one loop round; its expected jump count is
     # the expected time in each state times that state's holding rate
-    hold_rate = np.append(-np.diag(chain.Q), 1.0 + np.sum(mu))
-    jumps = float(ext.u_ext[args.start] @ (ext.m_ext * hold_rate))
+    hold_rate, _, m_ext = model._jump_table()
+    jumps = float(ext.u_ext[args.start] @ (m_ext * hold_rate))
     if jumps > _ROUND_CAP:
         raise ValueError(f"a path from state {args.start} makes {jumps:.3g} "
                          f"jumps on average, beyond the {_ROUND_CAP}-round cap")

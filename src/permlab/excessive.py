@@ -5,7 +5,8 @@ of translation-invariant bases, atomic-measure potentials, constants, and the
 capped concave family for scale kernels.  Arbitrary callables are rejected
 because nothing could certify them.  The discrete surrogate for
 excessiveness, min over j of (U^-1 f)_j >= -tol on a grid Gram matrix U, is
-exposed here and consumed by the kernel-algebra layer.
+exposed here as gram_surrogate_min, a check for library users; no other
+layer of permlab calls it.
 
 Every excessive function and derivative takes a scalar, giving a float, or
 an array, giving an array of its shape equal to the scalar calls bit for bit.

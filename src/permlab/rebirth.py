@@ -7,15 +7,14 @@ measure, so that the expected total local time started from x equals the
 potential matrix row u(x, .), and summing local time against the measure
 recovers elapsed time path by path as a pure bookkeeping identity.
 
-All three simulators (the partially reborn chain, the fully reborn chain up
-to an exponential clock, and the h-conditioned chain of the isomorphism
-check) build a table of cumulative move laws over (states..., exit) and hand
-it to one vectorized engine, _jump_rounds.  Each round moves every live path
-once.  The engine draws from one Philox stream in a fixed order: first the
-observation clocks, one per path, when there is a clock; then, every round,
-one exponential holding time per live path, one uniform per path that
-continues (its next move), and one uniform per path that takes the exit and
-is reborn (its re-entry state).  The two rebirth simulators go through
+Each of the three simulators is a killed jump chain: the partially reborn
+chain, the fully reborn chain killed at rate p, and the h-conditioned chain
+of the isomorphism check.  Each builds its holding rates and a table of
+cumulative move laws over (states..., exit) and hands them to one vectorized
+engine, _jump_rounds.  Each round moves every live path once; a path that
+takes the exit dies.  The engine draws from one Philox stream in a fixed
+order: every round, one exponential holding time per live path, then one
+uniform per live path (its move).  The two rebirth simulators go through
 _jump_chain, which also keeps each path's elapsed time and occupation error;
 the conditioned chain needs only its local times and skips that bookkeeping.
 """
@@ -244,40 +243,29 @@ class SimulationResult:
     events: int                  # vectorized loop rounds, not jumps per path
 
 
-def _jump_rows(chain: FiniteChain) -> np.ndarray:
-    """Unnormalized next-move law of each state over (states..., exit)."""
-    hold_rate = -np.diag(chain.Q)
-    off = chain.Q - np.diag(np.diag(chain.Q))
-    return np.column_stack([off / hold_rate[:, None],
-                            chain.kill_rates / hold_rate])
-
-
 def _cumulative(table: np.ndarray) -> np.ndarray:
     return np.cumsum(table / np.sum(table, axis=1, keepdims=True), axis=1)
 
 
 def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
-                cumtable: np.ndarray, m: np.ndarray, clock_rate=None,
-                restart=None) -> SimulationResult:
-    """Run n_paths copies of a jump chain from start; see the module docstring.
+                cumtable: np.ndarray, m: np.ndarray) -> SimulationResult:
+    """Run n_paths copies of a killed jump chain from start; see the module
+    docstring.
 
     Row x of cumtable is the cumulative law of the move out of state x over
-    (states..., exit).  Taking the exit kills a path, or, with a cumulative
-    restart law, moves it to a state drawn from that law.  With a clock_rate
-    each path is stopped at an independent exponential clock.
+    (states..., exit); taking the exit kills a path.
     """
     L, elapsed, rounds = _jump_rounds(seed, start, n_paths, hold_rate, cumtable,
-                                      m, clock_rate, restart, True)
+                                      m, True)
     return SimulationResult(L, elapsed, np.abs(L @ m - elapsed), rounds)
 
 
 def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
-                 cumtable: np.ndarray, m: np.ndarray, clock_rate, restart,
-                 timed: bool):
+                 cumtable: np.ndarray, m: np.ndarray, timed: bool):
     """The engine of every simulator: (local times, elapsed, rounds).
 
-    Elapsed time is kept only when timed, and is None otherwise; a clock
-    needs it.  It takes no draw, so the local times do not depend on it.
+    Elapsed time is kept only when timed, and is None otherwise.  It takes
+    no draw, so the local times do not depend on it.
     """
     n_states = len(hold_rate)
     if not 0 <= start < n_states:
@@ -286,8 +274,6 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
         raise ValueError(f"need at least one path, got {n_paths}")
     exit_col = cumtable.shape[1] - 1
     rng = philox(seed)
-    if clock_rate is not None:
-        clock = rng.exponential(1.0 / clock_rate, size=n_paths)
     state = np.full(n_paths, start, dtype=np.int64)
     L = np.zeros((n_paths, n_states))
     elapsed = np.zeros(n_paths) if timed else None
@@ -300,24 +286,12 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
         idx = np.nonzero(alive)[0]
         s = state[idx]
         hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-        if clock_rate is not None:
-            over = elapsed[idx] + hold > clock[idx]
-            hold = np.where(over, clock[idx] - elapsed[idx], hold)
         L[idx, s] += hold / m[s]        # each live path appears once in idx
         if timed:
             elapsed[idx] += hold
-        if clock_rate is not None:
-            alive[idx[over]] = False
-            idx, s = idx[~over], s[~over]
-        if len(idx):
-            nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
-            out = nxt == exit_col
-            if restart is None:
-                alive[idx[out]] = False
-            elif np.any(out):
-                nxt[out] = (rng.random(int(np.sum(out)))[:, None]
-                            > restart[None, :]).sum(axis=1)
-            state[idx] = nxt
+        nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
+        alive[idx[nxt == exit_col]] = False
+        state[idx] = nxt
         rounds += 1
     return L, elapsed, rounds
 
@@ -336,6 +310,21 @@ class PartialRebirthModel:
         u = self.chain.potential()
         return partial_rebirth_potential(u, self.mu, self.chain.m)
 
+    def _jump_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(holding rates, cumulative move table, measure) on states + the
+        return point n; the table's targets are states..., return, death."""
+        chain = self.chain
+        n = chain.n_states
+        mass = float(np.sum(self.mu))
+        hold_rate = np.concatenate([-np.diag(chain.Q), [1.0 + mass]])
+        off = chain.Q - np.diag(np.diag(chain.Q))
+        table = np.zeros((n + 1, n + 2))
+        table[:n, :n] = off / hold_rate[:n, None]
+        table[:n, n] = chain.kill_rates / hold_rate[:n]
+        table[n, :n] = self.mu / (1.0 + mass)
+        table[n, n + 1] = 1.0 / (1.0 + mass)
+        return hold_rate, _cumulative(table), np.concatenate([chain.m, [1.0]])
+
     def simulate(self, x_start: int, n_paths: int, seed: int) -> SimulationResult:
         """Jump-chain simulation with local-time accumulation.
 
@@ -344,26 +333,18 @@ class PartialRebirthModel:
         1 + |mu|, and either re-enters with law mu or dies for good.
         x_start may be a state or the return point.
         """
-        chain = self.chain
-        n = chain.n_states
-        mass = float(np.sum(self.mu))
-        table = np.zeros((n + 1, n + 2))    # targets: states..., return, death
-        table[:n, :n + 1] = _jump_rows(chain)
-        table[n, :n] = self.mu / (1.0 + mass)
-        table[n, n + 1] = 1.0 / (1.0 + mass)
-        hold_rate = np.concatenate([-np.diag(chain.Q), [1.0 + mass]])
-        m_ext = np.concatenate([chain.m, [1.0]])
-        return _jump_chain(seed, x_start, n_paths, hold_rate,
-                           _cumulative(table), m_ext)
+        return _jump_chain(seed, x_start, n_paths, *self._jump_table())
 
 
 @dataclass
 class FullRebirthModel:
-    """Chain reborn with probability one, observed up to an independent
-    exponential clock of rate p.
+    """Chain reborn at law mu whenever it dies, killed at an independent
+    exponential rate p.
 
-    The expected local time accumulated before the clock rings reproduces the
-    resolvent-rate potential of the reborn process.
+    The reborn chain has the conservative generator Q + kappa mu^T, with
+    kappa the kill rates of Q.  By memorylessness, watching it up to an
+    independent rate-p clock is killing it at rate p, so the expected local
+    times are the rows of its p-resolvent density, the potential w.
     """
 
     chain: FiniteChain
@@ -373,25 +354,31 @@ class FullRebirthModel:
     def __post_init__(self):
         self.mu = _probability_measure(self.mu)
         if self.p <= 0.0:
-            raise ValueError("observation rate must be positive")
+            raise ValueError("killing rate must be positive")
         if np.all(self.chain.kill_rates <= 1e-14):
             raise ValueError("base chain never dies, so rebirth is vacuous")
 
     def potential(self) -> np.ndarray:
+        """w = inv(p I - Q - kappa mu^T) / m(y), from the base p-potential."""
         u_p = self.chain.potential(rate=self.p)
         return full_rebirth_potential(u_p, self.mu, self.chain.m, self.p)
 
-    def simulate(self, x_start: int, n_paths: int, seed: int) -> SimulationResult:
-        """Local times until the rate-p clock; deaths restart at mu.
+    def _jump_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(holding rates, cumulative move table, measure) of Q + kappa mu^T
+        killed at rate p; the table's targets are states..., exit.
 
-        The clock is drawn once per path and the final holding interval is
-        truncated at it, so the identity sum L * m = elapsed still holds
-        exactly path by path.
+        x moves to y at rate Q(x, y) + kappa(x) mu(y), to x itself too (a
+        self-move), and exits at rate p, so x is held at rate p - Q(x, x).
         """
         chain = self.chain
-        return _jump_chain(seed, x_start, n_paths, -np.diag(chain.Q),
-                           _cumulative(_jump_rows(chain)), chain.m,
-                           clock_rate=self.p, restart=np.cumsum(self.mu))
+        Q, n = chain.Q, chain.n_states
+        rates = Q - np.diag(np.diag(Q)) + np.outer(chain.kill_rates, self.mu)
+        table = np.column_stack([rates, np.full(n, self.p)])
+        return self.p - np.diag(Q), _cumulative(table), chain.m
+
+    def simulate(self, x_start: int, n_paths: int, seed: int) -> SimulationResult:
+        """Local times of the reborn chain up to its rate-p killing."""
+        return _jump_chain(seed, x_start, n_paths, *self._jump_table())
 
 
 @dataclass
@@ -423,9 +410,9 @@ def _simulate_conditioned(chain: FiniteChain, y: int, n_paths: int,
     table = np.zeros((n, n + 1))             # targets: states..., death
     table[:, :n] = off * h[None, :] / (hold_rate * h)[:, None]
     table[y, n] = 1.0 / (chain.m[y] * h[y] * hold_rate[y])
-    # no clock and no report: the engine keeps no elapsed time
+    # no report: the engine keeps no elapsed time
     return _jump_rounds(seed, y, n_paths, hold_rate, _cumulative(table),
-                        chain.m, None, None, False)[0]
+                        chain.m, False)[0]
 
 
 def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,

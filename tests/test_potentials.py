@@ -38,6 +38,28 @@ def test_stable_u_at_zero_matches_trapezoid_oracle():
     assert pot.u(0.0) == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("x", [1e-16, 1e-12, 1e-9, 1e-7])
+def test_stable_u_near_zero_agrees_with_sigma2(x):
+    # z0 ~ 10/|x| lies far out; with a panel edge at each decade past 1e6
+    # the head converges, and u(0) - u(x) = sigma2(x)/2 within the bounds
+    pot = LevyPotential(CharExponent.pure_stable(1.5), beta=1.0)
+    u0, e0 = pot.u_with_error(0.0)
+    ux, ex = pot.u_with_error(x)
+    s, es = pot.sigma2_with_error(x)
+    assert abs(u0 - ux - s / 2) <= e0 + ex + es / 2
+
+
+@pytest.mark.parametrize("x", [1e-20, 1e-100])
+def test_stable_u_at_tinier_x_fails_loudly(x):
+    # one panel from 1e4 to z0 had all its nodes where w is negligible, so
+    # it missed int_1e4^1e6 w unseen: u(1e-20) read 0.76343 (u(0) = 0.76980)
+    # with a bound of 5e-10.  No panel now spans more than a decade, and the
+    # first panels cannot meet their share of the budget
+    pot = LevyPotential(CharExponent.pure_stable(1.5), beta=1.0)
+    with pytest.raises(QuadratureError, match="head did not converge"):
+        pot.u(x)
+
+
 def test_c_constant_values():
     assert regular_variation_constant(2.0) == pytest.approx(1.0, abs=1e-12)
     # frozen from the gamma identity, cross-checked by quadrature in verify

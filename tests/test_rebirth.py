@@ -265,7 +265,6 @@ def test_potential_from_spec_accepts_both_forms():
 
 
 def test_full_rebirth_simulation_matches_resolvent_potential():
-    from permlab import FullRebirthModel
     Q = np.array([[-0.5, 0.5], [0.5, -0.5]])
     alpha, p = 0.7, 0.4
     base = FiniteChain(Q - alpha * np.eye(2), np.array([1.0, 1.0]))
@@ -276,12 +275,34 @@ def test_full_rebirth_simulation_matches_resolvent_potential():
     se = res.local_times.std(axis=0, ddof=1) / np.sqrt(100_000)
     assert np.all(np.abs(emp - w[0]) <= 4 * se)
     assert np.max(res.occupation_error) <= 1e-12
-    # total observed time is the rate-p exponential clock
+    # the killing time at rate p is exponential
     assert np.mean(res.elapsed) == pytest.approx(1.0 / p, abs=0.05)
 
 
+def random_chain(rng, n):
+    m = rng.uniform(0.5, 2.0, n)
+    rates = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    Q = (rates + rates.T) / m[:, None]
+    Q -= np.diag(np.sum(Q, axis=1) + rng.uniform(0.05, 1.0, n))
+    return FiniteChain(Q, m)
+
+
+def test_full_rebirth_potential_is_that_of_the_killed_reborn_chain():
+    # w is the p-potential of Q + kappa mu^T, the chain FullRebirthModel
+    # simulates
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        chain = random_chain(rng, int(rng.integers(1, 6)))
+        n = chain.n_states
+        mu = rng.dirichlet(np.ones(n))
+        p = float(rng.uniform(0.1, 2.0))
+        generator = chain.Q + np.outer(chain.kill_rates, mu)
+        want = np.linalg.inv(p * np.eye(n) - generator) / chain.m[None, :]
+        got = FullRebirthModel(chain, mu, p).potential()
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 def test_full_rebirth_model_validation():
-    from permlab import FullRebirthModel
     chain = two_state()
     with pytest.raises(ValueError):
         FullRebirthModel(chain, np.array([0.5, 0.2]), 0.4)
@@ -295,14 +316,42 @@ def test_full_rebirth_model_validation():
 
 
 # -- reference loops ---------------------------------------------------------
-# The three simulators share one engine.  These are the per-simulator loops
-# and per-pair table builders they replaced, kept as oracles: the engine
-# must reproduce them bit for bit, which the 4-sigma checks above cannot see.
+# Per-simulator table builders and loops, kept as oracles.  The engine must
+# reproduce _reference_partial, _reference_killed_full and
+# _reference_conditioned bit for bit, which the 4-sigma checks above cannot
+# see.  _reference_full is the former full-rebirth loop, an exponential clock
+# plus a rebirth draw at each death; it is a law oracle for the killed chain.
+
+def _reference_run(table, hold_rate, m, x_start, n_paths, seed):
+    """Local times, elapsed, occupation errors and rounds of the jump chain
+    whose move law out of x is row x of table; its last column kills."""
+    from permlab.sampling import philox
+    n_states, dead = len(hold_rate), -1
+    table = table / np.sum(table, axis=1, keepdims=True)
+    cumtable = np.cumsum(table, axis=1)
+    rng = philox(seed)
+    state = np.full(n_paths, x_start, dtype=np.int64)
+    L = np.zeros((n_paths, n_states))
+    elapsed = np.zeros(n_paths)
+    alive = state != dead
+    events = 0
+    while np.any(alive):
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        np.add.at(L, (idx, s), hold / m[s])
+        elapsed[idx] += hold
+        u = rng.random(len(idx))
+        nxt = (u[:, None] > cumtable[s]).sum(axis=1)
+        state[idx] = np.where(nxt == table.shape[1] - 1, dead, nxt)
+        alive = state != dead
+        events += 1
+    return L, elapsed, np.abs(L @ m - elapsed), events
+
 
 def _reference_partial(chain, mu, x_start, n_paths, seed):
-    from permlab.sampling import philox
     n = chain.n_states
-    star, dead = n, -1
+    star = n
     mass = float(np.sum(mu))
     hold_rate = np.concatenate([-np.diag(chain.Q), [1.0 + mass]])
     m_ext = np.concatenate([chain.m, [1.0]])
@@ -315,26 +364,21 @@ def _reference_partial(chain, mu, x_start, n_paths, seed):
         table[x, star] = chain.kill_rates[x] / rate
     table[star, :n] = mu / (1.0 + mass)
     table[star, n + 1] = 1.0 / (1.0 + mass)
-    table /= np.sum(table, axis=1, keepdims=True)
-    cumtable = np.cumsum(table, axis=1)
-    rng = philox(seed)
-    state = np.full(n_paths, x_start, dtype=np.int64)
-    L = np.zeros((n_paths, n + 1))
-    elapsed = np.zeros(n_paths)
-    alive = state != dead
-    events = 0
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        s = state[idx]
-        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-        np.add.at(L, (idx, s), hold / m_ext[s])
-        elapsed[idx] += hold
-        u = rng.random(len(idx))
-        nxt = (u[:, None] > cumtable[s]).sum(axis=1)
-        state[idx] = np.where(nxt == n + 1, dead, nxt)
-        alive = state != dead
-        events += 1
-    return L, elapsed, np.abs(L @ m_ext - elapsed), events
+    return _reference_run(table, hold_rate, m_ext, x_start, n_paths, seed)
+
+
+def _reference_killed_full(chain, mu, p, x_start, n_paths, seed):
+    # Q + kappa mu^T killed at rate p: rebirth is a move, y = x included
+    n = chain.n_states
+    table = np.zeros((n, n + 1))
+    for x in range(n):
+        for y in range(n):
+            table[x, y] = chain.kill_rates[x] * mu[y]
+            if y != x:
+                table[x, y] += chain.Q[x, y]
+        table[x, n] = p
+    hold_rate = p - np.diag(chain.Q)
+    return _reference_run(table, hold_rate, chain.m, x_start, n_paths, seed)
 
 
 def _reference_full(chain, mu, p, x_start, n_paths, seed):
@@ -444,9 +488,25 @@ def test_partial_simulation_equals_reference_loop(chain, mu, start, seed):
     (three_state(), np.array([0.2, 0.5, 0.3]), 0.5, 2, 20_000, 22),
 ])
 def test_full_simulation_equals_reference_loop(chain, mu, p, start, paths, seed):
-    from permlab import FullRebirthModel
     res = FullRebirthModel(chain, mu, p).simulate(start, paths, seed)
-    _assert_same_result(res, _reference_full(chain, mu, p, start, paths, seed))
+    _assert_same_result(res, _reference_killed_full(chain, mu, p, start, paths,
+                                                    seed))
+
+
+@pytest.mark.parametrize("chain, mu, p, start, seed", [
+    (killed_pair(), np.array([0.3, 0.7]), 0.4, 0, 41),
+    (three_state(), np.array([0.2, 0.5, 0.3]), 0.5, 2, 42),
+])
+def test_killed_chain_has_the_law_of_the_clocked_loop(chain, mu, p, start, seed):
+    # the former loop watched the reborn chain up to a rate-p clock; killing
+    # it at rate p must give the same mean local times and elapsed time
+    paths = 100_000
+    res = FullRebirthModel(chain, mu, p).simulate(start, paths, seed)
+    L, elapsed, _, _ = _reference_full(chain, mu, p, start, paths, seed + 100)
+    for new, old in ((res.local_times, L), (res.elapsed[:, None], elapsed[:, None])):
+        se = np.hypot(new.std(axis=0, ddof=1), old.std(axis=0, ddof=1))
+        z = (new.mean(axis=0) - old.mean(axis=0)) / (se / np.sqrt(paths))
+        assert np.all(np.abs(z) <= 4.0), z
 
 
 @pytest.mark.parametrize("chain, y, seed", [
@@ -491,11 +551,10 @@ def test_ek_check_needs_two_paths_for_its_standard_errors(paths):
 def test_untimed_engine_gives_the_timed_local_times():
     # the conditioned chain skips the elapsed-time bookkeeping; that takes no
     # draw, so the local times and the rounds stay those of the timed route
-    from permlab.rebirth import _cumulative, _jump_chain, _jump_rounds, _jump_rows
-    chain = three_state()
-    args = (31, 1, 20_000, -np.diag(chain.Q), _cumulative(_jump_rows(chain)),
-            chain.m)
+    from permlab.rebirth import _jump_chain, _jump_rounds
+    model = PartialRebirthModel(three_state(), np.array([0.2, 0.1, 0.3]))
+    args = (31, 1, 20_000, *model._jump_table())
     timed = _jump_chain(*args)
-    L, elapsed, rounds = _jump_rounds(*args, None, None, False)
+    L, elapsed, rounds = _jump_rounds(*args, False)
     assert elapsed is None
     assert np.array_equal(L, timed.local_times) and rounds == timed.events

@@ -175,6 +175,7 @@ class Decomposition:
     det_ratio_error: float        # |det K / det G - 1|
     rho_identity_error: float     # |rho - v G r| (scaled)
     block_identity_error: float   # one Newton correction of K_isymi (scaled)
+    rv_clipped: float             # largest -r_j v_j set to 0 in h (scaled)
 
     @property
     def a_is_m_matrix(self) -> bool:
@@ -204,6 +205,8 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
 
     Raises when the border coefficients r, v dip below -_NEGATIVITY_TOL
     (scaled), which is the discrete signature of a non-excessive input.
+    Products r_j v_j below zero enter h as 0, and rv_clipped reports the
+    largest of them, scaled like that check.
     """
     G = np.asarray(ak.G, dtype=la.LD)
     r = la.lu_solve(ak.G_lu, np.asarray(ak.gvec, dtype=la.LD))
@@ -217,7 +220,10 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
                          "for this kernel on this grid")
     rho_identity_error = abs(rho - float(v @ (G @ r))) / max(1.0, abs(rho))
 
-    h = np.sqrt(np.clip(r * v, 0.0, None))
+    rv = r * v
+    rv_clipped = (max(0.0, -float(np.min(rv)))
+                  / max(1.0, float(np.max(np.abs(rv)))))
+    h = np.sqrt(np.clip(rv, 0.0, None))
     Gh = G @ h
     nu_ld = 1.0 + rho - h @ Gh
     nu = float(nu_ld)
@@ -250,6 +256,7 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,
+        rv_clipped=rv_clipped,
     )
 
 

@@ -32,24 +32,30 @@ sign with decreasing magnitude, so iterated averaging of the partial sums
 (Euler acceleration) converges far faster than the raw series, which
 matters when gamma is close to 1.
 
-The non-oscillating tail int_{lam0}^inf w is integrated one lam0 at a time
-by scipy's quad, on [1, inf) in units of lam0, so that scipy's map of
-[1, inf) onto (0, 1] sees its mass however far out lam0 lies.
+The non-oscillating tail int_{lam0}^inf w, with lam0 = z0 in the increment
+variance and lam0 = 1 in u(0), runs on the same panels, for every lam0 of a
+call at once.  With lam = lam0 s^-p and p = 1/(gamma - 1) it becomes
+int_0^1 p lam w(lam) / s ds, whose integrand stays bounded as s -> 0 since
+w(lam) ~ lam^-gamma / c_tail; a fractional power of s that lower indices or
+beta > 0 leave there is graded by the same quarter splits, from the panels
+[0, 1/16], [1/16, 1/4] and [1/4, 1].  w is read up to lam = 10^(300/gamma),
+where psi is still finite, and the power minorant bounds the rest.  Only
+u(0)'s int_0^1 w, where w need not be smooth at 0, is left to scipy's quad.
 
 Truncation never happens silently: period sums stopped at max_half_periods
-add the analytic tail bound of the power minorant to the reported error,
-and evaluation fails loudly, for the smallest failing |x| of a call, when a
-head overruns its panels or the achieved bound exceeds the budget.
+and a tail cut at 10^(300/gamma) add the analytic tail bound of the power
+minorant to the reported error, and evaluation fails loudly, for the
+smallest failing |x| of a call, when a head or tail overruns its panels or
+the achieved bound exceeds the budget.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 __all__ = [
     "QuadratureConfig",
@@ -66,16 +72,18 @@ _SPLIT_SCALE = 10.0   # head/tail split at max(1, _SPLIT_SCALE/|x|)
 # however small |x| and so however far out z0 = ~_SPLIT_SCALE/|x| lies
 _HEAD_BREAKS = np.concatenate(([0.0, 1.0, 10.0, 100.0, 1e4],
                                10.0 ** np.arange(6, 309)))
-_QUAD_LIMIT = 400     # panels of a head, and subintervals of a scipy quad call
+_QUAD_LIMIT = 400     # panels of a head or tail; subintervals of u(0)'s quad
 _GL_ORDER = 16        # nodes per half period
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _BATCH = 32           # half periods generated per acceleration pass
 # |K15 - G7| overstates the error of K15 by orders of magnitude; refining
 # to a small share of the budget keeps the head's bound no looser than the
 # other parts of a total
-_HEAD_SHARE = 1 / 64  # of the budget, for the head
-_SPLIT_WAYS = 4       # equal parts a head panel is split into
+_HEAD_SHARE = 1 / 64  # of the budget, for a head or a flat tail
+_SPLIT_WAYS = 4       # equal parts a panel is split into
 _SPLIT_EDGES = np.arange(_SPLIT_WAYS + 1) / _SPLIT_WAYS
+# first panel edges of a flat tail, in s = (lam0 / lam)^(gamma - 1)
+_TAIL_EDGES = np.array([0.0, 1 / 16, 1 / 4, 1.0])
 _ROWS = 16            # |x| per chunk, which keeps the working set under 1 MB
 
 # QUADPACK's qk15 on [-1, 1] by halves, from the outermost node inwards:
@@ -160,12 +168,13 @@ def _split_points(ax: np.ndarray) -> np.ndarray:
     return (k0 + 0.5) * np.pi / ax
 
 
-def _panels(osc, weight, ax, owner, left, right):
+def _panels(integrand, owner, left, right):
     """Rows left, right, K15 value, |K15 - G7| and the rounding term of the
-    panels [left, right], panel i oscillating at frequency ax[owner[i]]."""
+    panels [left, right] of integrand(t, owner), panel i belonging to entry
+    owner[i]."""
     half = 0.5 * (right - left)
-    lam = (left + half) + half * _K15_NODES[:, None]
-    f = osc(lam, ax[owner]) * weight(lam)
+    t = (left + half) + half * _K15_NODES[:, None]
+    f = integrand(t, owner)
     # accumulate sums node by node, in the same order for every panel
     terms = _GK_WEIGHTS[:, :, None] * f
     np.abs(terms[2], out=terms[2])
@@ -174,32 +183,28 @@ def _panels(osc, weight, ax, owner, left, right):
                      _PANEL_ROUNDING * half * size))
 
 
-def _head(osc, weight, ax: np.ndarray, z0: np.ndarray, cfg: QuadratureConfig):
-    """int_0^z0 osc(lam, ax) w(lam) dlam for each entry of ax.
+def _refine(integrand, owner, left, right, length, cfg: QuadratureConfig):
+    """The integral of integrand over each entry's panels, its bound and a
+    mask of the entries whose panels would have exceeded _QUAD_LIMIT.
 
-    Returns the values, their bounds and a mask of the entries whose panels
-    would have exceeded _QUAD_LIMIT.
+    The panels [left, right] of entry i (owner == i) tile an interval of
+    length[i]; they are split until each entry's bound meets _HEAD_SHARE
+    of its budget.
     """
-    n = ax.size
-    # panels [0, 1], [1, 10], ... up to the last break point below z0, then z0
-    count = np.searchsorted(_HEAD_BREAKS, z0)   # break points below z0
-    owner = np.repeat(np.arange(n), count)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    right = np.where(j + 1 < count[owner],
-                     _HEAD_BREAKS[np.minimum(j + 1, _HEAD_BREAKS.size - 1)],
-                     z0[owner])
-    panels = _panels(osc, weight, ax, owner, _HEAD_BREAKS[j], right)
+    n = length.size
+    count = np.bincount(owner, minlength=n)
+    panels = _panels(integrand, owner, left, right)
     overran = np.zeros(n, dtype=bool)
     while True:
         left, right, val, trunc, rnd = panels
         # the panels of one entry keep an order set by its own splits alone,
         # and bincount sums them in that order
-        head = np.bincount(owner, val, n)
+        total = np.bincount(owner, val, n)
         err = (np.bincount(owner, trunc + rnd, n)
                + _gamma(count) * np.bincount(owner, np.abs(val), n))
-        tol = cfg.budget(head) * _HEAD_SHARE
+        tol = cfg.budget(total) * _HEAD_SHARE
         split = (((err > tol) & ~overran)[owner]
-                 & (trunc * z0[owner] > tol[owner] * (right - left)))
+                 & (trunc * length[owner] > tol[owner] * (right - left)))
         grown = count + (_SPLIT_WAYS - 1) * np.bincount(owner[split], minlength=n)
         over = grown > _QUAD_LIMIT
         if over.any():
@@ -207,16 +212,63 @@ def _head(osc, weight, ax: np.ndarray, z0: np.ndarray, cfg: QuadratureConfig):
             split &= ~over[owner]
             grown[over] = count[over]
         if not split.any():
-            return head, err, overran
+            return total, err, overran
         count = grown
         edges = left[split] + (right - left)[split] * _SPLIT_EDGES[:, None]
         edges[-1] = right[split]
         new_owner = np.tile(owner[split], _SPLIT_WAYS)
-        fresh = _panels(osc, weight, ax, new_owner, edges[:-1].ravel(),
+        fresh = _panels(integrand, new_owner, edges[:-1].ravel(),
                         edges[1:].ravel())
         keep = ~split
         owner = np.concatenate((owner[keep], new_owner))
         panels = np.concatenate((panels[:, keep], fresh), axis=1)
+
+
+def _head(osc, weight, ax: np.ndarray, z0: np.ndarray, cfg: QuadratureConfig):
+    """int_0^z0 osc(lam, ax) w(lam) dlam for each entry of ax, as _refine
+    returns it."""
+    # panels [0, 1], [1, 10], ... up to the last break point below z0, then z0
+    count = np.searchsorted(_HEAD_BREAKS, z0)   # break points below z0
+    owner = np.repeat(np.arange(ax.size), count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    right = np.where(j + 1 < count[owner],
+                     _HEAD_BREAKS[np.minimum(j + 1, _HEAD_BREAKS.size - 1)],
+                     z0[owner])
+    return _refine(lambda lam, own: osc(lam, ax[own]) * weight(lam),
+                   owner, _HEAD_BREAKS[j], right, z0, cfg)
+
+
+# -- the flat tail -----------------------------------------------------------------
+
+def smooth_tail(weight, lam0: np.ndarray, cfg: QuadratureConfig, c_tail: float,
+                gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int_{lam0}^inf w(lam) dlam for each entry lam0 >= 1 of a 1-d array,
+    where w(lam) <= lam^-gamma / c_tail for lam >= 1.
+
+    Integrated as int_0^1 p lam w(lam) / s ds with lam = lam0 s^-p and
+    p = 1/(gamma - 1), on the Gauss-Kronrod panels of the head (see the
+    module docstring).  Returns the values, their bounds and a mask of the
+    entries that failed: their panels overran or their bound exceeds 4
+    times the budget.  A value does not depend on the other entries.
+    """
+    p = 1.0 / (gamma - 1.0)
+    # w is evaluated up to lam_max, where psi stays finite; the rest of the
+    # tail is left out and its bound under the power minorant added
+    lam_max = 10.0 ** (300.0 / gamma)
+    s_min = (lam0 / lam_max) ** (gamma - 1.0)
+
+    def integrand(s, own):
+        s_in = np.maximum(s, s_min[own])
+        lam = lam0[own] * s_in ** -p
+        return np.where(s < s_min[own], 0.0, p * lam * weight(lam) / s_in)
+
+    n = lam0.size
+    owner = np.repeat(np.arange(n), _TAIL_EDGES.size - 1)
+    value, err, overran = _refine(integrand, owner,
+                                  np.tile(_TAIL_EDGES[:-1], n),
+                                  np.tile(_TAIL_EDGES[1:], n), np.ones(n), cfg)
+    err = err + lam_max ** (1.0 - gamma) / (c_tail * (gamma - 1.0))
+    return value, err, overran | (err > 4 * cfg.budget(value))
 
 
 # -- the period sums -------------------------------------------------------------
@@ -309,11 +361,20 @@ def _by_chunks(rows, xs) -> tuple[np.ndarray, np.ndarray]:
 def _cosine_rows(weight, ax, cfg, c_tail, gamma):
     value, err = np.empty(ax.size), np.empty(ax.size)
     failures: dict[int, QuadratureError] = {}
-    for i in np.flatnonzero(ax == 0.0):
-        try:
-            value[i], err[i] = smooth_tail(weight, 0.0, cfg)
-        except QuadratureError as exc:
-            failures[int(i)] = exc
+    zero = np.flatnonzero(ax == 0.0)
+    if zero.size:
+        # w may not be smooth at 0, where scipy's quad takes [0, 1]
+        head, head_err = quad(lambda lam: float(weight(np.asarray(lam))), 0.0,
+                              1.0, epsabs=cfg.abs_tol / 4,
+                              epsrel=cfg.rel_tol / 4, limit=_QUAD_LIMIT)
+        flat, flat_err, failed = smooth_tail(weight, np.ones(1), cfg, c_tail,
+                                             gamma)
+        v = head + flat[0]
+        e = head_err + flat_err[0] + _gamma(1) * abs(v)
+        if failed[0] or e > 4 * cfg.budget(v):
+            failures.update((int(i), QuadratureError(
+                "monotone tail did not converge", v, e)) for i in zero)
+        value[zero], err[zero] = v, e
     pos = np.flatnonzero(ax > 0.0)
     a = ax[pos]
     z0 = _split_points(a)
@@ -347,33 +408,6 @@ def cosine_halfline(weight, x: float, cfg: QuadratureConfig,
     return float(value[0]), float(err[0])
 
 
-def smooth_tail(weight, lam0: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """int_{lam0}^inf w(lam) dlam for monotone w with a power tail.
-
-    Integrated as lam0 * int_1^inf w(lam0 * s) ds.
-    """
-
-    def integrand(lam):
-        return float(weight(np.asarray(lam)))
-
-    if lam0 == 0.0:
-        head, head_err = quad(integrand, 0.0, 1.0, epsabs=cfg.abs_tol / 4,
-                              epsrel=cfg.rel_tol / 4, limit=_QUAD_LIMIT)
-        lam0 = 1.0
-    else:
-        head, head_err = 0.0, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(lambda s: integrand(lam0 * s), 1.0, np.inf,
-                        epsabs=cfg.abs_tol / 4 / lam0, epsrel=cfg.rel_tol / 4,
-                        limit=_QUAD_LIMIT)
-    total = head + lam0 * val
-    total_err = head_err + lam0 * err
-    if total_err > 4 * cfg.budget(total):
-        raise QuadratureError("monotone tail did not converge", total, total_err)
-    return total, total_err
-
-
 def _one_minus_cos_rows(weight, ax, cfg, c_tail, gamma):
     value, err = np.zeros(ax.size), np.zeros(ax.size)
     failures: dict[int, QuadratureError] = {}
@@ -382,14 +416,9 @@ def _one_minus_cos_rows(weight, ax, cfg, c_tail, gamma):
     z0 = _split_points(a)
     head, head_err, overran = _head(_one_minus_cos, weight, a, z0, cfg)
     _fail_where(failures, pos, overran, _OVERRUN, head, head_err)
-    flat, flat_err = np.empty(a.size), np.empty(a.size)
-    for p in range(a.size):
-        try:
-            flat[p], flat_err[p] = smooth_tail(weight, z0[p], cfg)
-        except QuadratureError as exc:
-            failures.setdefault(int(pos[p]), exc)
-            # the error is noted; a finite stand-in keeps the series cheap
-            flat[p], flat_err[p] = 0.0, np.inf
+    flat, flat_err, failed = smooth_tail(weight, z0, cfg, c_tail, gamma)
+    _fail_where(failures, pos, failed, "monotone tail did not converge", flat,
+                flat_err)
     scale = np.abs(head) + np.abs(flat)
     series, series_err, tail = _period_sums(weight, a, z0, cfg.budget(scale) / 2,
                                             cfg, c_tail, gamma)

@@ -49,7 +49,10 @@ def _inversion_route(ak, negativity_tol=1e-10):
                          "for this kernel on this grid")
     rho_identity_error = abs(rho - float(v @ (G @ r))) / max(1.0, abs(rho))
 
-    h = np.sqrt(np.clip(r * v, 0.0, None))
+    rv = r * v
+    rv_clipped = (max(0.0, -float(np.min(rv)))
+                  / max(1.0, float(np.max(np.abs(rv)))))
+    h = np.sqrt(np.clip(rv, 0.0, None))
     Gh = G @ h
     nu = float(1.0 + rho - h @ Gh)
     a = np.asarray(Gh, dtype=la.LD) / np.sqrt(la.LD(max(nu, 1e-300)))
@@ -89,6 +92,7 @@ def _inversion_route(ak, negativity_tol=1e-10):
         det_ratio_error=float(det_err),
         rho_identity_error=float(rho_identity_error),
         block_identity_error=block_err,
+        rv_clipped=rv_clipped,
     )
 
 
@@ -138,7 +142,7 @@ def test_closed_form_equals_the_inversion_route(family, spec):
     ak = _kernel(family, spec)
     dec, ref = decompose(ak), _inversion_route(ak)
     for field in ("nu", "rho", "r", "v", "h", "a", "det_ratio_error",
-                  "rho_identity_error"):
+                  "rho_identity_error", "rv_clipped"):
         assert np.array_equal(getattr(dec, field), getattr(ref, field)), field
     G = np.asarray(ak.G, dtype=la.LD)
     assert ak.cond == la.cond1(G, la.inv(G))
@@ -225,6 +229,23 @@ def test_k_isymi_matches_a_50_digit_inverse_on_a_deep_grid(atoms):
         ref = np.array(mp.inverse(A_sym).tolist(), dtype=float)
     scale = float(np.max(np.abs(ref)))
     assert float(np.max(np.abs(dec.K_isymi - ref))) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: _deep_kernel(DEEP_ATOMS[0]), lambda: _deep_kernel(DEEP_ATOMS[1]),
+    lambda: _kernel("pq", UP), lambda: _kernel("levy", UP)],
+    ids=["deep-0", "deep-1", "pq-up", "levy-up"])
+def test_rv_clipped_reports_what_h_drops(kernel):
+    dec = decompose(kernel())
+    rv = dec.r * dec.v
+    clipped = rv < 0.0
+    assert np.all(dec.h[clipped] == 0.0)
+    if not clipped.any():
+        assert dec.rv_clipped == 0.0
+        return
+    scale = max(1.0, float(np.max(np.abs(rv))))
+    assert dec.rv_clipped == pytest.approx(float(-np.min(rv)) / scale, rel=1e-9)
+    assert 0.0 < dec.rv_clipped < 1e-10
 
 
 @pytest.mark.parametrize("atoms", DEEP_ATOMS)

@@ -227,8 +227,8 @@ def test_u_requires_positive_killing():
         killed.u0(1.0, 2.0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_quadrature_failure_is_loud():
+    # sigma2 makes no scipy call, so no IntegrationWarning may escape either
     cfg = QuadratureConfig(abs_tol=1e-19, rel_tol=1e-19, max_half_periods=32)
     pot = LevyPotential(CharExponent.pure_stable(1.2), beta=0.0, quad=cfg)
     with pytest.raises(QuadratureError):
@@ -266,7 +266,8 @@ def test_grid_values_equal_each_point_evaluated_alone():
     psi = CharExponent.stable_mixture([(1.3, 0.8), (1.8, 0.6)])
     offsets = np.concatenate(([0.0], np.geomspace(1e-4, 8.0, 39)))
     for beta, grid_of, one_of in ((1.0, "u", "u_with_error"),
-                                  (0.0, "sigma2", "sigma2_with_error")):
+                                  (0.0, "sigma2", "sigma2_with_error"),
+                                  (0.5, "sigma2", "sigma2_with_error")):
         grid, alone = (LevyPotential(psi, beta=beta) for _ in range(2))
         values = getattr(grid, grid_of)(offsets)
         singles = [getattr(alone, one_of)(x) for x in offsets]

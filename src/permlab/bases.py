@@ -18,16 +18,21 @@ the scale difference.  Neither method mirrors its result: the killed product
 kernel rounds (r q(x)) q(y) differently from (r q(y)) q(x), so callers that
 need an exactly symmetric square grid copy the upper triangle down with
 mirror_upper.
+
+Closed-form kernels run numpy ufuncs only (np.exp, np.power, never math.exp
+or a scalar **), once per grid, and a scalar call goes through the same
+ufuncs on 0-d input and returns a float.  So a scalar call equals the
+matching grid entry bit for bit.  The values follow numpy's SIMD dispatch,
+not libm, and can differ by a few ulps between CPUs with and without AVX-512.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import sqrt
 
 import numpy as np
 
-from ._pointwise import map_distinct
 from .diffusion import PQPotential, ScalePotential
 from .expressions import Affine
 from .potentials import LevyPotential, regular_variation_constant
@@ -89,7 +94,8 @@ class ExpDecayBase(_GridKernel):
 
     def radial(self, t):
         rate, denom = sqrt(self.beta / self.C), 2.0 * sqrt(self.beta * self.C)
-        return map_distinct(lambda a: exp(-rate * a) / denom, abs(t))
+        out = np.exp(-rate * np.abs(t)) / denom
+        return out if np.ndim(out) else float(out)
 
     def kernel(self, x, y):
         return self.radial(x - y)
@@ -143,11 +149,9 @@ class StableHitZeroBase(_GridKernel):
 
     def kernel(self, x, y):
         c = regular_variation_constant(self.rho + 1.0) / 2.0
-
-        def power(t):
-            return map_distinct(lambda a: a ** self.rho, abs(t))
-
-        return c * (power(x) + power(y) - power(x - y))
+        out = c * (np.power(np.abs(x), self.rho) + np.power(np.abs(y), self.rho)
+                   - np.power(np.abs(x - y), self.rho))
+        return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,7 @@ class ScaleMinBase(_GridKernel):
 
     def sigma2(self, xs, ys) -> np.ndarray:
         # the kernel 2 (s ^ s) has increment variance 2 |s(x) - s(y)|
-        sx, sy = (map_distinct(self.pot.s, p) for p in _grid(xs, ys))
+        sx, sy = (self.pot.s(p) for p in _grid(xs, ys))
         return 2.0 * np.abs(sx - sy)
 
 

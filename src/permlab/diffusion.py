@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pointwise import map_distinct
 from .expressions import Expr
 
 __all__ = [
@@ -86,16 +85,14 @@ class PQPotential:
     def u(self, x, y):
         """p(x ^ y) q(x v y); scalars or arrays that broadcast together."""
         below = x <= y
-        return (map_distinct(self.p, np.where(below, x, y))
-                * map_distinct(self.q, np.where(below, y, x)))
+        return self.p(np.where(below, x, y)) * self.q(np.where(below, y, x))
 
     def v(self, x, y):
         """Product kernel additionally killed at zero; vanishes as x or y -> 0."""
         if np.any(x < 0.0) or np.any(y < 0.0):
             raise ValueError("the killed kernel lives on x, y >= 0")
         ratio = float(self.p(0.0)) / float(self.q(0.0))
-        return (self.u(x, y) - ratio * map_distinct(self.q, x)
-                * map_distinct(self.q, y))
+        return self.u(x, y) - ratio * self.q(x) * self.q(y)
 
     def tau(self, d: float) -> float:
         """Local increment scale q(d)p'(d) - p(d)q'(d); positive for valid pairs."""
@@ -196,7 +193,7 @@ class ScalePotential:
         """2 (s(x) ^ s(y)); scalars or arrays that broadcast together."""
         if np.any(x <= 0.0) or np.any(y <= 0.0):
             raise ValueError("the scale kernel lives on x, y > 0")
-        out = 2.0 * np.minimum(map_distinct(self.s, x), map_distinct(self.s, y))
+        out = 2.0 * np.minimum(self.s(x), self.s(y))
         return out if np.ndim(out) else float(out)
 
     def inverse(self, target: float) -> float:
@@ -223,14 +220,15 @@ def concave_cap_value(p: float, s0: float, y):
     """1 - ((s0 - y)/s0)^p on (0, s0], capped at 1 beyond; p > 2."""
     y = np.asarray(y, dtype=float)
     inside = np.clip((s0 - y) / s0, 0.0, None)
-    out = np.where(y >= s0, 1.0, 1.0 - inside ** p)
+    out = np.where(y >= s0, 1.0, 1.0 - np.power(inside, p))
     return out if out.ndim else float(out)
 
 
 def concave_cap_second_derivative(p: float, s0: float, y):
     y = np.asarray(y, dtype=float)
     inside = np.clip((s0 - y) / s0, 0.0, None)
-    out = np.where(y >= s0, 0.0, -p * (p - 1.0) / s0 ** 2 * inside ** (p - 2.0))
+    out = np.where(y >= s0, 0.0,
+                   -p * (p - 1.0) / (s0 * s0) * np.power(inside, p - 2.0))
     return out if out.ndim else float(out)
 
 
@@ -251,7 +249,7 @@ def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float]
         return False, float(bad)
     y_lo, y_hi = float(pot.s(lo)), float(pot.s(hi))
     ys = np.linspace(y_lo, y_hi, _EXCESSIVE_POINTS)
-    g = np.array([float(np.asarray(f(pot.inverse(y)))) for y in ys])
+    g = np.asarray(f(np.array([pot.inverse(y) for y in ys])), dtype=float)
     dy = ys[1] - ys[0]
     second = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dy ** 2
     scale = max(1.0, float(np.max(np.abs(g))))

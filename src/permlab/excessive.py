@@ -10,6 +10,10 @@ layer of permlab calls it.
 
 Every excessive function and derivative takes a scalar, giving a float, or
 an array, giving an array of its shape equal to the scalar calls bit for bit.
+Closed forms get that from running numpy ufuncs only, once per call, with a
+scalar as 0-d input; their values follow numpy's SIMD dispatch, not libm, so
+they can differ by a few ulps between CPUs with and without AVX-512.  Only
+the indicator potential integrates, with one scipy quad per point.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _wire as wire
-from ._pointwise import map_distinct
 from .bases import ScaleMinBase, mirror_upper
 from .diffusion import concave_cap_value
 
@@ -59,7 +62,9 @@ class IndicatorPotential:
             return quad(self.base.radial, lo, hi, epsabs=1e-10, epsrel=1e-9,
                         limit=100, points=[0.0] if lo < 0.0 < hi else None)[0]
 
-        return map_distinct(window, x)
+        # one quad per point, duplicates included
+        out = np.array([window(t) for t in np.ravel(x).tolist()]).reshape(np.shape(x))
+        return out if out.ndim else float(out)
 
     def derivative(self, x):
         return self.base.radial(x - self.a) - self.base.radial(x - self.b)
@@ -113,22 +118,16 @@ class ScaleConcaveExcessive:
         if self.x0 <= 0.0:
             raise ValueError("flat point must be positive")
 
-    # numpy's vector power can differ from libm's in the last ulp, so the cap
-    # and its slope run once per distinct point, as s does
     def __call__(self, x):
         s = self.base.pot.s
-        s0 = float(s(self.x0))
-        return map_distinct(lambda t: concave_cap_value(self.p, s0, float(s(t))), x)
+        return concave_cap_value(self.p, float(s(self.x0)), s(x))
 
     def derivative(self, x):
-        s, ds = self.base.pot.s, self.base.pot.s.diff()
+        s = self.base.pot.s
         s0 = float(s(self.x0))
-
-        def slope(t):   # 0 beyond x0, where s(t) >= s0
-            inside = max((s0 - float(s(t))) / s0, 0.0)
-            return (self.p / s0) * inside ** (self.p - 1.0) * float(ds(t))
-
-        return map_distinct(slope, x)
+        inside = np.clip((s0 - s(x)) / s0, 0.0, None)   # 0 beyond x0
+        out = (self.p / s0) * np.power(inside, self.p - 1.0) * s.diff()(x)
+        return out if np.ndim(out) else float(out)
 
 
 def make_flat_pair(base, x0: float):

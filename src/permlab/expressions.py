@@ -3,7 +3,10 @@
 Scale functions and eigenfunction pairs all need two noise-free derivatives,
 so they are supplied as expression trees over {const, affine, sum, prod, exp,
 pow} rather than as black-box callables.  Differentiation returns another
-tree; evaluation is vectorized over numpy arrays.
+tree; evaluation runs numpy ufuncs only, and a scalar goes through them as a
+0-d array, so a scalar call equals the matching entry of a grid call bit for
+bit.  (Python's and numpy-scalar `**` call libm, which can differ from
+numpy's vector power in the last ulp.)
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class Pow(Expr):
         self.exponent = float(exponent)
 
     def _raw(self, x):
-        return self.base._raw(x) ** self.exponent
+        return np.power(self.base._raw(x), self.exponent)
 
     def diff(self):
         return Prod(Const(self.exponent), Pow(self.base, self.exponent - 1.0),

@@ -1,10 +1,15 @@
-"""The array kernel interface against the scalar per-pair formulas.
+"""The array kernel interface against scalar calls and per-pair formulas.
 
 Every base builds gram(xs, ys) and sigma2(xs, ys) with array code shared by
-its scalar kernel(x, y).  The references below are the per-pair scalar
-formulas and increment-variance routes those arrays replaced, evaluated one
-pair at a time on potentials with their own quadrature caches; the arrays
-must equal them bit for bit.
+its scalar kernel(x, y).  The contract: both grids equal the base's own
+scalar calls, one pair at a time, bit for bit.
+
+The references below are the per-pair scalar formulas and increment-variance
+routes those arrays replaced, evaluated one pair at a time on potentials with
+their own quadrature caches.  Those that run numpy or the quadrature still
+give the same bits.  The libm formulas of exp_decay and stable_hit_zero
+(math.exp and Python **) are the former route's oracle, within a bound in
+ulps of their uncancelled terms.
 """
 
 from math import exp, sqrt
@@ -24,8 +29,8 @@ from permlab.bases import mirror_upper
 STABLE = CharExponent.pure_stable(1.5)
 
 
-# scalar calls of Pow raise numpy scalars to a power through libm, while
-# array calls use numpy's vector power; the grids must follow the scalar route
+# Pow and Exp run numpy's power and exp on scalars (as 0-d input) and grids
+# alike, so the per-pair references of these potentials give the grid's bits
 
 def _pq_pot():
     return PQPotential(Pow(Affine(1.0, 3.0), 1.5), Exp(Affine(-1.0, 0.0)),
@@ -37,7 +42,17 @@ def _scale_pot():
 
 
 # -- scalar references -------------------------------------------------------
-# Each maker returns (base, reference kernel, reference increment variance).
+# Each maker returns (base, reference kernel, reference increment variance,
+# uncancelled terms).  The last is None where the reference gives the grid's
+# bits; for a libm reference it gives the sum of the absolute terms that the
+# kernel adds and subtracts at (x, y), which bounds the reference's error.
+
+# numpy's vector exp and power differ from libm by at most one ulp per term
+# (with AVX-512 dispatch; without it they agree).  On the grids below the
+# references miss by at most 2 ulps of their terms: 2 ulps of the value for
+# exp_decay, and up to 23 ulps of the cancelled value for stable_hit_zero.
+LIBM_ULPS = 4
+
 
 def _exp_decay():
     beta, c = 0.7, 0.3
@@ -50,7 +65,7 @@ def _exp_decay():
         amp = 1.0 / (2.0 * sqrt(beta * c))
         return -2.0 * amp * np.expm1(-rate * abs(x - y))
 
-    return ExpDecayBase(beta, c), kernel, sigma2
+    return ExpDecayBase(beta, c), kernel, sigma2, kernel
 
 
 def _levy():
@@ -62,7 +77,7 @@ def _levy():
     def sigma2(x, y):
         return ref.sigma2_with_error(x - y)[0]
 
-    return LevyBase(LevyPotential(STABLE, beta=1.0)), kernel, sigma2
+    return LevyBase(LevyPotential(STABLE, beta=1.0)), kernel, sigma2, None
 
 
 def _hit_zero_levy():
@@ -74,17 +89,20 @@ def _hit_zero_levy():
     def kernel(x, y):
         return phi(x) + phi(y) - phi(x - y)
 
-    return HitZeroLevyBase(LevyPotential(STABLE, beta=0.0)), kernel, None
+    return HitZeroLevyBase(LevyPotential(STABLE, beta=0.0)), kernel, None, None
 
 
 def _stable_hit_zero():
     rho = 0.6
+    c = regular_variation_constant(rho + 1.0) / 2.0
 
     def kernel(x, y):
-        c = regular_variation_constant(rho + 1.0) / 2.0
         return c * (abs(x) ** rho + abs(y) ** rho - abs(x - y) ** rho)
 
-    return StableHitZeroBase(rho), kernel, None
+    def terms(x, y):
+        return c * (abs(x) ** rho + abs(y) ** rho + abs(x - y) ** rho)
+
+    return StableHitZeroBase(rho), kernel, None, terms
 
 
 def _vbeta():
@@ -96,7 +114,7 @@ def _vbeta():
     def kernel(x, y):
         return u(x - y) - u(x) * u(y) / u(0.0)
 
-    return VBetaBase(LevyPotential(STABLE, beta=1.0)), kernel, None
+    return VBetaBase(LevyPotential(STABLE, beta=1.0)), kernel, None, None
 
 
 def _pq_kernel(pot):
@@ -109,7 +127,7 @@ def _pq_kernel(pot):
 
 def _pq():
     pot = _pq_pot()
-    return PQBase(pot), _pq_kernel(pot), None
+    return PQBase(pot), _pq_kernel(pot), None, None
 
 
 def _vpq():
@@ -120,7 +138,7 @@ def _vpq():
         ratio = float(pot.p(0.0)) / float(pot.q(0.0))
         return u(x, y) - ratio * float(pot.q(x)) * float(pot.q(y))
 
-    return VPQBase(pot), kernel, None
+    return VPQBase(pot), kernel, None, None
 
 
 def _scale():
@@ -132,7 +150,7 @@ def _scale():
     def sigma2(x, y):
         return 2.0 * abs(float(pot.s(x)) - float(pot.s(y)))
 
-    return ScaleMinBase(pot), kernel, sigma2
+    return ScaleMinBase(pot), kernel, sigma2, None
 
 
 CLOSED_FORMS = {"exp_decay": _exp_decay, "stable_hit_zero": _stable_hit_zero,
@@ -148,8 +166,44 @@ def _ref_sigma2(kernel, sigma2):
     return lambda x, y: kernel(x, x) + kernel(y, y) - 2.0 * kernel(x, y)
 
 
+def _ref_sigma2_terms(terms, sigma2):
+    """Uncancelled terms of k(x, x) + k(y, y) - 2 k(x, y) on a libm kernel;
+    None where the family's own route gives the bits."""
+    if terms is None or sigma2 is not None:
+        return None
+    return lambda x, y: terms(x, x) + terms(y, y) + 2.0 * terms(x, y)
+
+
 def _per_pair(fn, xs, ys):
     return np.array([[fn(float(x), float(y)) for y in ys] for x in xs])
+
+
+def _assert_reference(got, ref, terms, xs, ys):
+    """got equals the per-pair reference bit for bit, or for a libm
+    reference within LIBM_ULPS ulps of its uncancelled terms."""
+    want = _per_pair(ref, xs, ys)
+    if terms is None:
+        assert np.array_equal(got, want)
+    else:
+        bound = LIBM_ULPS * np.spacing(_per_pair(terms, xs, ys))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def _assert_grids(family, xs, ys):
+    """gram and sigma2 equal the base's own scalar calls bit for bit, and the
+    references within their bounds."""
+    base, kernel, sigma2, terms = FAMILIES[family]()
+    if sigma2 is None:
+        own_sigma2 = _ref_sigma2(base.kernel, None)
+    else:   # a route of its own, called on one pair
+        def own_sigma2(x, y):
+            return base.sigma2([x], [y])[0, 0]
+    gram, s2 = base.gram(xs, ys), base.sigma2(xs, ys)
+    assert np.array_equal(gram, _per_pair(base.kernel, xs, ys))
+    assert np.array_equal(s2, _per_pair(own_sigma2, xs, ys))
+    _assert_reference(gram, kernel, terms, xs, ys)
+    _assert_reference(s2, _ref_sigma2(kernel, sigma2),
+                      _ref_sigma2_terms(terms, sigma2), xs, ys)
 
 
 DOWN = GridSpec(d=1.0, theta=0.4, n=12, q=0.5, direction=-1).points()
@@ -158,25 +212,21 @@ UP = GridSpec(d=0.5, theta=0.3, n=12, q=0.5).points()
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_arrays_equal_scalar_references(family):
-    base, kernel, sigma2 = FAMILIES[family]()
-    ref_sigma2 = _ref_sigma2(kernel, sigma2)
     for xs, ys in ((DOWN, DOWN), (UP[:4], DOWN), ([UP[0]], UP)):
-        assert np.array_equal(base.gram(xs, ys), _per_pair(kernel, xs, ys))
-        assert np.array_equal(base.sigma2(xs, ys), _per_pair(ref_sigma2, xs, ys))
+        _assert_grids(family, xs, ys)
+    base, kernel, _, terms = FAMILIES[family]()
     for x, y in ((DOWN[0], DOWN[3]), (DOWN[5], UP[2]), (UP[1], UP[1])):
         val = base.kernel(x, y)
         assert type(val) is float
-        assert val == kernel(x, y) == base.gram([x], [y])[0, 0]
+        assert val == base.gram([x], [y])[0, 0]
+        _assert_reference(np.array([[val]]), kernel, terms, [x], [y])
 
 
 @pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
 def test_closed_forms_equal_scalar_references_on_a_dense_grid(family):
-    # enough distinct values that a vector exp or power would differ somewhere
-    base, kernel, sigma2 = CLOSED_FORMS[family]()
+    # enough distinct values that libm's exp or power would differ somewhere
     pts = np.geomspace(0.01, 1.9, 70)
-    assert np.array_equal(base.gram(pts, pts), _per_pair(kernel, pts, pts))
-    assert np.array_equal(base.sigma2(pts, pts),
-                          _per_pair(_ref_sigma2(kernel, sigma2), pts, pts))
+    _assert_grids(family, pts, pts)
 
 
 def test_levy_gram_runs_one_quadrature_per_distinct_offset(monkeypatch):
@@ -194,7 +244,7 @@ def test_levy_gram_runs_one_quadrature_per_distinct_offset(monkeypatch):
 
 
 def test_assembled_gram_is_the_mirrored_upper_triangle():
-    base, kernel, _ = _vpq()
+    base, kernel, _, _ = _vpq()
     upper = np.triu(_per_pair(kernel, DOWN, DOWN))
     one = ConstantExcessive(1.0)
     G = assemble_kernel(base, one, one, DOWN).G

@@ -95,6 +95,8 @@ def _cmd_potential_eval(args) -> int:
     rows = ["x,y,value,err_bound"]
     xs = [float(v) for v in args.x]
     ys = [float(v) for v in args.y] if args.y else [None] * len(xs)
+    if not np.all(np.isfinite(xs + (ys if args.y else []))):
+        raise ValueError("--x and --y take finite numbers")
     if len(ys) == 1 and len(xs) > 1:
         ys = ys * len(xs)
     if len(ys) != len(xs):
@@ -225,8 +227,10 @@ def _cmd_rebirth_sim(args) -> int:
 
 
 def _cmd_rebirth_check_ek(args) -> int:
-    chain, _, _ = chain_from_spec(_load_json(args.model))
     s = args.s
+    if not 0.0 <= s < np.inf:
+        raise ValueError(f"--s must be finite and nonnegative, got {s!r}")
+    chain, _, _ = chain_from_spec(_load_json(args.model))
 
     def f(x):
         return np.exp(-s * np.sum(x, axis=1))

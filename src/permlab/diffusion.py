@@ -196,24 +196,30 @@ class ScalePotential:
         out = 2.0 * np.minimum(self.s(x), self.s(y))
         return out if np.ndim(out) else float(out)
 
-    def inverse(self, target: float) -> float:
-        """Preimage of target under s by bisection; monotonicity makes it safe."""
-        lo, hi = 0.0, self.hi
-        s_hi = float(self.s(hi))
-        while s_hi < target:
-            hi *= 2.0
-            s_hi = float(self.s(hi))
-            if hi > 1e12:
+    def inverse(self, target):
+        """Preimage of each target under s by bisection; monotonicity makes
+        it safe.  Each entry doubles its own bracket and stops on its own
+        width, so it equals the call on its target alone; a scalar target
+        gives a float."""
+        t = np.asarray(target, dtype=float)
+        lo, hi = np.zeros(t.shape), np.full(t.shape, float(self.hi))
+        short = np.array(self.s(hi) < t)
+        while np.any(short):
+            hi[short] *= 2.0
+            if np.any(hi[short] > 1e12):
                 raise ValueError("target outside the reachable range of s")
+            short[short] = self.s(hi[short]) < t[short]
+        live = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if hi - lo < _INVERSE_TOL * max(1.0, abs(mid)):
+            live &= ~(hi - lo < _INVERSE_TOL * np.maximum(1.0, np.abs(mid)))
+            if not np.any(live):
                 break
-            if float(self.s(mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = self.s(mid[live]) < t[live]
+            lo[live] = np.where(below, mid[live], lo[live])
+            hi[live] = np.where(below, hi[live], mid[live])
+        out = 0.5 * (lo + hi)
+        return out if out.ndim else float(out)
 
 
 def concave_cap_value(p: float, s0: float, y):
@@ -249,14 +255,14 @@ def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float]
         return False, float(bad)
     y_lo, y_hi = float(pot.s(lo)), float(pot.s(hi))
     ys = np.linspace(y_lo, y_hi, _EXCESSIVE_POINTS)
-    g = np.asarray(f(np.array([pot.inverse(y) for y in ys])), dtype=float)
+    pulled = pot.inverse(ys)
+    g = np.asarray(f(pulled), dtype=float)
     dy = ys[1] - ys[0]
     second = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dy ** 2
     scale = max(1.0, float(np.max(np.abs(g))))
     bad = second > _EXCESSIVE_TOL * scale / dy + 1e-6 * scale
     if np.any(bad):
-        witness = pot.inverse(float(ys[1:-1][np.argmax(bad)]))
-        return False, witness
+        return False, float(pulled[1:-1][np.argmax(bad)])
     return True, None
 
 

@@ -72,8 +72,8 @@ class LevyPotential:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("killing rate must be nonnegative")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"killing rate {self.beta} must be finite and >= 0")
         g0, _ = self.psi.support()
         if g0 <= 1.0 and self.psi.gaussian_coeff == 0.0:
             raise ValueError("exponent index at zero must exceed 1")

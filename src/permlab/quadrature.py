@@ -345,8 +345,12 @@ def _fail_where(failures: dict, idx, mask, message: str, value, err):
 
 def _by_chunks(rows, xs) -> tuple[np.ndarray, np.ndarray]:
     """rows(ax) applied to chunks of _ROWS entries of |xs|, which bounds the
-    working set; raises the QuadratureError of the smallest failing |x|."""
+    working set; raises the QuadratureError of the smallest failing |x|, and
+    a ValueError on a non-finite |x|."""
     ax = np.abs(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(ax)):
+        raise ValueError(f"the transforms need finite x, got "
+                         f"{ax[~np.isfinite(ax)][0]}")
     value, err = np.empty(ax.size), np.empty(ax.size)
     failures: dict[int, QuadratureError] = {}
     for start in range(0, ax.size, _ROWS):

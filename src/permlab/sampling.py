@@ -5,14 +5,13 @@ Randomness comes from a counter-based Philox generator keyed by the run seed;
 all draws happen in fixed path-major order, so results are bit-identical for
 a given (config, seed) regardless of how the caller schedules work.
 
-Every sampler has one stream layout.  The harness first draws eta_d, the
-values at d of shape (paths, k), whole.  After that each path draws all of
-its normals together, path after path: k rows of width w, where w is the
-dimension, plus one last column for xi when the symmetrized comparison
-process eta + a xi is sampled.  Consecutive standard-normal draws equal one
-draw of their concatenation, so the samplers work through the paths in
-blocks of _BLOCK, draw a block's normals when the block is reached, and give
-the same result for any block size.  No temporary spans every path.
+Every sampler has one stream layout: each path draws all of its normals
+together, path after path, as k rows of width w, where w is the width of
+the sampler's factor.  Consecutive standard-normal draws equal one draw of
+their concatenation, so one block loop works through the paths in blocks of
+_BLOCK, draws a block's normals when the block is reached, and yields the
+block's factor z; the result is the same for any block size, and no
+temporary spans every path.
 
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
@@ -49,6 +48,8 @@ _EIG_CLIP_TOL = 1e-10
 
 
 def philox(seed: int) -> np.random.Generator:
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in 0..2**64 - 1, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -80,19 +81,21 @@ def _blocks(n_paths: int):
             for i in range(0, n_paths, _BLOCK)]
 
 
+def _gaussian_blocks(factor: np.ndarray, k: int, n_paths: int, seed: int):
+    """(paths, factor z) for each block of paths: z is standard normal of
+    shape (block, k, width), and path i uses normals i*k*width ..
+    (i+1)*k*width - 1 of the stream."""
+    rng = philox(seed)
+    for b in _blocks(n_paths):
+        z = rng.standard_normal((b.stop - b.start, k, factor.shape[1]))
+        yield b, z @ factor.T
+
+
 def _chi_square(factor: np.ndarray, k: int, n_paths: int,
                 seed: int) -> np.ndarray:
-    """(n_paths, rows) samples of half the sum of k squares of factor z.
-
-    z is standard normal of factor's width, so factor z has covariance
-    factor factor^T.  Path i uses normals i*k*width .. (i+1)*k*width - 1 of
-    the stream, drawn block by block.
-    """
-    dim, width = factor.shape
-    rng = philox(seed)
-    x = np.empty((n_paths, dim))
-    for b in _blocks(n_paths):
-        eta = rng.standard_normal((b.stop - b.start, k, width)) @ factor.T
+    """(n_paths, rows) samples of half the sum of k squares of factor z."""
+    x = np.empty((n_paths, factor.shape[0]))
+    for b, eta in _gaussian_blocks(factor, k, n_paths, seed):
         x[b] = 0.5 * np.sum(eta * eta, axis=1)
     return x
 
@@ -174,7 +177,7 @@ def sandwich_check(dec: Decomposition, k: int, event, n_paths: int,
 
 
 def _increment_structure(base, d: float, offsets: np.ndarray, direction: int):
-    """(G00, cross, C): variance at d, E[eta_d (eta_j - eta_d)], increment Gram.
+    """Joint covariance of (eta_d, eta_j - eta_d for each offset).
 
     Built from increment variances so that nothing cancels at tiny offsets.
     """
@@ -183,9 +186,8 @@ def _increment_structure(base, d: float, offsets: np.ndarray, direction: int):
     C = 0.5 * (sig2_0[:, None] + sig2_0[None, :]
                - mirror_upper(base.sigma2(pts, pts)))
     np.fill_diagonal(C, sig2_0)
-    G00 = base.kernel(d, d)
-    cross = -0.5 * sig2_0
-    return G00, cross, C
+    cross = -0.5 * sig2_0[:, None]
+    return np.block([[base.kernel(d, d), cross.T], [cross, C]])
 
 
 @dataclass
@@ -200,39 +202,19 @@ class LILRow:
     degenerate: bool = False
 
 
-def _grid_statistics(G00, cross, C, psi, a, k: int, n_paths: int, seed: int):
-    """(stat, stat_abs, X(d)) over the paths of one grid; see lil_harness."""
-    # conditional decomposition: eta_d, then increments given eta_d
-    cond = C - np.outer(cross, cross) / G00
-    dd = np.sqrt(np.diag(cond))
-    factor = np.linalg.cholesky(cond / np.outer(dd, dd))
-    slope = cross / G00
-    width = len(dd) if a is None else len(dd) + 1     # xi after the increments
-    rng = philox(seed)
-    eta_d = sqrt(G00) * rng.standard_normal((n_paths, k))
-    out = np.empty((3, n_paths))
-    for b in _blocks(n_paths):
-        z = rng.standard_normal((b.stop - b.start, k, width))
-        # a call per block, so that its temporaries die with it
-        out[:, b] = _block_statistics(z, eta_d[b], factor, dd, slope, a, psi)
-    return out
+def _grid_statistics(factor, psi, k: int, n_paths: int, seed: int):
+    """(stat, stat_abs, X(d)) over the paths of one grid; see lil_harness.
 
-
-def _block_statistics(z, eta_d, factor, dd, slope, a, psi):
-    """(stat, stat_abs, X(d)) of one block of paths from its normals.
-
-    z holds the block's increment normals, followed in each row by xi when
-    a, the comparison process's vector, is given; eta_d holds the values at d.
+    Each row of factor z is (eta_d, increments) at one copy.
     """
-    m = len(dd)
-    delta = (z[:, :, :m] @ factor.T) * dd + slope * eta_d[:, :, None]
-    if a is not None:
-        xi = z[:, :, m:]
-        eta_d = eta_d + xi[:, :, 0] * a[0]
-        delta = delta + xi * (a[1:] - a[0])
-    dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
-    return (np.max(dX / psi, axis=1), np.max(np.abs(dX) / psi, axis=1),
-            0.5 * np.sum(eta_d * eta_d, axis=1))
+    out = np.empty((3, n_paths))
+    for b, eta in _gaussian_blocks(factor, k, n_paths, seed):
+        eta_d, delta = eta[:, :, 0], eta[:, :, 1:]
+        # X(d + t_j) - X(d) in a form that does not cancel at small delta
+        dX = np.sum(delta * (eta_d[:, :, None] + 0.5 * delta), axis=1)
+        out[:, b] = (np.max(dX / psi, axis=1), np.max(np.abs(dX) / psi, axis=1),
+                     0.5 * np.sum(eta_d * eta_d, axis=1))
+    return out
 
 
 def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
@@ -245,15 +227,15 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     paths whose two-sided maximum stays below (1 + eps) sqrt(2 X(d)).
     When f and g are given the symmetrized comparison process is sampled and
     its determinant ratio is reported alongside; one of them alone is a
-    ValueError.  The conditional correlation of the increments is factored by
-    plain Cholesky, with no shift: one that is not positive definite raises
-    numpy's LinAlgError, a ValueError.
+    ValueError.  The joint covariance of the value at d and the increments
+    is factored by plain Cholesky, with no shift: one that is not positive
+    definite raises numpy's LinAlgError, a ValueError.
 
-    Each grid restarts the stream at seed and draws eta_d, (n_paths, k),
-    whole.  Then each path draws k rows of m increment normals, each row
-    followed by xi when f and g are given, block by block as the paths are
-    reached.  Everything over (paths, k, m) is computed one block of _BLOCK
-    paths at a time.
+    Each grid restarts the stream at seed.  Each path draws k rows of 1 + m
+    normals, one for the value at d and one per increment, each row followed
+    by xi when f and g are given; the rows are the factor [L, c] applied to
+    them, with L the Cholesky factor and c = (a_0, a_1 - a_0, ..., a_m - a_0)
+    the comparison process's vector in increment coordinates.
     """
     _check_counts(k, n_paths)
     if (f is None) != (g is None):
@@ -263,22 +245,22 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
         if not isinstance(spec, GridSpec):
             raise TypeError("grid_specs must contain GridSpec values")
         offsets = spec.offsets()
-        G00, cross, C = _increment_structure(base, spec.d, offsets,
-                                             spec.direction)
-        if np.min(np.diag(C)) <= 0.0:
+        cov = _increment_structure(base, spec.d, offsets, spec.direction)
+        var = np.diag(cov)[1:]
+        if np.min(var) <= 0.0:
             rows.extend(LILRow(spec.n, spec.m, eps, np.nan, np.nan, np.nan,
                                n_paths, degenerate=True) for eps in eps_list)
             continue
 
-        nu, a = 1.0, None
+        nu, factor = 1.0, np.linalg.cholesky(cov)
         if f is not None:
             dec = decompose(assemble_kernel(base, f, g, spec))
-            nu, a = dec.nu, dec.a      # index 0 of a is the point d
+            a = dec.a      # index 0 of a is the point d
+            nu, factor = dec.nu, np.column_stack((factor,
+                                                  np.r_[a[0], a[1:] - a[0]]))
 
-        loglog = np.log(np.log(1.0 / offsets))
-        psi = np.sqrt(2.0 * np.diag(C) * loglog)
-        stat, stat_abs, x_d = _grid_statistics(G00, cross, C, psi, a, k,
-                                               n_paths, seed)
+        psi = np.sqrt(2.0 * var * np.log(np.log(1.0 / offsets)))
+        stat, stat_abs, x_d = _grid_statistics(factor, psi, k, n_paths, seed)
         target = np.sqrt(2.0 * x_d)
         for eps in eps_list:
             rows.append(LILRow(

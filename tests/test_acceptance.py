@@ -4,7 +4,7 @@ Each test prints one pass/fail line (visible with -s or in the CLI battery
 via `permlab verify`).  Criterion 8's lower-bound threshold is expected to
 fail: the demanded exceedance probability of 0.9 at depth n = 40 sits far
 above what the statistic attains on any admissible geometric grid at that
-depth (the battery measures 0.559, 0.614 and 0.666 at n = 20, 30 and 40;
+depth (the battery measures 0.565, 0.630 and 0.664 at n = 20, 30 and 40;
 it crosses 0.9 only near n ~ 160).  The xfail is
 strict, so if the criterion ever starts passing the suite flags it.
 """
@@ -15,7 +15,7 @@ from permlab.verify import CRITERIA
 
 EXPECTED_UNATTAINABLE = {
     8: "lower-bound frequency 0.9 at n=40 exceeds the attainable value "
-       "(0.666 measured) for every admissible grid; see the trend data in "
+       "(0.664 measured) for every admissible grid; see the trend data in "
        "the result",
 }
 

@@ -378,11 +378,37 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
      "--x", "0.1", "--y", "0.2"],
     ["potential", "eval", "--psi", "psi", "--kind", "sigma2", "--x", "0.1",
      "--y", "0.2"],
+    # non-finite points and killing rates, on both routes
+    ["potential", "eval", "--psi", "psi", "--beta", "inf", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--beta", "nan", "--x", "0.1"],
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--x", "nan"],
+    ["potential", "eval", "--psi", "psi", "--kind", "sigma2", "--x", "inf"],
+    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1",
+     "--y", "nan"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--x", "nan"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--x", "0.1", "--y", "inf"],
+    # seeds outside Philox's 64-bit key
+    ["rebirth", "sim", "--model", "model", "--paths", "10", "--seed", "-1"],
+    ["rebirth", "sim", "--model", "model", "--paths", "10",
+     "--seed", "18446744073709551616"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10",
+     "--seed", "-1"],
+    ["lil", "run", "--config", "seed_neg"],
+    # Laplace arguments of the isomorphism check
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
+     "--s", "nan"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
+     "--s", "inf"],
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
+     "--s", "-5"],
 ])
 def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
     _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE,
                                     "k0": {**LIL, "k": 0},
                                     "paths0": {**LIL, "paths": 0},
+                                    "seed_neg": {**LIL, "seed": -3},
                                     "base": EXP_DECAY, "f": CONST, "g": CONST},
                  argv)
 

@@ -204,6 +204,23 @@ def test_scale_inverse_bisection():
         assert float(pot.s(x)) == pytest.approx(target, abs=1e-10)
 
 
+def test_scale_inverse_on_an_array_equals_the_scalar_calls():
+    # each entry keeps its own bracket doubling (targets past s(hi) = s(10))
+    # and its own stopping test; the array has a 2-d shape
+    s = Prod(Exp(Affine(0.3, 0.0)), Pow(Affine(1.0, 0.0), 1.5))
+    pot = ScalePotential(s)
+    targets = np.concatenate((np.linspace(1e-3, 30.0, 197),
+                              [0.0, 700.0, 5e4, 2e6, 123.456, 1e-9]))
+    got = pot.inverse(targets.reshape(7, 29))
+    assert got.shape == (7, 29)
+    want = np.array([pot.inverse(float(t)) for t in targets])
+    assert np.array_equal(got.ravel(), want)
+    assert type(pot.inverse(2.0)) is float
+    assert type(pot.inverse(np.float64(2.0))) is float
+    with pytest.raises(ValueError, match="reachable range"):
+        ScalePotential(Affine(1.0, 0.0)).inverse(np.array([1.0, 1e13]))
+
+
 def test_excessive_for_scale():
     pot = ScalePotential(Affine(1.0, 0.0))
 

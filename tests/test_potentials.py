@@ -235,6 +235,25 @@ def test_quadrature_failure_is_loud():
         pot.sigma2(1e-3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda pot: pot.u(np.nan), lambda pot: pot.u(np.inf),
+    lambda pot: pot.u(np.array([0.1, np.nan])), lambda pot: pot.sigma2(np.nan),
+    lambda pot: pot.sigma2(np.array([0.2, -np.inf])),
+    lambda pot: pot.u_with_error(np.nan), lambda pot: pot.v(0.1, np.nan),
+])
+def test_non_finite_points_are_refused(call):
+    # these gave an uninitialized entry, 0.0 or a KeyError
+    pot = LevyPotential(CharExponent.pure_stable(1.5), beta=1.0)
+    with pytest.raises(ValueError, match="finite x"):
+        call(pot)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_non_finite_killing_rate_is_refused(beta):
+    with pytest.raises(ValueError, match="killing rate"):
+        LevyPotential(CharExponent.pure_stable(1.5), beta=beta)
+
+
 @pytest.mark.parametrize("fields", [
     {"max_half_periods": 0}, {"max_half_periods": -3},
     {"max_half_periods": 2.5}, {"max_half_periods": True},

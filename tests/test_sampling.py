@@ -180,7 +180,10 @@ def test_lil_rejects_a_singular_increment_correlation(monkeypatch):
     # two equal rows: the correlation is not positive definite, and no shift
     # may make it so
     def equal_rows(base, d, offsets, direction):
-        return 1.0, np.zeros(len(offsets)), np.ones((len(offsets), len(offsets)))
+        m = len(offsets)
+        cov = np.ones((m + 1, m + 1))
+        cov[0, 1:] = cov[1:, 0] = 0.0
+        return cov
 
     monkeypatch.setattr(sampling, "_increment_structure", equal_rows)
     specs = [GridSpec(d=0.0, theta=0.3, n=20, q=0.5)]
@@ -261,38 +264,38 @@ def _whole_isymi(dec, k, n_paths, seed):
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
+def _lil_factor(base, f, g, spec):
+    """(factor, nu, psi) of one grid: [L, c] with borders, L without."""
+    offsets = spec.offsets()
+    cov = sampling._increment_structure(base, spec.d, offsets, spec.direction)
+    factor, nu = np.linalg.cholesky(cov), 1.0
+    if f is not None:
+        dec = decompose(assemble_kernel(base, f, g, spec))
+        # xi adds a_0 to the value at d and a_j - a_0 to increment j
+        c = np.concatenate(([dec.a[0]], dec.a[1:] - dec.a[0]))
+        factor, nu = np.column_stack((factor, c)), dec.nu
+    psi = np.sqrt(2.0 * np.diag(cov)[1:] * np.log(np.log(1.0 / offsets)))
+    return factor, nu, psi
+
+
+def _reduce(eta_d, delta, psi):
+    """(stat, stat_abs, X(d)) from the values at d and the increments."""
+    dX = np.sum(delta * (eta_d[:, :, None] + 0.5 * delta), axis=1)
+    return (np.max(dX / psi, axis=1), np.max(np.abs(dX) / psi, axis=1),
+            0.5 * np.sum(eta_d * eta_d, axis=1))
+
+
 def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
                eps_list=(0.1, 0.2, 0.3)):
-    """The harness on whole (paths, k, m) arrays, (paths, k, m + 1) with
-    borders: (rows, per-grid (stat, stat_abs, X(d)))."""
+    """The harness's stream layout on whole arrays: each path's k rows of
+    1 + m normals (then xi, with borders) drawn as one (paths, k, width)
+    array.  Returns (rows, per-grid (stat, stat_abs, X(d)))."""
     rows, stats = [], []
     for spec in grid_specs:
-        offsets = spec.offsets()
-        G00, cross, C = sampling._increment_structure(base, spec.d, offsets,
-                                                      spec.direction)
-        a_extra, nu = 0.0, 1.0
-        if f is not None:
-            dec = decompose(assemble_kernel(base, f, g, spec))
-            nu, a_extra = dec.nu, dec.a
-        cond = C - np.outer(cross, cross) / G00
-        dd = np.sqrt(np.diag(cond))
-        factor = np.linalg.cholesky(cond / np.outer(dd, dd))
-        rng = sampling.philox(seed)
-        m = len(offsets)
-        eta_d = np.sqrt(G00) * rng.standard_normal((n_paths, k))
-        # with borders xi ends each row of increment normals
-        z = rng.standard_normal((n_paths, k, m if f is None else m + 1))
-        delta = (z[:, :, :m] @ factor.T) * dd[None, None, :] \
-            + (cross / G00)[None, None, :] * eta_d[:, :, None]
-        if f is not None:
-            xi = z[:, :, m:]
-            eta_d = eta_d + xi[:, :, 0] * a_extra[0]
-            delta = delta + xi * (a_extra[1:] - a_extra[0])[None, None, :]
-        dX = np.sum(eta_d[:, :, None] * delta + 0.5 * delta * delta, axis=1)
-        x_d = 0.5 * np.sum(eta_d * eta_d, axis=1)
-        psi = np.sqrt(2.0 * np.diag(C) * np.log(np.log(1.0 / offsets)))
-        stat = np.max(dX / psi[None, :], axis=1)
-        stat_abs = np.max(np.abs(dX) / psi[None, :], axis=1)
+        factor, nu, psi = _lil_factor(base, f, g, spec)
+        z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
+        eta = z @ factor.T
+        stat, stat_abs, x_d = _reduce(eta[:, :, 0], eta[:, :, 1:], psi)
         stats.append(np.array([stat, stat_abs, x_d]))
         target = np.sqrt(2.0 * x_d)
         rows.extend(sampling.LILRow(
@@ -301,6 +304,31 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
             freq_upper=float(np.mean(stat_abs <= (1.0 + eps) * target)),
             nu=nu, paths=n_paths) for eps in eps_list)
     return rows, stats
+
+
+def _conditional_lil(base, f, g, spec, k, n_paths, seed):
+    """The former route, kept as the law oracle: eta_d drawn whole first,
+    then the increments given eta_d from the Cholesky factor of their
+    conditional correlation and the slope on eta_d, then xi added last.
+    Returns (stat, stat_abs, X(d))."""
+    offsets = spec.offsets()
+    cov = sampling._increment_structure(base, spec.d, offsets, spec.direction)
+    G00, cross, C = cov[0, 0], cov[1:, 0], cov[1:, 1:]
+    cond = C - np.outer(cross, cross) / G00
+    dd = np.sqrt(np.diag(cond))
+    factor = np.linalg.cholesky(cond / np.outer(dd, dd))
+    rng = sampling.philox(seed)
+    m = len(offsets)
+    eta_d = np.sqrt(G00) * rng.standard_normal((n_paths, k))
+    z = rng.standard_normal((n_paths, k, m if f is None else m + 1))
+    delta = (z[:, :, :m] @ factor.T) * dd + (cross / G00) * eta_d[:, :, None]
+    if f is not None:
+        a = decompose(assemble_kernel(base, f, g, spec)).a
+        xi = z[:, :, m:]
+        eta_d = eta_d + xi[:, :, 0] * a[0]
+        delta = delta + xi * (a[1:] - a[0])
+    psi = np.sqrt(2.0 * np.diag(C) * np.log(np.log(1.0 / offsets)))
+    return _reduce(eta_d, delta, psi)
 
 
 B = sampling._BLOCK
@@ -314,6 +342,19 @@ G_OU = lambda x: 0.8 + 0.1 * x
 @pytest.mark.parametrize("bordered", [False, True])
 def test_blocked_lil_equals_the_whole_array_route(monkeypatch, bordered, k,
                                                   n_paths):
+    f, g = (F_OU, G_OU) if bordered else (None, None)
+    specs = [GridSpec(d=1.0, theta=0.5, n=n, q=0.7) for n in (12, 16)]
+    rows, seen = _spied_lil_statistics(monkeypatch, OU, f, g, specs, k,
+                                       n_paths, 17)
+    want_rows, want_stats = _whole_lil(OU, f, g, specs, k, n_paths, seed=17)
+    assert rows == want_rows
+    assert len(seen) == len(want_stats) == 2
+    for got, want in zip(seen, want_stats):
+        assert np.array_equal(got, want)
+
+
+def _spied_lil_statistics(monkeypatch, *args):
+    """lil_harness(*args) and the (stat, stat_abs, X(d)) of each grid."""
     seen = []
     blocked = sampling._grid_statistics
 
@@ -322,14 +363,26 @@ def test_blocked_lil_equals_the_whole_array_route(monkeypatch, bordered, k,
         return seen[-1]
 
     monkeypatch.setattr(sampling, "_grid_statistics", spy)
+    return lil_harness(*args), seen
+
+
+# two-sample KS at 40,000 paths a side: 1.95 sqrt(2 / n) is the 0.1% point
+LAW_PATHS = 40_000
+LAW_KS_BOUND = 1.95 * np.sqrt(2.0 / LAW_PATHS)       # 0.0138
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_lil_statistics_follow_the_conditional_route_in_law(monkeypatch,
+                                                            bordered):
+    # the joint factor and the former conditional decomposition sample the
+    # same Gaussian law of (eta_d, increments, xi); compare the statistics
     f, g = (F_OU, G_OU) if bordered else (None, None)
-    specs = [GridSpec(d=1.0, theta=0.5, n=n, q=0.7) for n in (12, 16)]
-    rows = lil_harness(OU, f, g, specs, k, n_paths, seed=17)
-    want_rows, want_stats = _whole_lil(OU, f, g, specs, k, n_paths, seed=17)
-    assert rows == want_rows
-    assert len(seen) == len(want_stats) == 2
-    for got, want in zip(seen, want_stats):
-        assert np.array_equal(got, want)
+    spec = GridSpec(d=1.0, theta=0.5, n=16, q=0.7)
+    _, seen = _spied_lil_statistics(monkeypatch, OU, f, g, [spec], 2,
+                                    LAW_PATHS, 41)
+    want = _conditional_lil(OU, f, g, spec, 2, LAW_PATHS, seed=42)
+    for got, ref in zip(seen[0], want):
+        assert ks_2samp(got, ref).statistic <= LAW_KS_BOUND
 
 
 @pytest.mark.parametrize("n_paths", BLOCK_EDGES)

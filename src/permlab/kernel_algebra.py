@@ -19,19 +19,19 @@ and the comparison kernel has the closed form
 
     K_isymi = A_sym^-1 = [[1/nu, (G h)^T / nu], [G h / nu, G + a a^T]],
 
-a = G h / sqrt(nu), the covariance of eta + a xi.  So G and K take one
-extended-precision LU each: G's gives r, v and log det G, and K's checks
-det K.  G^-1 is LAPACK's float64 inverse refined by two Newton steps, and
-K_isymi is checked by the size of one Newton correction; both residuals are
-computed with exact products on float64 BLAS (_linalg).  Conditioning is
-estimated and reported, and singular Gram matrices are rejected rather than
-regularized, since jitter would silently move nu.
+a = G h / sqrt(nu), the covariance of eta + a xi.  Only G is inverted, all
+in float64 (_linalg): r, v, h, G h, rho, nu, A and A_sym are pairs hi + lo
+of doubles or exact sums, and each entry of K_isymi is rounded once.  The
+checks of K_isymi (one Newton correction) and of det K = det G (det(K A))
+use exact residuals.  Conditioning is estimated and reported, and singular
+Gram matrices are rejected rather than regularized, since jitter would
+silently move nu.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import e as _e, exp, floor, isfinite
+from math import e as _e, exp, floor, fsum, isfinite
 
 import numpy as np
 
@@ -114,10 +114,8 @@ class AugmentedKernel:
     G: np.ndarray
     fvec: np.ndarray
     gvec: np.ndarray
-    K: np.ndarray
-    K_ld: np.ndarray        # extended-precision assembly used by the algebra
-    G_lu: tuple             # la.lu_factor(G), the longdouble LU of G
-    G_inv: np.ndarray       # la.inv(G), the lower block of A
+    K: np.ndarray           # the bordered G + g f^T, each entry rounded once
+    G_inv: tuple            # la.inv(G), the pair (hi, lo) of A's lower block
     cond: float
 
 
@@ -141,23 +139,42 @@ def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedK
         raise ValueError("excessive functions must be nonnegative on the grid")
     if (fvec[0] <= 0.0 or gvec[0] <= 0.0) and (np.any(fvec) or np.any(gvec)):
         raise ValueError("f and g must be positive at the distinguished point")
-    G_ld = np.asarray(G, dtype=la.LD)
-    G_lu = la.lu_factor(G_ld)
     G_inv = la.inv(G)
-    cond = la.cond1(G_ld, G_inv)
+    cond = la.cond1(G, G_inv[0])
     if cond > cond_limit:
         raise ValueError(f"Gram matrix numerically singular (cond ~ {cond:.3g})")
-    K_ld = _bordered(1.0, fvec, gvec, G_ld + np.outer(np.asarray(gvec, la.LD),
-                                                       np.asarray(fvec, la.LD)))
-    K = np.asarray(K_ld, dtype=float)
-    return AugmentedKernel(pts, G, fvec, gvec, K, K_ld, G_lu, G_inv, cond)
+    K = _kernel_pair(G, fvec, gvec)[0]
+    return AugmentedKernel(pts, G, fvec, gvec, K, G_inv, cond)
 
 
 def _bordered(corner, row, col, inner) -> np.ndarray:
-    """The extended-precision matrix [[corner, row], [col, inner]]."""
-    out = np.empty((len(row) + 1, len(row) + 1), dtype=la.LD)
+    """The matrix [[corner, row], [col, inner]]."""
+    out = np.empty((len(row) + 1, len(row) + 1))
     out[0, 0], out[0, 1:], out[1:, 0], out[1:, 1:] = corner, row, col, inner
     return out
+
+
+def _kernel_pair(G, fvec, gvec) -> tuple:
+    """K as a pair (hi, lo) within 2^-106 of it, by TwoProduct and TwoSum."""
+    p, e = la.two_product(gvec[:, None], fvec[None, :])
+    hi, lo = la.pair_add(G, e, p)
+    zero = np.zeros_like(fvec)
+    return _bordered(1.0, fvec, gvec, hi), _bordered(0.0, zero, zero, lo)
+
+
+def _closed_form_inverse(G_inv: tuple, rho: tuple, row: tuple, col: tuple) -> tuple:
+    """[[1 + rho, -row], [-col, G^-1]] as a pair (hi, lo) from pairs: A for
+    (v, r), A_sym for (h, h).  fsum rounds the corner's low part once."""
+    corner = 1.0 + rho[0]
+    return (_bordered(corner, -row[0], -col[0], G_inv[0]),
+            _bordered(fsum((1.0, *rho, -corner)), -row[1], -col[1], G_inv[1]))
+
+
+def _det_ratio_error(K: tuple, A: tuple) -> float:
+    """|det(K A) - 1| = |det K / det G - 1| from the exact R = I - K A."""
+    R = la.residual(K, A)
+    sign, logdet = la.slogdet(np.eye(len(R)) - R)
+    return abs(float(np.expm1(logdet))) if sign > 0 else np.inf
 
 
 @dataclass
@@ -208,56 +225,58 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     Products r_j v_j below zero enter h as 0, and rv_clipped reports the
     largest of them, scaled like that check.
     """
-    G = np.asarray(ak.G, dtype=la.LD)
-    r = la.lu_solve(ak.G_lu, np.asarray(ak.gvec, dtype=la.LD))
-    v = la.lu_solve(ak.G_lu, np.asarray(ak.fvec, dtype=la.LD))
-    rho_ld = v @ np.asarray(ak.gvec, dtype=la.LD)
-    rho = float(rho_ld)
-    tol_r = _NEGATIVITY_TOL * max(1.0, float(np.max(np.abs(r))))
-    tol_v = _NEGATIVITY_TOL * max(1.0, float(np.max(np.abs(v))))
-    if float(np.min(r)) < -tol_r or float(np.min(v)) < -tol_v:
+    G, X, f = ak.G, ak.G_inv, ak.fvec
+    gf = np.column_stack((ak.gvec, f))
+    # [r v] = G^-1 [g f], refined once with the exact residual [g f] - G [r v]
+    # into pairs: r + r_lo, like each hi + lo below, keeps what rounding drops
+    sol = X[0] @ gf + X[1] @ gf
+    sol = la.pair_add(sol, 0.0 * sol, X[0] @ la.residual((G, None), (sol, None), gf))
+    (r, v), (r_lo, v_lo) = (x.T.copy() for x in sol)
+    if any(np.min(x) < -_NEGATIVITY_TOL * max(1.0, np.max(np.abs(x))) for x in (r, v)):
         raise ValueError("negative border coefficients: input is not excessive "
                          "for this kernel on this grid")
-    rho_identity_error = abs(rho - float(v @ (G @ r))) / max(1.0, abs(rho))
+    rho = la.dot(np.r_[f, f], np.r_[r, r_lo])
 
     rv = r * v
-    rv_clipped = (max(0.0, -float(np.min(rv)))
-                  / max(1.0, float(np.max(np.abs(rv)))))
+    rv_clipped = max(0.0, -float(np.min(rv))) / max(1.0, float(np.max(np.abs(rv))))
     h = np.sqrt(np.clip(rv, 0.0, None))
-    Gh = G @ h
-    nu_ld = 1.0 + rho - h @ Gh
-    nu = float(nu_ld)
-    a = np.asarray(Gh, dtype=la.LD) / np.sqrt(la.LD(max(nu, 1e-300)))
+    # sqrt(r v) = h + (r v - h^2) / 2h to first order, with exact products
+    (p, e), (q, d) = la.two_product(r, v), la.two_product(h, h)
+    h_lo = np.divide((p - q) + (e - d) + r * v_lo + r_lo * v, 2.0 * h,
+                     out=np.zeros_like(h), where=h > 0.0)
+    h, h_lo = la.pair_add(h, 0.0 * h, h_lo)
+    # G [r h] as a pair, from two exact residuals
+    x = (np.column_stack((r, h)), np.column_stack((r_lo, h_lo)))
+    Gx = -la.residual((G, None), x, np.zeros((len(h), 2)))
+    (Gr, Gh), (Gr_lo, Gh_lo) = Gx.T, -la.residual((G, None), x, Gx).T
+    vGr = la.dot(np.r_[v, v, v_lo], np.r_[Gr, Gr_lo, Gr])[0]
+    rho_identity_error = abs(rho[0] - vGr) / max(1.0, abs(rho[0]))
+    nu = la.dot(np.r_[1.0, f, f, h, h, h_lo],
+                np.r_[1.0, r, r_lo, -Gh, -Gh_lo, -Gh])
 
-    A = _bordered(1.0 + rho_ld, -v, -r, ak.G_inv)
+    A = _closed_form_inverse(X, rho, (v, v_lo), (r, r_lo))
     # G^-1 is symmetric, so only the border pairs (-v_j, -r_j) need their
     # geometric mean -h_j; the Schur complement of G^-1 in A_sym is nu
-    A_sym = _bordered(1.0 + rho_ld, -h, -h, ak.G_inv)
-    K_isymi = _bordered(1.0 / nu_ld, Gh / nu_ld, Gh / nu_ld,
-                        G + np.outer(Gh, Gh) / nu_ld)
+    A_sym = _closed_form_inverse(X, rho, (h, h_lo), (h, h_lo))
+    # K_isymi = [[1/nu, b^T], [b, G + G h b^T]], b = G h / nu, each entry
+    # rounded once from its pairs
+    b = la.pair_div((Gh, Gh_lo), nu)
+    p, e = la.two_product(Gh[:, None], b[0][None, :])
+    e += np.outer(Gh, b[1]) + np.outer(Gh_lo, b[0])
+    K_isymi = _bordered(sum(la.pair_div((1.0, 0.0), nu)), b[0] + b[1],
+                        b[0] + b[1], la.pair_add(G, e, p)[0])
     # one Newton correction K_isymi (I - A_sym K_isymi), measured, not applied
-    correction = la.correction(A_sym, K_isymi)
-    block_err = (float(np.max(np.abs(correction)))
-                 / max(1.0, float(np.max(np.abs(K_isymi)))))
-
-    sign_k, log_k = la.slogdet(ak.K_ld)
-    sign_g, log_g = la.slogdet(G, ak.G_lu)
-    if sign_k <= 0 or sign_g <= 0:
-        det_err = np.inf
-    else:
-        det_err = abs(np.expm1(log_k - log_g))
+    correction = np.abs(K_isymi @ la.residual(A_sym, (K_isymi, None)))
+    block_err = float(np.max(correction)) / max(1.0, float(np.max(np.abs(K_isymi))))
+    det_err = _det_ratio_error(_kernel_pair(G, f, ak.gvec), A)
+    rho, nu = rho[0], nu[0]
+    a = (Gh + Gh_lo) / np.sqrt(max(nu, 1e-300))
 
     return Decomposition(
-        kernel=ak,
-        r=np.asarray(r, float), v=np.asarray(v, float), rho=rho,
-        h=np.asarray(h, float), nu=nu, a=np.asarray(a, float),
-        A=np.asarray(A, float), A_sym=np.asarray(A_sym, float),
-        K_isymi=np.asarray(K_isymi, float),
-        det_ratio_error=float(det_err),
-        rho_identity_error=float(rho_identity_error),
-        block_identity_error=block_err,
-        rv_clipped=rv_clipped,
-    )
+        kernel=ak, r=r, v=v, rho=rho, h=h, nu=nu, a=a, A=A[0], A_sym=A_sym[0],
+        K_isymi=K_isymi, det_ratio_error=det_err,
+        rho_identity_error=rho_identity_error, block_identity_error=block_err,
+        rv_clipped=rv_clipped)
 
 
 def min_kernel_inverse(t) -> np.ndarray:

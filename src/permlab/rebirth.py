@@ -92,7 +92,7 @@ class FiniteChain:
         """Expected discounted occupation times (rate*I - Q)^-1."""
         n = self.n_states
         mat = rate * np.eye(n) - self.Q
-        return np.asarray(la.inv(mat), dtype=float)
+        return la.inv(mat)[0]
 
     def potential(self, rate: float = 0.0) -> np.ndarray:
         """Potential density matrix u(x, y) = occupation / m(y); symmetric."""
@@ -158,7 +158,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
     # det ext = det u, so the inverse exists for every mass
-    a = np.asarray(la.inv(ext), dtype=float)
+    a = la.inv(ext)[0]
     inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 
@@ -427,6 +427,8 @@ def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths for the standard errors, "
                          f"got {n_paths}")
+    if not 0 <= seed <= 2 ** 64 - 3:    # the chi-squares key seed + 1, seed + 2
+        raise ValueError(f"seed must lie in 0..2**64 - 3, got {seed}")
     v = chain.potential()
     L = _simulate_conditioned(chain, y, n_paths, seed)
     x_left = sample_chi_square(v, 1, n_paths, seed + 1)

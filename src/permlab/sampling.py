@@ -116,8 +116,8 @@ def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
         raise ValueError(f"need at least 2 paths for the standard error, "
                          f"got {n_paths}")
     s = np.asarray(s_vec, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("Laplace arguments must be nonnegative")
+    if not np.all(np.isfinite(s) & (s >= 0.0)):
+        raise ValueError("Laplace arguments must be finite and nonnegative")
     x = sample_chi_square(cov, k, n_paths, seed)
     vals = np.exp(-x @ s)
     emp = float(np.mean(vals))
@@ -179,15 +179,17 @@ def sandwich_check(dec: Decomposition, k: int, event, n_paths: int,
 def _increment_structure(base, d: float, offsets: np.ndarray, direction: int):
     """Joint covariance of (eta_d, eta_j - eta_d for each offset).
 
-    Built from increment variances so that nothing cancels at tiny offsets.
+    Built from increment variances so that nothing cancels at tiny offsets;
+    Cov(eta_d, eta_j - eta_d) = (u(p_j, p_j) - u(d, d) - sigma2(d, p_j)) / 2.
     """
     pts = d + direction * offsets
+    u_dd = base.kernel(d, d)
     sig2_0 = base.sigma2([d], pts)[0]
     C = 0.5 * (sig2_0[:, None] + sig2_0[None, :]
                - mirror_upper(base.sigma2(pts, pts)))
     np.fill_diagonal(C, sig2_0)
-    cross = -0.5 * sig2_0[:, None]
-    return np.block([[base.kernel(d, d), cross.T], [cross, C]])
+    cross = 0.5 * ((base.kernel(pts, pts) - u_dd) - sig2_0)[:, None]
+    return np.block([[u_dd, cross.T], [cross, C]])
 
 
 @dataclass

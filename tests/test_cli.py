@@ -395,6 +395,9 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
      "--seed", "18446744073709551616"],
     ["rebirth", "check-ek", "--model", "model", "--paths", "10",
      "--seed", "-1"],
+    # its chi-square draws take seed + 1 and seed + 2
+    ["rebirth", "check-ek", "--model", "model", "--paths", "10",
+     "--seed", "18446744073709551615"],
     ["lil", "run", "--config", "seed_neg"],
     # Laplace arguments of the isomorphism check
     ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",

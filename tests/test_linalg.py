@@ -1,13 +1,14 @@
-"""The refined inverse and its exact residual, against exact arithmetic and
-the longdouble route they replaced.
+"""The refined inverse, its exact residual and the error-free
+transformations, against exact arithmetic and the longdouble route they
+replaced.
 
-_linalg._residual computes I - A X from slice products that cannot round.
+_linalg.residual computes c - A X from slice products that cannot round.
 Fraction arithmetic checks it within the bound that the module docstring
 states, and because no product rounds, the result cannot depend on how the
 columns of X are blocked (nor on BLAS's thread count; CI runs this file
 again on two threads).  The former inv, a longdouble LU with longdouble
-Newton steps, is kept below as the oracle of the new one, and a 40-digit
-mpmath inverse decides which of the two is closer on a deep grid.
+Newton steps, is the oracle of the new one (longdouble_oracle), and a
+40-digit mpmath inverse decides which of the two is closer on a deep grid.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from math import ceil, log2
 import numpy as np
 import pytest
 
+import longdouble_oracle as ld
 from permlab import (ExpDecayBase, GridSpec, ScaleMinBase, ScalePotential,
                      partial_rebirth_potential)
 from permlab import _linalg as la
@@ -23,24 +25,10 @@ from permlab.bases import mirror_upper
 from permlab.expressions import Affine, Const, Pow, Prod, Sum
 
 
-def _longdouble_inv(a):
-    """inv as it was: longdouble LU, lu_solve of the identity, and two
-    longdouble Newton steps."""
-    a = np.asarray(a, dtype=la.LD)
-    n = a.shape[0]
-    x = la.lu_solve(la.lu_factor(a), np.eye(n, dtype=la.LD))
-    for _ in range(2):
-        residual = np.eye(n, dtype=la.LD) - a @ x
-        if np.max(np.abs(residual)) < 1e-30:
-            break
-        x = x + x @ residual
-    return x
-
-
 # -- the exact residual -----------------------------------------------------
 
-def _exact_residual(a, x):
-    """I - (a_hi + a_lo)(x_hi + x_lo) in Fractions."""
+def _exact_residual(a, x, c=None):
+    """c - (a_hi + a_lo)(x_hi + x_lo) in Fractions, c = I by default."""
     def whole(pair):
         hi, lo = pair
         lo = np.zeros_like(hi) if lo is None else lo
@@ -48,7 +36,9 @@ def _exact_residual(a, x):
                 for rows in zip(hi, lo)]
     A, X = whole(a), whole(x)
     cols = list(zip(*X))
-    return [[int(i == j) - sum(p * q for p, q in zip(row, col))
+    target = (lambda i, j: int(i == j)) if c is None else (
+        lambda i, j: Fraction(c[i, j]))
+    return [[target(i, j) - sum(p * q for p, q in zip(row, col))
              for j, col in enumerate(cols)] for i, row in enumerate(A)]
 
 
@@ -74,31 +64,38 @@ def _spread(rng, shape, with_lo):
 
 
 def _near_inverse(n, longdouble):
-    """A min-kernel Gram matrix and a refined inverse, so that I - A X
-    cancels to about 1e-19."""
+    """A min-kernel Gram matrix and its refined inverse, so that I - A X
+    cancels to about 1e-19; with longdouble, A / 3 in longdouble, whose
+    pair has a low part."""
     pts = np.linspace(0.1, 2.0, n) ** 2
     a = np.minimum.outer(pts, pts)
     if longdouble:
-        a = np.asarray(a, dtype=la.LD) / 3
-    x = la.inv(a)
-    x_hi = np.asarray(x, dtype=float)
-    return la._pair(a), (x_hi, np.asarray(x - x_hi, dtype=float))
+        a = ld.split(np.asarray(a, dtype=ld.LD) / 3)
+        return a, la.inv(a[0])
+    return (a, None), la.inv(a)
 
 
 CASES = ([(f"spread-{n}-{'lo' if lo else 'hi'}", n, lo)
           for n in (1, 2, 7, 64, 401) for lo in (False, True)]
-         + [("inverse-12", 12, False), ("inverse-ld-30", 30, True)])
+         + [("inverse-12", 12, False), ("inverse-ld-30", 30, True),
+            ("target-64", 64, True)])
 
 
 @pytest.mark.parametrize("name, n, flag", CASES, ids=[c[0] for c in CASES])
 def test_residual_is_within_its_bound_of_fraction_arithmetic(name, n, flag):
+    c = None
     if name.startswith("spread"):
         rng = np.random.default_rng(n + 1000 * flag)
         a, x = _spread(rng, (3, n), flag), _spread(rng, (n, 4), flag)
+    elif name.startswith("target"):
+        # a target c that nearly cancels a x, as in a refinement step
+        rng = np.random.default_rng(n)
+        a, x = _spread(rng, (3, n), flag), _spread(rng, (n, 4), flag)
+        c = a[0] @ x[0]
     else:
         a, x = _near_inverse(n, flag)
-    got = la._residual(a, x)
-    exact = _exact_residual(a, x)
+    got = la.residual(a, x, c)
+    exact = _exact_residual(a, x, c)
     bound = _bound(a, x, exact)
     for i, row in enumerate(exact):
         for j, r in enumerate(row):
@@ -124,10 +121,10 @@ def test_residual_does_not_depend_on_the_block_size(name, monkeypatch):
         a, x = _negative(401)
     n = len(a[0])
     monkeypatch.setattr(la, "_BLOCK", n)
-    full = la._residual(a, x)
+    full = la.residual(a, x)
     for block in (1, 7, 64):
         monkeypatch.setattr(la, "_BLOCK", block)
-        assert np.array_equal(la._residual(a, x), full), block
+        assert np.array_equal(la.residual(a, x), full), block
 
 
 # -- the refined inverse -----------------------------------------------------
@@ -168,20 +165,18 @@ MATRICES = {"rebirth-400": _rebirth_400, "grid-200": _grid_200,
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_inv_agrees_with_the_longdouble_oracle(name):
     a = MATRICES[name]()
-    new, old = la.inv(a), _longdouble_inv(a)
-    assert new.dtype == la.LD
+    new, old = la.inv(a), ld.inv(a)
+    assert all(part.dtype == np.float64 for part in new)
     cond = la.cond1(a, old)
     scale = float(np.max(np.abs(old)))
-    assert float(np.max(np.abs(new - old))) <= cond * 2.0 ** -62 * scale
+    assert float(np.max(np.abs(ld.join(new) - old))) <= cond * 2.0 ** -62 * scale
 
 
-def test_inv_of_a_longdouble_matrix_uses_its_low_part():
-    a = np.asarray(_deep_grid(), dtype=la.LD) * (1 + la.LD(2) ** -60)
-    new, old = la.inv(a), _longdouble_inv(a)
-    assert la._pair(a)[1].any()
-    cond = la.cond1(a, old)
-    scale = float(np.max(np.abs(old)))
-    assert float(np.max(np.abs(new - old))) <= cond * 2.0 ** -62 * scale
+def test_inv_returns_a_normalized_pair():
+    hi, lo = la.inv(_deep_grid())
+    assert lo.any()
+    assert np.all(np.abs(lo) <= 0.5 * np.spacing(np.abs(hi)))
+    assert np.array_equal(hi + lo, hi)
 
 
 def test_inv_is_no_further_from_a_40_digit_inverse_than_the_oracle():
@@ -191,12 +186,72 @@ def test_inv_is_no_further_from_a_40_digit_inverse_than_the_oracle():
     with mp.workdps(40):
         ref = mp.inverse(mp.matrix(a.tolist()))
 
-        def error(x):
-            # a longdouble entry is hi + lo in doubles, exactly
-            hi = np.asarray(x, dtype=float)
-            lo = np.asarray(x - hi, dtype=float)
+        def error(pair):
+            hi, lo = pair
             return max(abs(mp.mpf(hi[i, j]) + mp.mpf(lo[i, j]) - ref[i, j])
                        for i in range(n) for j in range(n))
 
-        new, old = error(la.inv(a)), error(_longdouble_inv(a))
+        new, old = error(la.inv(a)), error(ld.split(ld.inv(a)))
     assert new <= old
+
+
+def test_lu_factor_refuses_a_singular_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        la.lu_factor(np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_slogdet_agrees_with_numpy(name):
+    a = MATRICES[name]()
+    # a row swap makes the sign negative where the matrix has one
+    for mat in (a, a[::-1]):
+        sign, logdet = la.slogdet(mat)
+        want_sign, want = np.linalg.slogdet(mat)
+        assert sign == want_sign
+        assert logdet == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+
+# -- error-free transformations ----------------------------------------------
+
+def test_two_product_and_pair_add_are_exact():
+    rng = np.random.default_rng(5)
+    a, _ = _spread(rng, (40, 40), False)
+    b, _ = _spread(rng, (40, 40), False)
+    c, _ = _spread(rng, (40, 40), False)
+    p, e = la.two_product(a, b)
+    for x, y, hi, lo in zip(a.ravel(), b.ravel(), p.ravel(), e.ravel()):
+        assert Fraction(hi) + Fraction(lo) == Fraction(x) * Fraction(y)
+    # (c, 0) + a: TwoSum is exact, and the pair comes out normalized
+    hi, lo = la.pair_add(c, np.zeros_like(c), a.copy())
+    for x, y, s, t in zip(c.ravel(), a.ravel(), hi.ravel(), lo.ravel()):
+        assert Fraction(s) + Fraction(t) == Fraction(x) + Fraction(y)
+    assert np.array_equal(hi + lo, hi)
+
+
+def test_dot_rounds_the_exact_dot_product_once():
+    rng = np.random.default_rng(6)
+    for n in (1, 5, 200):
+        x, _ = _spread(rng, n, False)
+        y, _ = _spread(rng, n, False)
+        # a last term that cancels most of the sum
+        y[-1] = -float(np.dot(x[:-1], y[:-1])) / x[-1]
+        exact = sum(Fraction(p) * Fraction(q) for p, q in zip(x, y))
+        hi, lo = la.dot(x, y)
+        # each part correctly rounded: no double lies strictly between it
+        # and what it stands for
+        assert abs(Fraction(hi) - exact) <= Fraction(np.spacing(abs(hi))) / 2
+        rest = exact - Fraction(hi)
+        assert abs(Fraction(lo) - rest) <= Fraction(np.spacing(abs(lo))) / 2
+
+
+def test_pair_div_is_exact_to_first_order():
+    rng = np.random.default_rng(7)
+    a_hi, _ = _spread(rng, 200, False)
+    d_hi = rng.uniform(0.5, 2.0, 200) * np.exp2(rng.integers(-30, 31, 200))
+    a_lo, d_lo = (x * rng.uniform(-1.0, 1.0, 200) * 2.0 ** -53
+                  for x in (a_hi, d_hi))
+    hi, lo = la.pair_div((a_hi, a_lo), (d_hi, d_lo))
+    for terms in zip(a_hi, a_lo, d_hi, d_lo, hi, lo):
+        a1, a2, d1, d2, q1, q2 = map(Fraction, terms)
+        exact = (a1 + a2) / (d1 + d2)
+        assert abs(q1 + q2 - exact) <= abs(exact) * Fraction(2) ** -100

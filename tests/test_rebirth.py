@@ -548,6 +548,25 @@ def test_ek_check_needs_two_paths_for_its_standard_errors(paths):
         ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), paths, 1)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64 - 2, 2 ** 64 - 1, -1])
+def test_ek_check_refuses_a_seed_before_it_simulates(seed, monkeypatch):
+    # the chi-square draws take seed + 1 and seed + 2
+    from permlab import rebirth
+
+    def simulate(*args):
+        raise AssertionError("simulated before the seed was checked")
+
+    monkeypatch.setattr(rebirth, "_simulate_conditioned", simulate)
+    with pytest.raises(ValueError, match="seed"):
+        ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), 10, seed)
+
+
+def test_ek_check_accepts_the_largest_seed_it_can_key():
+    rep = ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), 10,
+                            2 ** 64 - 3)
+    assert np.isfinite(rep.z)
+
+
 def test_untimed_engine_gives_the_timed_local_times():
     # the conditioned chain skips the elapsed-time bookkeeping; that takes no
     # draw, so the local times and the rounds stay those of the timed route

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from permlab import (ConstantExcessive, GridSpec, assemble_kernel,
-                     brownian_min_kernel, brownian_unit_base, decompose,
-                     laplace_check, lil_harness, make_flat_pair,
-                     sample_chi_square, sample_isymi_representation,
-                     sampling, sandwich_check, trend_is_nondecreasing)
+from permlab import (ConstantExcessive, GridSpec, ScaleMinBase,
+                     ScalePotential, assemble_kernel, brownian_min_kernel,
+                     brownian_unit_base, decompose, laplace_check,
+                     lil_harness, make_flat_pair, sample_chi_square,
+                     sample_isymi_representation, sampling, sandwich_check,
+                     trend_is_nondecreasing)
+from permlab.expressions import Affine, Const, Pow, Prod, Sum
 
 OU = brownian_unit_base()
 
@@ -89,6 +91,13 @@ def test_laplace_transform_matrix_case():
 def test_laplace_rejects_negative_argument():
     with pytest.raises(ValueError):
         laplace_check(np.array([[1.0]]), 1, [-0.1], 100, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_laplace_rejects_a_non_finite_argument(bad):
+    # s < 0 is false for NaN, so a sign check alone would return a NaN z
+    with pytest.raises(ValueError, match="finite"):
+        laplace_check(np.eye(2), 1, [0.5, bad], 100, 0)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
@@ -174,6 +183,32 @@ def test_lil_flags_degenerate_kernel():
     rows = lil_harness(AllOnes(), None, None, specs, k=1, n_paths=100, seed=1)
     assert all(r.degenerate for r in rows)
     assert all(np.isnan(r.freq_lower) for r in rows)
+
+
+def _scale_base():
+    """u = 2 (s(x) ^ s(y)) with the scale s(x) = 1.2 x + x^2 / 2."""
+    s = Sum(Affine(1.2, 0.0), Prod(Const(0.5), Pow(Affine(1.0, 0.0), 2.0)))
+    return ScaleMinBase(ScalePotential(s))
+
+
+@pytest.mark.parametrize("name, direction", [
+    ("min", 1), ("min", -1), ("scale", 1), ("scale", -1), ("ou", -1)])
+def test_increment_structure_equals_the_transformed_kernel(name, direction):
+    # (eta_d, eta_j - eta_d) = T (eta_d, eta_j) with T = [[1, 0], [-1, I]],
+    # so the joint covariance is T K T^T for K the kernel on the points
+    base = {"min": brownian_min_kernel, "scale": _scale_base,
+            "ou": brownian_unit_base}[name]()
+    d, offsets = 1.0, np.geomspace(0.004, 0.06, 6)
+    pts = np.concatenate(([d], d + direction * offsets))
+    K = base.gram(pts, pts)
+    T = np.eye(len(pts))
+    T[1:, 0] = -1.0
+    got = sampling._increment_structure(base, d, offsets, direction)
+    assert np.allclose(got, T @ K @ T.T, rtol=0.0, atol=1e-13 * np.max(K))
+    if name == "min" and direction == -1:
+        # u(d - t, d) - u(d, d) = -2 t, twice the -sigma2 / 2 = -t of a
+        # stationary kernel
+        assert np.allclose(got[1:, 0], -2.0 * offsets, rtol=1e-14, atol=0.0)
 
 
 def test_lil_rejects_a_singular_increment_correlation(monkeypatch):

@@ -1,10 +1,11 @@
 """Dense linear algebra for the kernel checks, in float64 on every platform:
-LAPACK's LU, an inverse refined with exact matrix products, and the
-error-free transformations that keep what rounding drops.
+LAPACK's inverse and determinant through numpy.linalg, an inverse refined
+with exact matrix products, and the error-free transformations that keep
+what rounding drops.
 
 The grid Gram matrices get badly conditioned as geometric grids refine, and
 the sign checks downstream run at 1e-10 tolerances, so inv does not stop at
-LAPACK's inverse lu_solve(lu_factor(a), I): it takes two Newton steps
+LAPACK's inverse np.linalg.inv(a): it takes two Newton steps
 X <- X + X (I - A X), keeping X as a pair hi + lo of doubles.
 
 residual computes c - A X (c = I by default) with products that cannot
@@ -35,28 +36,45 @@ from __future__ import annotations
 from math import ceil, fsum, log2
 
 import numpy as np
-from scipy.linalg import lapack, lu_solve
 
 _BLOCK = 64              # columns of X per pass of residual
 _SPLIT = 2.0 ** 27 + 1   # Veltkamp's constant: halves of 26 bits
+_SINGULAR = "singular matrix in LU factorization"
 
 __all__ = ["lu_factor", "lu_solve", "inv", "residual", "slogdet", "cond1",
            "two_product", "pair_add", "pair_div", "dot"]
 
 
 def lu_factor(a: np.ndarray):
-    """LAPACK's partial-pivot LU of a float64 matrix, as (lu, piv)."""
+    """LAPACK's partial-pivot LU of a float64 matrix, as (lu, piv), from
+    scipy, imported on the call.  No permlab route calls it or lu_solve:
+    they are the route inv and slogdet replaced, the tests' oracle for
+    both, and perfbench/tracer.py patches both names."""
+    from scipy.linalg import lapack
     lu, piv, info = lapack.dgetrf(np.asarray_chkfinite(a, dtype=float))
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix in LU factorization")
+        raise np.linalg.LinAlgError(_SINGULAR)
     return lu, piv
+
+
+def lu_solve(lu_and_piv: tuple, b: np.ndarray) -> np.ndarray:
+    """scipy's solve of a x = b from lu_factor(a), imported on the call."""
+    from scipy.linalg import lu_solve as solve
+    return solve(lu_and_piv, b)
 
 
 def inv(a: np.ndarray) -> tuple:
     """The inverse of a float64 matrix as a pair (hi, lo): LAPACK's inverse
-    and two Newton steps, each squaring its error, with exact residuals."""
-    a = np.asarray(a, dtype=float)
-    hi = lu_solve(lu_factor(a), np.eye(len(a)))
+    and two Newton steps, each squaring its error, with exact residuals.
+    ValueError on NaN or inf, LinAlgError on an exactly singular matrix."""
+    a = np.asarray_chkfinite(a, dtype=float)
+    try:
+        hi = np.linalg.inv(a)
+    except np.linalg.LinAlgError as err:
+        # a finite square matrix fails only on a zero pivot of its LU
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise
+        raise np.linalg.LinAlgError(_SINGULAR) from err
     lo = np.zeros_like(hi)
     for _ in range(2):
         hi, lo = pair_add(hi, lo, hi @ residual((a, None), (hi, lo)))
@@ -177,11 +195,12 @@ def residual(a: tuple, x: tuple, c: np.ndarray | None = None) -> np.ndarray:
 
 
 def slogdet(a: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det a|) from lu_factor(a)."""
-    lu, piv = lu_factor(a)
-    diag = np.diag(lu)
-    sign = (-1.0) ** np.count_nonzero(piv != np.arange(len(piv)))
-    return sign * float(np.prod(np.sign(diag))), float(np.sum(np.log(np.abs(diag))))
+    """(sign, log|det a|) from LAPACK's LU, through numpy.linalg.
+    ValueError on NaN or inf, LinAlgError on an exactly singular matrix."""
+    sign, logdet = np.linalg.slogdet(np.asarray_chkfinite(a, dtype=float))
+    if sign == 0:
+        raise np.linalg.LinAlgError(_SINGULAR)
+    return float(sign), float(logdet)
 
 
 def cond1(a: np.ndarray, a_inv: np.ndarray) -> float:

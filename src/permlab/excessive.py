@@ -13,7 +13,8 @@ an array, giving an array of its shape equal to the scalar calls bit for bit.
 Closed forms get that from running numpy ufuncs only, once per call, with a
 scalar as 0-d input; their values follow numpy's SIMD dispatch, not libm, so
 they can differ by a few ulps between CPUs with and without AVX-512.  Only
-the indicator potential integrates, with one scipy quad per point.
+the indicator potential integrates, with one scipy quad per point
+(quadrature.quad, which imports scipy on its first call).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _wire as wire
 from .bases import ScaleMinBase, mirror_upper
 from .diffusion import concave_cap_value
+from .quadrature import quad
 
 __all__ = [
     "IndicatorPotential",

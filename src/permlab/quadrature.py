@@ -40,7 +40,9 @@ w(lam) ~ lam^-gamma / c_tail; a fractional power of s that lower indices or
 beta > 0 leave there is graded by the same quarter splits, from the panels
 [0, 1/16], [1/16, 1/4] and [1/4, 1].  w is read up to lam = 10^(300/gamma),
 where psi is still finite, and the power minorant bounds the rest.  Only
-u(0)'s int_0^1 w, where w need not be smooth at 0, is left to scipy's quad.
+u(0)'s int_0^1 w, where w need not be smooth at 0, is left to scipy's quad,
+which quad below imports on its first call, so that importing permlab loads
+no scipy.
 
 Truncation never happens silently: period sums stopped at max_half_periods
 and a tail cut at 10^(300/gamma) add the analytic tail bound of the power
@@ -55,7 +57,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "QuadratureConfig",
@@ -360,6 +361,13 @@ def _by_chunks(rows, xs) -> tuple[np.ndarray, np.ndarray]:
     if failures:
         raise failures[min(failures, key=lambda i: ax[i])]
     return value, err
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad(func, a, b, **kwargs), imported on the first
+    call; excessive's indicator potential binds this same function."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def _cosine_rows(weight, ax, cfg, c_tail, gamma):

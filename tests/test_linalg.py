@@ -6,9 +6,11 @@ _linalg.residual computes c - A X from slice products that cannot round.
 Fraction arithmetic checks it within the bound that the module docstring
 states, and because no product rounds, the result cannot depend on how the
 columns of X are blocked (nor on BLAS's thread count; CI runs this file
-again on two threads).  The former inv, a longdouble LU with longdouble
-Newton steps, is the oracle of the new one (longdouble_oracle), and a
+again on two threads).  The longdouble inv, a longdouble LU with longdouble
+Newton steps, is an oracle of the float64 one (longdouble_oracle), and a
 40-digit mpmath inverse decides which of the two is closer on a deep grid.
+inv and slogdet reach LAPACK through numpy.linalg; the route they replaced,
+scipy's LU (la.lu_factor, la.lu_solve), is the oracle of both.
 """
 
 from fractions import Fraction
@@ -195,18 +197,80 @@ def test_inv_is_no_further_from_a_40_digit_inverse_than_the_oracle():
     assert new <= old
 
 
+def _exp_decay_grid(n, t_min):
+    """exp_decay's Gram matrix on d = 1 and n - 1 offsets below it, in
+    geometric steps from t_min to 0.5."""
+    pts = np.concatenate(([1.0], 1.0 - np.geomspace(t_min, 0.5, n - 1)))
+    return mirror_upper(ExpDecayBase(0.7, 0.3).gram(pts, pts))
+
+
+def _former_inv(a):
+    """inv as it was started before numpy.linalg: from scipy's LU solve of
+    the identity, with the same two Newton steps."""
+    hi = la.lu_solve(la.lu_factor(a), np.eye(len(a)))
+    lo = np.zeros_like(hi)
+    for _ in range(2):
+        hi, lo = la.pair_add(hi, lo, hi @ la.residual((a, None), (hi, lo)))
+    return hi, lo
+
+
+GRIDS = {f"exp-decay-{n}-{t:g}": (lambda n=n, t=t: _exp_decay_grid(n, t))
+         for n in (3, 30, 120, 401) for t in (1e-2, 1e-5, 1e-8)}
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES) + list(GRIDS))
+def test_inv_agrees_with_the_scipy_started_pair(name):
+    # each pair lies within about cond 2^-4b of the inverse (module
+    # docstring), so the two lie within that of each other; the largest
+    # share of it measured on such grids is 0.25, at n = 100 and cond 8e8
+    a = {**MATRICES, **GRIDS}[name]()
+    b = 53 - ceil((53 + log2(len(a))) / 2)
+    new, old = la.inv(a), _former_inv(a)
+    diff = np.max(np.abs((new[0] - old[0]) + (new[1] - old[1])))
+    bound = la.cond1(a, old[0]) * 2.0 ** (-4 * b) * np.max(np.abs(old[0]))
+    assert diff <= bound
+
+
 def test_lu_factor_refuses_a_singular_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         la.lu_factor(np.ones((3, 3)))
 
 
+def _eye_with(value):
+    a = np.eye(3)
+    a[1, 2] = value
+    return a
+
+
+@pytest.mark.parametrize("func", [la.inv, la.slogdet], ids=["inv", "slogdet"])
+@pytest.mark.parametrize("a, error, match", [
+    (_eye_with(np.nan), ValueError, "infs or NaNs"),
+    (_eye_with(np.inf), ValueError, "infs or NaNs"),
+    (np.ones((3, 3)), np.linalg.LinAlgError, "singular matrix in LU factorization"),
+], ids=["nan", "inf", "singular"])
+def test_inv_and_slogdet_refuse_a_bad_matrix(func, a, error, match):
+    with pytest.raises(error, match=match) as got:
+        func(a)
+    # LinAlgError is a ValueError: NaN and inf must not read as singular
+    assert got.type is error
+
+
+def _former_slogdet(a):
+    """(sign, sum log|diag|) from the pivots and diagonal of scipy's LU."""
+    lu, piv = la.lu_factor(a)
+    diag = np.diag(lu)
+    sign = (-1.0) ** np.count_nonzero(piv != np.arange(len(piv)))
+    return sign * np.prod(np.sign(diag)), np.sum(np.log(np.abs(diag)))
+
+
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_slogdet_agrees_with_numpy(name):
+    # la.slogdet is numpy's; the oracle is scipy's LU, the route it replaced
     a = MATRICES[name]()
     # a row swap makes the sign negative where the matrix has one
     for mat in (a, a[::-1]):
         sign, logdet = la.slogdet(mat)
-        want_sign, want = np.linalg.slogdet(mat)
+        want_sign, want = _former_slogdet(mat)
         assert sign == want_sign
         assert logdet == pytest.approx(want, rel=1e-13, abs=1e-12)
 

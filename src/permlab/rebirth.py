@@ -12,9 +12,14 @@ chain, the fully reborn chain killed at rate p, and the h-conditioned chain
 of the isomorphism check.  Each builds its holding rates and a table of
 cumulative move laws over (states..., exit) and hands them to one vectorized
 engine, _jump_rounds.  Each round moves every live path once; a path that
-takes the exit dies.  The engine draws from one Philox stream in a fixed
-order: every round, one exponential holding time per live path, then one
-uniform per live path (its move).  The two rebirth simulators go through
+takes the exit dies.  The engine holds the indices and states of the live
+paths only, in path order, and drops the dead after each round, so a round
+costs the paths still alive, not all of them.  It draws from one Philox
+stream in a fixed order: every round, one exponential holding time per live
+path, then one uniform per live path (its move).  The move is the number of
+state columns of the cumulative table that the uniform exceeds, so the exit
+takes all of [0, 1) above the last state column, including the rounding gap
+of a row that sums to just below 1.  The two rebirth simulators go through
 _jump_chain, which also keeps each path's elapsed time and occupation error;
 the conditioned chain needs only its local times and skips that bookkeeping.
 """
@@ -273,25 +278,28 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
     exit_col = cumtable.shape[1] - 1
+    cols = cumtable[:, :exit_col].T.copy()      # the state columns
     rng = philox(seed)
-    state = np.full(n_paths, start, dtype=np.int64)
+    idx = np.arange(n_paths)                     # the live paths
+    s = np.full(n_paths, start, dtype=np.int64)  # and their states
     L = np.zeros((n_paths, n_states))
+    flat = L.reshape(-1)
     elapsed = np.zeros(n_paths) if timed else None
-    alive = np.ones(n_paths, dtype=bool)
     rounds = 0
-    while np.any(alive):
+    while len(idx):
         if rounds >= _ROUND_CAP:
             raise RuntimeError(f"paths did not terminate within {_ROUND_CAP} "
-                               f"rounds; {int(np.sum(alive))} paths alive")
-        idx = np.nonzero(alive)[0]
-        s = state[idx]
+                               f"rounds; {len(idx)} paths alive")
         hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-        L[idx, s] += hold / m[s]        # each live path appears once in idx
+        flat[idx * n_states + s] += hold / m[s]   # each live path once
         if timed:
             elapsed[idx] += hold
-        nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
-        alive[idx[nxt == exit_col]] = False
-        state[idx] = nxt
+        u = rng.random(len(idx))
+        nxt = np.zeros(len(idx), dtype=np.int64)
+        for col in cols:
+            nxt += u > col[s]
+        live = nxt != exit_col
+        idx, s = idx[live], nxt[live]
         rounds += 1
     return L, elapsed, rounds
 

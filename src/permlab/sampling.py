@@ -8,10 +8,15 @@ a given (config, seed) regardless of how the caller schedules work.
 Every sampler has one stream layout: each path draws all of its normals
 together, path after path, as k rows of width w, where w is the width of
 the sampler's factor.  Consecutive standard-normal draws equal one draw of
-their concatenation, so one block loop works through the paths in blocks of
-_BLOCK, draws a block's normals when the block is reached, and yields the
-block's factor z; the result is the same for any block size, and no
-temporary spans every path.
+their concatenation, so the samplers work through the paths in blocks of
+_BLOCK and draw a block's normals when the block is reached; the result is
+the same for any block size, and no temporary spans every path.
+
+The harness reads one stream for every grid of a table.  Each grid reads it
+from its start, so a narrower grid's normals are a prefix of the widest
+grid's, and the stream is drawn once, in chunks that each grid cuts into
+blocks at its own path boundaries.  This relies on a row of factor z not
+depending on the size of the block it is computed in.
 
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
@@ -81,21 +86,18 @@ def _blocks(n_paths: int):
             for i in range(0, n_paths, _BLOCK)]
 
 
-def _gaussian_blocks(factor: np.ndarray, k: int, n_paths: int, seed: int):
-    """(paths, factor z) for each block of paths: z is standard normal of
-    shape (block, k, width), and path i uses normals i*k*width ..
-    (i+1)*k*width - 1 of the stream."""
+def _chi_square(factor: np.ndarray, k: int, n_paths: int,
+                seed: int) -> np.ndarray:
+    """(n_paths, rows) samples of half the sum of k squares of factor z.
+
+    z is standard normal of shape (paths, k, width), and path i uses normals
+    i*k*width .. (i+1)*k*width - 1 of the stream.
+    """
+    x = np.empty((n_paths, factor.shape[0]))
     rng = philox(seed)
     for b in _blocks(n_paths):
         z = rng.standard_normal((b.stop - b.start, k, factor.shape[1]))
-        yield b, z @ factor.T
-
-
-def _chi_square(factor: np.ndarray, k: int, n_paths: int,
-                seed: int) -> np.ndarray:
-    """(n_paths, rows) samples of half the sum of k squares of factor z."""
-    x = np.empty((n_paths, factor.shape[0]))
-    for b, eta in _gaussian_blocks(factor, k, n_paths, seed):
+        eta = z @ factor.T
         x[b] = 0.5 * np.sum(eta * eta, axis=1)
     return x
 
@@ -204,19 +206,66 @@ class LILRow:
     degenerate: bool = False
 
 
-def _grid_statistics(factor, psi, k: int, n_paths: int, seed: int):
-    """(stat, stat_abs, X(d)) over the paths of one grid; see lil_harness.
+def _reduce(eta, psi):
+    """(stat, stat_abs, X(d)) of a block of factor z; see lil_harness.
 
-    Each row of factor z is (eta_d, increments) at one copy.
+    Each row of eta is (eta_d, increments) at one copy.
     """
-    out = np.empty((3, n_paths))
-    for b, eta in _gaussian_blocks(factor, k, n_paths, seed):
-        eta_d, delta = eta[:, :, 0], eta[:, :, 1:]
-        # X(d + t_j) - X(d) in a form that does not cancel at small delta
-        dX = np.sum(delta * (eta_d[:, :, None] + 0.5 * delta), axis=1)
-        out[:, b] = (np.max(dX / psi, axis=1), np.max(np.abs(dX) / psi, axis=1),
-                     0.5 * np.sum(eta_d * eta_d, axis=1))
-    return out
+    eta_d, delta = eta[:, :, 0], eta[:, :, 1:]
+    # X(d + t_j) - X(d) = sum over copies of delta (eta_d + delta / 2), a
+    # form that does not cancel at small delta; in place, to keep one
+    # temporary of the block's size
+    terms = 0.5 * delta
+    terms += eta_d[:, :, None]
+    terms *= delta
+    r = np.sum(terms, axis=1)
+    r /= psi
+    stat = np.max(r, axis=1)
+    # max |dX| / psi, exactly: psi > 0, so |dX| / psi = |r|
+    stat_abs = np.maximum(stat, -np.min(r, axis=1))
+    return stat, stat_abs, 0.5 * np.sum(eta_d * eta_d, axis=1)
+
+
+def _lil_statistics(grids, k: int, n_paths: int, seed: int):
+    """(stat, stat_abs, X(d)) over the paths of each grid, from one stream;
+    grids holds each grid's (factor, psi).
+
+    Grid g's path i uses normals i*k*w_g .. (i+1)*k*w_g - 1 of the stream,
+    for w_g the width of its factor, so every grid's normals are a prefix
+    of the widest grid's.  Those are drawn once, in chunks of _BLOCK paths
+    of the widest grid, into one buffer; each grid takes its part of a
+    chunk behind the tail that its part of the previous chunk left short of
+    a whole path, in blocks of at most _BLOCK paths.
+    """
+    if not grids:
+        return []
+    widths = [k * factor.shape[1] for factor, _ in grids]
+    widest = max(widths)
+    chunk, total = _BLOCK * widest, n_paths * widest
+    # a chunk goes behind the first widest normals, which hold any tail
+    buf = np.empty(widest + chunk)
+    rng = philox(seed)
+    outs = [np.empty((3, n_paths)) for _ in grids]
+    tails = [buf[:0] for _ in grids]
+    done = [0 for _ in grids]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        rng.standard_normal(out=buf[widest:widest + stop - start])
+        for g, ((factor, psi), w) in enumerate(zip(grids, widths)):
+            end = min(stop, n_paths * w)
+            if end <= start:
+                continue
+            held = len(tails[g])
+            buf[widest - held:widest] = tails[g]
+            z = buf[widest - held:widest + end - start]
+            paths = len(z) // w
+            tails[g] = z[paths * w:].copy()
+            z = z[:paths * w].reshape(paths, k, factor.shape[1])
+            for i in range(0, paths, _BLOCK):
+                b = slice(done[g] + i, done[g] + min(i + _BLOCK, paths))
+                outs[g][:, b] = _reduce(z[i:i + _BLOCK] @ factor.T, psi)
+            done[g] += paths
+    return outs
 
 
 def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
@@ -233,16 +282,17 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     is factored by plain Cholesky, with no shift: one that is not positive
     definite raises numpy's LinAlgError, a ValueError.
 
-    Each grid restarts the stream at seed.  Each path draws k rows of 1 + m
-    normals, one for the value at d and one per increment, each row followed
-    by xi when f and g are given; the rows are the factor [L, c] applied to
-    them, with L the Cholesky factor and c = (a_0, a_1 - a_0, ..., a_m - a_0)
-    the comparison process's vector in increment coordinates.
+    Each grid reads the stream from its start; the stream is drawn once.
+    Each path draws k rows of 1 + m normals, one for the value at d and one
+    per increment, each row followed by xi when f and g are given; the rows
+    are the factor [L, c] applied to them, with L the Cholesky factor and
+    c = (a_0, a_1 - a_0, ..., a_m - a_0) the comparison process's vector in
+    increment coordinates.
     """
     _check_counts(k, n_paths)
     if (f is None) != (g is None):
         raise ValueError("lil needs both border functions f and g, or neither")
-    rows: list[LILRow] = []
+    grids = []        # (spec, factor, psi, nu), factor None if degenerate
     for spec in grid_specs:
         if not isinstance(spec, GridSpec):
             raise TypeError("grid_specs must contain GridSpec values")
@@ -250,8 +300,7 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
         cov = _increment_structure(base, spec.d, offsets, spec.direction)
         var = np.diag(cov)[1:]
         if np.min(var) <= 0.0:
-            rows.extend(LILRow(spec.n, spec.m, eps, np.nan, np.nan, np.nan,
-                               n_paths, degenerate=True) for eps in eps_list)
+            grids.append((spec, None, None, np.nan))
             continue
 
         nu, factor = 1.0, np.linalg.cholesky(cov)
@@ -260,9 +309,18 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
             a = dec.a      # index 0 of a is the point d
             nu, factor = dec.nu, np.column_stack((factor,
                                                   np.r_[a[0], a[1:] - a[0]]))
-
         psi = np.sqrt(2.0 * var * np.log(np.log(1.0 / offsets)))
-        stat, stat_abs, x_d = _grid_statistics(factor, psi, k, n_paths, seed)
+        grids.append((spec, factor, psi, nu))
+
+    stats = iter(_lil_statistics([(factor, psi) for _, factor, psi, _ in grids
+                                  if factor is not None], k, n_paths, seed))
+    rows: list[LILRow] = []
+    for spec, factor, _, nu in grids:
+        if factor is None:
+            rows.extend(LILRow(spec.n, spec.m, eps, np.nan, np.nan, np.nan,
+                               n_paths, degenerate=True) for eps in eps_list)
+            continue
+        stat, stat_abs, x_d = next(stats)
         target = np.sqrt(2.0 * x_d)
         for eps in eps_list:
             rows.append(LILRow(

@@ -491,13 +491,14 @@ def test_rebirth_sim_refuses_a_run_beyond_the_round_cap(tmp_path, capsys,
 def test_lil_run_with_one_border_is_a_usage_error(tmp_path, capsys, border,
                                                   monkeypatch):
     # with g = 0 the kernel u + g f is u whatever f is, so a lone border
-    # is most likely a typo; it is refused before any path is drawn
+    # is most likely a typo; it is refused before any path is drawn, and
+    # every draw starts from a philox generator
     from permlab import sampling
 
     def no_sampling(*args):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(sampling, "_grid_statistics", no_sampling)
+    monkeypatch.setattr(sampling, "philox", no_sampling)
     message = _usage_error(tmp_path, capsys, {"config": {**LIL, border: CONST}})
     assert "both border functions" in message
 

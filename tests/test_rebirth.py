@@ -577,3 +577,130 @@ def test_untimed_engine_gives_the_timed_local_times():
     L, elapsed, rounds = _jump_rounds(*args, False)
     assert elapsed is None
     assert np.array_equal(L, timed.local_times) and rounds == timed.events
+
+
+# -- the former mask-based engine, kept as the oracle of the live-path one ----
+
+def _masked_jump_rounds(seed, start, n_paths, hold_rate, cumtable, m, timed):
+    """The engine as it was before it kept only the live paths: a mask over
+    all n_paths, scanned every round, and a move counted over every column
+    of the table, the exit's included."""
+    from permlab import rebirth
+    n_states = len(hold_rate)
+    exit_col = cumtable.shape[1] - 1
+    rng = rebirth.philox(seed)
+    state = np.full(n_paths, start, dtype=np.int64)
+    L = np.zeros((n_paths, n_states))
+    elapsed = np.zeros(n_paths) if timed else None
+    alive = np.ones(n_paths, dtype=bool)
+    rounds = 0
+    while np.any(alive):
+        if rounds >= rebirth._ROUND_CAP:
+            raise RuntimeError(f"paths did not terminate within "
+                               f"{rebirth._ROUND_CAP} rounds; "
+                               f"{int(np.sum(alive))} paths alive")
+        idx = np.nonzero(alive)[0]
+        s = state[idx]
+        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
+        L[idx, s] += hold / m[s]
+        if timed:
+            elapsed[idx] += hold
+        nxt = (rng.random(len(idx))[:, None] > cumtable[s]).sum(axis=1)
+        alive[idx[nxt == exit_col]] = False
+        state[idx] = nxt
+        rounds += 1
+    return L, elapsed, rounds
+
+
+def _chain_of(n_states):
+    if n_states == 1:
+        return FiniteChain(np.array([[-1.3]]), np.array([0.7]))
+    return random_chain(np.random.default_rng(n_states), n_states)
+
+
+def _engine_call(monkeypatch, table, n_states):
+    """(start, hold rates, cumulative table, measure, timed) that the
+    simulator named by table hands the engine, on a chain of n_states."""
+    from permlab import rebirth
+    chain = _chain_of(n_states)
+    mu = np.random.default_rng(n_states + 10).dirichlet(np.ones(n_states))
+    if table == "partial":      # start at the return point
+        return (n_states, *PartialRebirthModel(chain, 0.8 * mu)._jump_table(),
+                True)
+    if table == "full":
+        return (n_states - 1, *FullRebirthModel(chain, mu, 0.5)._jump_table(),
+                True)
+    seen, engine = [], rebirth._jump_rounds
+
+    def spy(*args):
+        seen.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(rebirth, "_jump_rounds", spy)
+    rebirth._simulate_conditioned(chain, n_states // 2, 1, 0)
+    monkeypatch.undo()
+    return (seen[0][1], *seen[0][3:])
+
+
+@pytest.mark.parametrize("n_paths", [1, 10_000])
+@pytest.mark.parametrize("n_states", [1, 5])
+@pytest.mark.parametrize("table", ["partial", "full", "conditioned"])
+def test_live_path_engine_equals_the_masked_engine(monkeypatch, table,
+                                                   n_states, n_paths):
+    from permlab.rebirth import _jump_rounds
+    start, *rest = _engine_call(monkeypatch, table, n_states)
+    L, elapsed, rounds = _jump_rounds(51, start, n_paths, *rest)
+    want_L, want_elapsed, want_rounds = _masked_jump_rounds(51, start,
+                                                            n_paths, *rest)
+    assert np.array_equal(L, want_L)
+    if table == "conditioned":
+        assert elapsed is None and want_elapsed is None
+    else:
+        assert np.array_equal(elapsed, want_elapsed)
+    assert rounds == want_rounds
+
+
+def test_round_cap_reports_the_live_count(monkeypatch):
+    # after three rounds some of the paths have died; the error counts
+    # those still alive, as the masked engine did
+    from permlab import rebirth
+    monkeypatch.setattr(rebirth, "_ROUND_CAP", 3)
+    args = (1, 0, 1000, *PartialRebirthModel(
+        two_state(), np.array([0.5, 0.0]))._jump_table(), True)
+    with pytest.raises(RuntimeError) as want:
+        _masked_jump_rounds(*args)
+    with pytest.raises(RuntimeError) as got:
+        rebirth._jump_rounds(*args)
+    assert str(got.value) == str(want.value)
+    alive = int(str(got.value).split("; ")[1].split()[0])
+    assert 0 < alive < 1000
+
+
+class _TopUniforms:
+    """A stand-in generator: unit holding draws, and every uniform
+    1 - 2^-53, the largest that Generator.random returns."""
+
+    def exponential(self, scale, size):
+        return np.full(size, scale)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_the_exit_takes_the_rounding_gap_of_a_row(monkeypatch):
+    # seven equal weights sum to 1 - 2^-52 in cumulative order, so the top
+    # uniform lies above every column; it must kill the path, where the
+    # masked engine counted it past the exit and failed on the next round
+    from permlab import rebirth
+    cumtable = rebirth._cumulative(np.ones((6, 7)))
+    assert np.all(cumtable[:, -1] < 1.0 - 2.0 ** -53)
+    monkeypatch.setattr(rebirth, "philox", lambda seed: _TopUniforms())
+    args = (1, 2, 4, np.full(6, 2.0), cumtable, np.ones(6), True)
+    L, elapsed, rounds = rebirth._jump_rounds(*args)
+    assert rounds == 1
+    want = np.zeros((4, 6))
+    want[:, 2] = 0.5
+    assert np.array_equal(L, want)
+    assert np.array_equal(elapsed, np.full(4, 0.5))
+    with pytest.raises(IndexError):
+        _masked_jump_rounds(*args)

@@ -300,9 +300,12 @@ def _whole_isymi(dec, k, n_paths, seed):
 
 
 def _lil_factor(base, f, g, spec):
-    """(factor, nu, psi) of one grid: [L, c] with borders, L without."""
+    """(factor, nu, psi) of one grid: [L, c] with borders, L without; factor
+    None on a degenerate grid."""
     offsets = spec.offsets()
     cov = sampling._increment_structure(base, spec.d, offsets, spec.direction)
+    if np.min(np.diag(cov)[1:]) <= 0.0:
+        return None, np.nan, None
     factor, nu = np.linalg.cholesky(cov), 1.0
     if f is not None:
         dec = decompose(assemble_kernel(base, f, g, spec))
@@ -324,10 +327,16 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
                eps_list=(0.1, 0.2, 0.3)):
     """The harness's stream layout on whole arrays: each path's k rows of
     1 + m normals (then xi, with borders) drawn as one (paths, k, width)
-    array.  Returns (rows, per-grid (stat, stat_abs, X(d)))."""
+    array, restarting the stream at seed for every grid.  Returns (rows,
+    (stat, stat_abs, X(d)) of each grid that is not degenerate)."""
     rows, stats = [], []
     for spec in grid_specs:
         factor, nu, psi = _lil_factor(base, f, g, spec)
+        if factor is None:
+            rows.extend(sampling.LILRow(spec.n, spec.m, eps, np.nan, np.nan,
+                                        np.nan, n_paths, degenerate=True)
+                        for eps in eps_list)
+            continue
         z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
         eta = z @ factor.T
         stat, stat_abs, x_d = _reduce(eta[:, :, 0], eta[:, :, 1:], psi)
@@ -389,16 +398,64 @@ def test_blocked_lil_equals_the_whole_array_route(monkeypatch, bordered, k,
 
 
 def _spied_lil_statistics(monkeypatch, *args):
-    """lil_harness(*args) and the (stat, stat_abs, X(d)) of each grid."""
+    """lil_harness(*args) and the (stat, stat_abs, X(d)) of each grid that
+    is not degenerate."""
     seen = []
-    blocked = sampling._grid_statistics
+    one_stream = sampling._lil_statistics
 
     def spy(*args):
-        seen.append(blocked(*args))
-        return seen[-1]
+        seen.extend(one_stream(*args))
+        return seen
 
-    monkeypatch.setattr(sampling, "_grid_statistics", spy)
+    monkeypatch.setattr(sampling, "_lil_statistics", spy)
     return lil_harness(*args), seen
+
+
+def _degenerate_at(monkeypatch, d_flat):
+    """Make every grid at d_flat degenerate: no increment variance there."""
+    structure = sampling._increment_structure
+
+    def flat(base, d, offsets, direction):
+        cov = structure(base, d, offsets, direction)
+        if d == d_flat:
+            cov[1:, :] = cov[:, 1:] = 0.0
+        return cov
+
+    monkeypatch.setattr(sampling, "_increment_structure", flat)
+
+
+# rows of 1 + 8, 1 + 11 and 1 + 13 normals (one more with borders): a chunk
+# of the widest grid's paths ends inside a path of a narrower grid, and
+# holds more than a block of the narrower grid's paths
+SCHEDULES = {
+    "three-widths": [GridSpec(d=1.0, theta=0.5, n=n, q=0.7)
+                     for n in (16, 12, 20)],
+    # the widest grid is the degenerate one, so it draws nothing
+    "degenerate-middle": [GridSpec(d=d, theta=0.5, n=n, q=0.7)
+                          for d, n in ((1.0, 12), (2.0, 20), (1.0, 16))],
+}
+
+
+@pytest.mark.parametrize("n_paths", BLOCK_EDGES)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bordered", [False, True])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_one_stream_lil_equals_the_restarted_streams(monkeypatch, schedule,
+                                                     bordered, k, n_paths):
+    # every grid reads the stream from its start, so drawing it once for
+    # the widest grid gives each grid the normals it drew when it restarted
+    # the stream itself
+    f, g = (F_OU, G_OU) if bordered else (None, None)
+    specs = SCHEDULES[schedule]
+    _degenerate_at(monkeypatch, 2.0)
+    rows, seen = _spied_lil_statistics(monkeypatch, OU, f, g, specs, k,
+                                       n_paths, 19)
+    want_rows, want_stats = _whole_lil(OU, f, g, specs, k, n_paths, seed=19)
+    assert rows == want_rows
+    assert [r.degenerate for r in rows[::3]] == [s.d == 2.0 for s in specs]
+    assert len(seen) == len(want_stats) == sum(s.d != 2.0 for s in specs)
+    for got, want in zip(seen, want_stats):
+        assert np.array_equal(got, want)
 
 
 # two-sample KS at 40,000 paths a side: 1.95 sqrt(2 / n) is the 0.1% point
@@ -436,7 +493,9 @@ def test_blocked_chi_square_equals_the_whole_array_route(k, n_paths):
 @pytest.mark.parametrize("m", [12, 52, 104])
 def test_blocked_product_equals_the_whole_product(m):
     # BLAS does not promise that a product of a row block equals the same
-    # rows of the whole product; the blocked samplers rely on it
+    # rows of the whole product; the blocked samplers rely on it, and a
+    # narrower grid of a lil table cuts the shared stream into blocks of
+    # whatever size its paths fall into, down to a single path
     rng = np.random.default_rng(m)
     a = rng.standard_normal((m, m))
     factor = np.linalg.cholesky(a @ a.T + m * np.eye(m))
@@ -444,6 +503,10 @@ def test_blocked_product_equals_the_whole_product(m):
     z = rng.standard_normal((n, 2, m))
     blocked = np.concatenate([z[b] @ factor.T for b in sampling._blocks(n)])
     assert np.array_equal(blocked, z @ factor.T)
+    cuts = [0, 1, 2, 9, 1000, B + 1000, B + 1001, 2 * B + 999, n]
+    cut = np.concatenate([z[i:j] @ factor.T
+                          for i, j in zip(cuts[:-1], cuts[1:])])
+    assert np.array_equal(cut, z @ factor.T)
 
 
 def _traced_peak(call):
@@ -464,6 +527,22 @@ def test_lil_table_peaks_well_below_one_whole_array():
                        (GridSpec(d=1.0, theta=0.85, n=70, q=0.7), F_OU, G_OU)):
         assert spec.m == 52
         peak = _traced_peak(lambda: lil_harness(OU, f, g, [spec], k, n_paths,
+                                                seed=3))
+        assert peak < 0.5 * whole
+
+
+def test_three_grid_lil_table_peaks_well_below_the_widest_whole_array():
+    # the stream is drawn once for all three grids, so its buffer, each
+    # grid's tail and the three grids' statistics live together
+    n_paths, k = 50_000, 2
+    whole = 8 * n_paths * k * 52                  # the widest grid's, 41.6 MB
+    for specs, f, g in (
+            ([GridSpec(d=0.0, theta=0.6, n=n, q=0.5) for n in (36, 45, 58)],
+             None, None),
+            ([GridSpec(d=1.0, theta=0.85, n=n, q=0.7) for n in (58, 64, 70)],
+             F_OU, G_OU)):
+        assert specs[-1].m == 52 and len({spec.m for spec in specs}) == 3
+        peak = _traced_peak(lambda: lil_harness(OU, f, g, specs, k, n_paths,
                                                 seed=3))
         assert peak < 0.5 * whole
 

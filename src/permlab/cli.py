@@ -26,8 +26,9 @@ from .expressions import expr_from_spec
 from .exponents import exponent_from_spec
 from .kernel_algebra import GridSpec, assemble_kernel, decompose, rowsum_residuals
 from .potentials import LevyPotential
-from .rebirth import (_ROUND_CAP, PartialRebirthModel, chain_from_spec,
-                      ek_identity_check)
+from .quadrature import QuadratureError
+from .rebirth import (_ROUND_CAP, PartialRebirthModel, RoundCapError,
+                      chain_from_spec, ek_identity_check)
 from .sampling import lil_harness
 from .verify import SUITES, run_suite
 
@@ -344,7 +345,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid(argv))
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, QuadratureError,
+            RoundCapError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -45,12 +45,17 @@ __all__ = [
     "FullRebirthModel",
     "SimulationResult",
     "EKReport",
+    "RoundCapError",
     "ek_identity_check",
     "chain_from_spec",
     "potential_from_spec",
 ]
 
 _ROUND_CAP = 200_000   # vectorized loop rounds per simulation
+
+
+class RoundCapError(RuntimeError):
+    """Raised when paths are still alive after _ROUND_CAP rounds."""
 
 
 @dataclass
@@ -288,8 +293,8 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     rounds = 0
     while len(idx):
         if rounds >= _ROUND_CAP:
-            raise RuntimeError(f"paths did not terminate within {_ROUND_CAP} "
-                               f"rounds; {len(idx)} paths alive")
+            raise RoundCapError(f"paths did not terminate within {_ROUND_CAP} "
+                                f"rounds; {len(idx)} paths alive")
         hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
         flat[idx * n_states + s] += hold / m[s]   # each live path once
         if timed:

@@ -7,16 +7,15 @@ a given (config, seed) regardless of how the caller schedules work.
 
 Every sampler has one stream layout: each path draws all of its normals
 together, path after path, as k rows of width w, where w is the width of
-the sampler's factor.  Consecutive standard-normal draws equal one draw of
-their concatenation, so the samplers work through the paths in blocks of
-_BLOCK and draw a block's normals when the block is reached; the result is
-the same for any block size, and no temporary spans every path.
-
-The harness reads one stream for every grid of a table.  Each grid reads it
-from its start, so a narrower grid's normals are a prefix of the widest
-grid's, and the stream is drawn once, in chunks that each grid cuts into
-blocks at its own path boundaries.  This relies on a row of factor z not
-depending on the size of the block it is computed in.
+the sampler's factor.  One engine, _factor_blocks, draws the stream and
+computes factor z for every sampler, the chi-square ones (one factor) and
+the harness (one factor per grid of a table).  Every factor reads the
+stream from its start, so a narrower factor's normals are a prefix of the
+widest one's; the stream is drawn once, in chunks that each factor cuts into
+blocks of at most _BLOCK paths at its own path boundaries, and no temporary
+spans every path.  Consecutive standard-normal draws equal one draw of their
+concatenation, so this relies only on a row of factor z not depending on
+the size of the block it is computed in.
 
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
@@ -62,6 +61,8 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
     if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
         raise ValueError("covariance must be symmetric")
     try:
@@ -80,24 +81,48 @@ def _check_counts(k: int, n_paths: int):
         raise ValueError(f"k and n_paths must be at least 1, got {k}, {n_paths}")
 
 
-def _blocks(n_paths: int):
-    """Slices of at most _BLOCK consecutive paths covering 0..n_paths."""
-    return [slice(i, min(i + _BLOCK, n_paths))
-            for i in range(0, n_paths, _BLOCK)]
+def _factor_blocks(factors, k: int, n_paths: int, seed: int):
+    """(g, paths, z @ F_g.T) for each factor F_g of factors, in blocks of at
+    most _BLOCK paths; see the module docstring.
+
+    Path i of factor g uses normals i*k*w_g .. (i+1)*k*w_g - 1 of the
+    stream, for w_g the width of F_g.  Chunks of _BLOCK paths of the widest
+    factor are drawn into one buffer; each factor takes its part of a chunk
+    behind its tail, the normals before the chunk that fall short of a
+    whole path.
+    """
+    if not factors:
+        return
+    widths = [k * factor.shape[1] for factor in factors]
+    widest = max(widths)
+    chunk, total = _BLOCK * widest, n_paths * widest
+    # a chunk goes behind the first widest normals, which hold any tail
+    buf = np.empty(widest + chunk)
+    rng = philox(seed)
+    tails = [buf[:0] for _ in factors]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        rng.standard_normal(out=buf[widest:widest + stop - start])
+        for g, (factor, w) in enumerate(zip(factors, widths)):
+            end = min(stop, n_paths * w)
+            if end <= start:
+                continue
+            held = len(tails[g])
+            buf[widest - held:widest] = tails[g]
+            z = buf[widest - held:widest + end - start]
+            first, paths = (start - held) // w, len(z) // w
+            tails[g] = z[paths * w:].copy()
+            z = z[:paths * w].reshape(paths, k, factor.shape[1])
+            for i in range(0, paths, _BLOCK):
+                b = slice(first + i, first + min(i + _BLOCK, paths))
+                yield g, b, z[i:i + _BLOCK] @ factor.T
 
 
 def _chi_square(factor: np.ndarray, k: int, n_paths: int,
                 seed: int) -> np.ndarray:
-    """(n_paths, rows) samples of half the sum of k squares of factor z.
-
-    z is standard normal of shape (paths, k, width), and path i uses normals
-    i*k*width .. (i+1)*k*width - 1 of the stream.
-    """
+    """(n_paths, rows) samples of half the sum of k squares of factor z."""
     x = np.empty((n_paths, factor.shape[0]))
-    rng = philox(seed)
-    for b in _blocks(n_paths):
-        z = rng.standard_normal((b.stop - b.start, k, factor.shape[1]))
-        eta = z @ factor.T
+    for _, b, eta in _factor_blocks([factor], k, n_paths, seed):
         x[b] = 0.5 * np.sum(eta * eta, axis=1)
     return x
 
@@ -228,43 +253,11 @@ def _reduce(eta, psi):
 
 def _lil_statistics(grids, k: int, n_paths: int, seed: int):
     """(stat, stat_abs, X(d)) over the paths of each grid, from one stream;
-    grids holds each grid's (factor, psi).
-
-    Grid g's path i uses normals i*k*w_g .. (i+1)*k*w_g - 1 of the stream,
-    for w_g the width of its factor, so every grid's normals are a prefix
-    of the widest grid's.  Those are drawn once, in chunks of _BLOCK paths
-    of the widest grid, into one buffer; each grid takes its part of a
-    chunk behind the tail that its part of the previous chunk left short of
-    a whole path, in blocks of at most _BLOCK paths.
-    """
-    if not grids:
-        return []
-    widths = [k * factor.shape[1] for factor, _ in grids]
-    widest = max(widths)
-    chunk, total = _BLOCK * widest, n_paths * widest
-    # a chunk goes behind the first widest normals, which hold any tail
-    buf = np.empty(widest + chunk)
-    rng = philox(seed)
+    grids holds each grid's (factor, psi)."""
     outs = [np.empty((3, n_paths)) for _ in grids]
-    tails = [buf[:0] for _ in grids]
-    done = [0 for _ in grids]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        rng.standard_normal(out=buf[widest:widest + stop - start])
-        for g, ((factor, psi), w) in enumerate(zip(grids, widths)):
-            end = min(stop, n_paths * w)
-            if end <= start:
-                continue
-            held = len(tails[g])
-            buf[widest - held:widest] = tails[g]
-            z = buf[widest - held:widest + end - start]
-            paths = len(z) // w
-            tails[g] = z[paths * w:].copy()
-            z = z[:paths * w].reshape(paths, k, factor.shape[1])
-            for i in range(0, paths, _BLOCK):
-                b = slice(done[g] + i, done[g] + min(i + _BLOCK, paths))
-                outs[g][:, b] = _reduce(z[i:i + _BLOCK] @ factor.T, psi)
-            done[g] += paths
+    for g, b, eta in _factor_blocks([factor for factor, _ in grids], k,
+                                    n_paths, seed):
+        outs[g][:, b] = _reduce(eta, grids[g][1])
     return outs
 
 

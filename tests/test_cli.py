@@ -406,6 +406,9 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
      "--s", "inf"],
     ["rebirth", "check-ek", "--model", "model", "--paths", "10", "--seed", "1",
      "--s", "-5"],
+    # below about 1e-19 the Levy head misses its budget: a QuadratureError
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--kind", "u",
+     "--x", "1e-20"],
 ])
 def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
     _usage_error(tmp_path, capsys, {"model": MODEL, "psi": STABLE,
@@ -485,6 +488,21 @@ def test_rebirth_sim_refuses_a_run_beyond_the_round_cap(tmp_path, capsys,
     slow = {**MODEL, "generator": [[-0.5, 0.5], [0.5, -0.500000001]]}
     message = _usage_error(tmp_path, capsys, {"model": slow})
     assert "jumps on average" in message and "200000-round cap" in message
+
+
+@pytest.mark.parametrize("command", ["sim", "check-ek"])
+def test_rebirth_reports_the_round_cap_as_an_error(tmp_path, capsys,
+                                                   monkeypatch, command):
+    # two jumps per path on average, within the pre-check of rebirth sim,
+    # but the rounds run until the last of 200 paths dies, and about one
+    # path in 32 makes more than 5 jumps
+    from permlab import cli, rebirth
+    monkeypatch.setattr(rebirth, "_ROUND_CAP", 5)
+    monkeypatch.setattr(cli, "_ROUND_CAP", 5)
+    model = {**MODEL, "generator": [[-1.0, 0.5], [0.5, -1.0]], "mu": [0.0, 0.0]}
+    message = _usage_error(tmp_path, capsys, {"model": model}, [
+        "rebirth", command, "--model", "model", "--paths", "200", "--seed", "1"])
+    assert "did not terminate within 5 rounds" in message
 
 
 @pytest.mark.parametrize("border", ["f", "g"])

@@ -54,6 +54,17 @@ def test_covariance_rejections():
         sample_chi_square(np.array([[1.0]]), 0, 10, 0)
 
 
+@pytest.mark.parametrize("cov", [[[np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+                                 [[np.inf]], [[1.0, -np.inf], [-np.inf, 1.0]]])
+def test_samplers_reject_a_non_finite_covariance(cov):
+    # a NaN entry once passed the symmetry check and gave NaN samples
+    cov = np.array(cov)
+    with pytest.raises(ValueError, match="finite"):
+        sample_chi_square(cov, 1, 5, 0)
+    with pytest.raises(ValueError, match="finite"):
+        laplace_check(cov, 1, np.ones(len(cov)), 5, 0)
+
+
 @pytest.mark.parametrize("k, n_paths", [(0, 10), (-1, 10), (1, 0)])
 def test_samplers_reject_fewer_than_one_copy_or_path(k, n_paths):
     f = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
@@ -501,7 +512,8 @@ def test_blocked_product_equals_the_whole_product(m):
     factor = np.linalg.cholesky(a @ a.T + m * np.eye(m))
     n = int(2.5 * B)
     z = rng.standard_normal((n, 2, m))
-    blocked = np.concatenate([z[b] @ factor.T for b in sampling._blocks(n)])
+    whole_blocks = [slice(0, B), slice(B, 2 * B), slice(2 * B, n)]
+    blocked = np.concatenate([z[b] @ factor.T for b in whole_blocks])
     assert np.array_equal(blocked, z @ factor.T)
     cuts = [0, 1, 2, 9, 1000, B + 1000, B + 1001, 2 * B + 999, n]
     cut = np.concatenate([z[i:j] @ factor.T

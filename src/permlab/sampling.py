@@ -3,7 +3,11 @@ representation, and the iterated-logarithm Monte Carlo harness.
 
 Randomness comes from a counter-based Philox generator keyed by the run seed;
 all draws happen in fixed path-major order, so results are bit-identical for
-a given (config, seed) regardless of how the caller schedules work.
+a given (config, seed) regardless of how the caller schedules work.  The
+stream is drawn one chunk ahead by a single helper thread, the only caller
+of the generator, in chunk order, while the caller's thread computes factor z
+on the chunk before; that moves work, not draws, so outputs still depend
+only on (config, seed).
 
 Every sampler has one stream layout: each path draws all of its normals
 together, path after path, as k rows of width w, where w is the width of
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -77,6 +82,9 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _check_counts(k: int, n_paths: int):
+    for name, count in (("k", k), ("n_paths", n_paths)):
+        if not isinstance(count, Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if k < 1 or n_paths < 1:
         raise ValueError(f"k and n_paths must be at least 1, got {k}, {n_paths}")
 
@@ -87,35 +95,51 @@ def _factor_blocks(factors, k: int, n_paths: int, seed: int):
 
     Path i of factor g uses normals i*k*w_g .. (i+1)*k*w_g - 1 of the
     stream, for w_g the width of F_g.  Chunks of _BLOCK paths of the widest
-    factor are drawn into one buffer; each factor takes its part of a chunk
-    behind its tail, the normals before the chunk that fall short of a
-    whole path.
+    factor are drawn into two buffers in turn, each chunk by one helper
+    thread while this one computes the products of the chunk before; each
+    factor takes its part of a chunk behind its tail, the normals before the
+    chunk that fall short of a whole path.  The helper lives for one call:
+    finishing, raising or closing the generator waits for the draw in
+    flight and ends the thread.
     """
     if not factors:
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     widths = [k * factor.shape[1] for factor in factors]
     widest = max(widths)
     chunk, total = _BLOCK * widest, n_paths * widest
-    # a chunk goes behind the first widest normals, which hold any tail
-    buf = np.empty(widest + chunk)
+    # a chunk goes behind the first widest normals, which hold any tail; the
+    # helper draws only into spare, whose chunk is fully consumed
+    buf, spare = np.empty(widest + chunk), np.empty(widest + chunk)
     rng = philox(seed)
     tails = [buf[:0] for _ in factors]
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        rng.standard_normal(out=buf[widest:widest + stop - start])
-        for g, (factor, w) in enumerate(zip(factors, widths)):
-            end = min(stop, n_paths * w)
-            if end <= start:
-                continue
-            held = len(tails[g])
-            buf[widest - held:widest] = tails[g]
-            z = buf[widest - held:widest + end - start]
-            first, paths = (start - held) // w, len(z) // w
-            tails[g] = z[paths * w:].copy()
-            z = z[:paths * w].reshape(paths, k, factor.shape[1])
-            for i in range(0, paths, _BLOCK):
-                b = slice(first + i, first + min(i + _BLOCK, paths))
-                yield g, b, z[i:i + _BLOCK] @ factor.T
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def draw(into, start):
+            n = min(chunk, total - start)
+            return helper.submit(rng.standard_normal,
+                                 out=into[widest:widest + n])
+
+        drawn = draw(buf, 0)
+        for start in range(0, total, chunk):
+            stop = min(start + chunk, total)
+            drawn.result()
+            if stop < total:
+                drawn = draw(spare, stop)
+            for g, (factor, w) in enumerate(zip(factors, widths)):
+                end = min(stop, n_paths * w)
+                if end <= start:
+                    continue
+                held = len(tails[g])
+                buf[widest - held:widest] = tails[g]
+                z = buf[widest - held:widest + end - start]
+                first, paths = (start - held) // w, len(z) // w
+                tails[g] = z[paths * w:].copy()
+                z = z[:paths * w].reshape(paths, k, factor.shape[1])
+                for i in range(0, paths, _BLOCK):
+                    b = slice(first + i, first + min(i + _BLOCK, paths))
+                    yield g, b, z[i:i + _BLOCK] @ factor.T
+            buf, spare = spare, buf
 
 
 def _chi_square(factor: np.ndarray, k: int, n_paths: int,
@@ -145,6 +169,10 @@ def laplace_check(cov, k: int, s_vec, n_paths: int, seed: int):
     s = np.asarray(s_vec, dtype=float)
     if not np.all(np.isfinite(s) & (s >= 0.0)):
         raise ValueError("Laplace arguments must be finite and nonnegative")
+    if s.shape != np.shape(cov)[-1:]:
+        raise ValueError(f"need one Laplace argument per dimension of the "
+                         f"covariance, shape {np.shape(cov)}, got shape "
+                         f"{s.shape}")
     x = sample_chi_square(cov, k, n_paths, seed)
     vals = np.exp(-x @ s)
     emp = float(np.mean(vals))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -80,6 +82,45 @@ def test_samplers_reject_fewer_than_one_copy_or_path(k, n_paths):
     for call in calls:
         with pytest.raises(ValueError, match="at least 1"):
             call()
+
+
+@pytest.mark.parametrize("k, n_paths, name", [(1.5, 10, "k"), (2.0, 10, "k"),
+                                              (1, 10.0, "n_paths"),
+                                              (1, np.float64(10), "n_paths")])
+def test_samplers_reject_a_non_integer_copy_or_path_count(k, n_paths, name):
+    # these once passed the check and failed deep inside numpy with a
+    # TypeError
+    f = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
+    spec = GridSpec(d=1.0, theta=0.7, n=20, q=0.7)
+    dec = decompose(assemble_kernel(OU, f, f, spec))
+    calls = [
+        lambda: sample_chi_square(np.eye(2), k, n_paths, 1),
+        lambda: laplace_check(np.eye(2), k, [1.0, 1.0], n_paths, 1),
+        lambda: sample_isymi_representation(dec, k, n_paths, 0),
+        lambda: lil_harness(OU, None, None, [spec], k, n_paths, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call()
+
+
+def test_samplers_take_numpy_integer_counts():
+    want = sample_chi_square(np.eye(2), 2, 10, 1)
+    assert np.array_equal(
+        sample_chi_square(np.eye(2), np.int64(2), np.int32(10), 1), want)
+
+
+@pytest.mark.parametrize("s", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]],
+                               [[1.0], [2.0]], 1.0])
+def test_laplace_check_rejects_arguments_of_another_shape_before_sampling(
+        monkeypatch, s):
+    # the shape was once compared only in x @ s, after every path was drawn
+    def no_draws(seed):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(sampling, "philox", no_draws)
+    with pytest.raises(ValueError, match="one Laplace argument per dimension"):
+        laplace_check(np.eye(2), 1, s, 1000, 3)
 
 
 def test_laplace_transform_scalar():
@@ -310,6 +351,36 @@ def _whole_isymi(dec, k, n_paths, seed):
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
+def _serial_factor_blocks(factors, k, n_paths, seed):
+    """The engine before the stream was drawn ahead: one buffer, every chunk
+    drawn on the caller's thread just before its products."""
+    if not factors:
+        return
+    B = sampling._BLOCK
+    widths = [k * factor.shape[1] for factor in factors]
+    widest = max(widths)
+    chunk, total = B * widest, n_paths * widest
+    buf = np.empty(widest + chunk)
+    rng = sampling.philox(seed)
+    tails = [buf[:0] for _ in factors]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        rng.standard_normal(out=buf[widest:widest + stop - start])
+        for g, (factor, w) in enumerate(zip(factors, widths)):
+            end = min(stop, n_paths * w)
+            if end <= start:
+                continue
+            held = len(tails[g])
+            buf[widest - held:widest] = tails[g]
+            z = buf[widest - held:widest + end - start]
+            first, paths = (start - held) // w, len(z) // w
+            tails[g] = z[paths * w:].copy()
+            z = z[:paths * w].reshape(paths, k, factor.shape[1])
+            for i in range(0, paths, B):
+                b = slice(first + i, first + min(i + B, paths))
+                yield g, b, z[i:i + B] @ factor.T
+
+
 def _lil_factor(base, f, g, spec):
     """(factor, nu, psi) of one grid: [L, c] with borders, L without; factor
     None on a degenerate grid."""
@@ -467,6 +538,103 @@ def test_one_stream_lil_equals_the_restarted_streams(monkeypatch, schedule,
     assert len(seen) == len(want_stats) == sum(s.d != 2.0 for s in specs)
     for got, want in zip(seen, want_stats):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_paths", BLOCK_EDGES)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bordered", [False, True])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_drawing_ahead_yields_the_serial_blocks(monkeypatch, schedule,
+                                                bordered, k, n_paths):
+    # the helper draws the same stream in the same chunks, so every block
+    # of every factor holds the serial engine's bits
+    f, g = (F_OU, G_OU) if bordered else (None, None)
+    _degenerate_at(monkeypatch, 2.0)
+    factors = [factor for factor, _, _ in
+               (_lil_factor(OU, f, g, spec) for spec in SCHEDULES[schedule])
+               if factor is not None]
+    got = list(sampling._factor_blocks(factors, k, n_paths, 29))
+    want = list(_serial_factor_blocks(factors, k, n_paths, 29))
+    assert len(got) == len(want)
+    for (g_got, b_got, eta_got), (g_want, b_want, eta_want) in zip(got, want):
+        assert (g_got, b_got) == (g_want, b_want)
+        assert np.array_equal(eta_got, eta_want)
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def _failing_philox(monkeypatch, fail_at):
+    """Make the stream's fail_at-th draw raise; returns the error and the
+    threads that called philox and standard_normal."""
+    real, error, seen = sampling.philox, _DrawFailed("draw failed"), []
+
+    class Stub:
+        def __init__(self, seed):
+            seen.append(("philox", threading.get_ident()))
+            self.rng, self.draws = real(seed), 0
+
+        def standard_normal(self, **kwargs):
+            seen.append(("draw", threading.get_ident()))
+            self.draws += 1
+            if self.draws == fail_at:
+                raise error
+            return self.rng.standard_normal(**kwargs)
+
+    monkeypatch.setattr(sampling, "philox", Stub)
+    return error, seen
+
+
+THREE_GRIDS = SCHEDULES["three-widths"]
+
+
+def test_a_failed_draw_raises_its_own_error_and_leaves_no_thread(monkeypatch):
+    error, seen = _failing_philox(monkeypatch, fail_at=2)
+    before = threading.active_count()
+    calls = [lambda: sample_chi_square(np.eye(3), 2, 3 * B, 1),
+             lambda: lil_harness(OU, None, None, THREE_GRIDS, 2, 3 * B, 1)]
+    for call in calls:
+        seen.clear()
+        with pytest.raises(_DrawFailed) as raised:
+            call()
+        assert raised.value is error
+        assert threading.active_count() == before
+        # philox on the caller's thread, which tracers patch; every draw on
+        # one other thread, and none after the failed one
+        assert seen[0] == ("philox", threading.get_ident())
+        drawers = {ident for what, ident in seen[1:]}
+        assert len(drawers) == 1 and threading.get_ident() not in drawers
+        assert [what for what, _ in seen] == ["philox", "draw", "draw"]
+
+
+def test_samplers_leave_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    sample_chi_square(np.eye(3), 2, 3 * B, 1)
+    assert threading.active_count() == before
+    lil_harness(OU, None, None, THREE_GRIDS, 2, 3 * B, 1)
+    assert threading.active_count() == before
+
+    # a generator closed after its first block, with a draw in flight
+    blocks = sampling._factor_blocks([np.eye(3)], 2, 3 * B, 1)
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+
+    # a table that fails mid-way abandons the generator while it draws ahead
+    reduce, calls = sampling._reduce, []
+
+    def failing_reduce(eta, psi):
+        calls.append(len(eta))
+        if len(calls) == 4:
+            raise _DrawFailed("reduce failed")
+        return reduce(eta, psi)
+
+    monkeypatch.setattr(sampling, "_reduce", failing_reduce)
+    with pytest.raises(_DrawFailed, match="reduce failed"):
+        lil_harness(OU, None, None, THREE_GRIDS, 2, 3 * B, 1)
+    assert threading.active_count() == before
 
 
 # two-sample KS at 40,000 paths a side: 1.95 sqrt(2 / n) is the 0.1% point

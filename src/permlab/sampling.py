@@ -4,10 +4,10 @@ representation, and the iterated-logarithm Monte Carlo harness.
 Randomness comes from a counter-based Philox generator keyed by the run seed;
 all draws happen in fixed path-major order, so results are bit-identical for
 a given (config, seed) regardless of how the caller schedules work.  The
-stream is drawn one chunk ahead by a single helper thread, the only caller
-of the generator, in chunk order, while the caller's thread computes factor z
-on the chunk before; that moves work, not draws, so outputs still depend
-only on (config, seed).
+first chunk of the stream is drawn on the caller's thread; each later one is
+drawn one chunk ahead by a single helper thread, in chunk order, while the
+caller's thread computes factor z on the chunk before.  That moves work, not
+draws.
 
 Every sampler has one stream layout: each path draws all of its normals
 together, path after path, as k rows of width w, where w is the width of
@@ -15,11 +15,13 @@ the sampler's factor.  One engine, _factor_blocks, draws the stream and
 computes factor z for every sampler, the chi-square ones (one factor) and
 the harness (one factor per grid of a table).  Every factor reads the
 stream from its start, so a narrower factor's normals are a prefix of the
-widest one's; the stream is drawn once, in chunks that each factor cuts into
-blocks of at most _BLOCK paths at its own path boundaries, and no temporary
-spans every path.  Consecutive standard-normal draws equal one draw of their
-concatenation, so this relies only on a row of factor z not depending on
-the size of the block it is computed in.
+widest one's; the stream is drawn once, in chunks of _BLOCK paths of the
+widest factor, and no temporary spans every path.  Each factor multiplies
+its paths in blocks of exactly _ROWS paths, aligned to its own path 0: one
+2-D product of _ROWS * k rows per block, the last block zero-padded to that
+size.  A row of a product of one fixed shape, at a fixed position, does not
+depend on the other rows, so outputs depend only on (config, seed) and
+_ROWS: not on n_paths, nor on where a chunk ends.
 
 The harness samples Gaussian vectors in (value at d, increments) form.  The
 increment covariance is assembled from increment variances rather than by
@@ -50,7 +52,8 @@ __all__ = [
     "trend_is_nondecreasing",
 ]
 
-_BLOCK = 4096            # paths per block of the samplers
+_BLOCK = 4096            # paths of the widest factor per drawn chunk
+_ROWS = 1024             # paths per product, aligned to each factor's path 0
 # _psd_factor's eigenvalue fallback sets eigenvalues down to
 # -_EIG_CLIP_TOL * max(trace, 1) to zero; one below that is indefinite
 _EIG_CLIP_TOL = 1e-10
@@ -66,6 +69,8 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
+    if not cov.size:
+        raise ValueError("covariance must have at least one row")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance must be finite")
     if np.max(np.abs(cov - cov.T)) > 1e-12 * max(1.0, np.max(np.abs(cov))):
@@ -90,17 +95,21 @@ def _check_counts(k: int, n_paths: int):
 
 
 def _factor_blocks(factors, k: int, n_paths: int, seed: int):
-    """(g, paths, z @ F_g.T) for each factor F_g of factors, in blocks of at
-    most _BLOCK paths; see the module docstring.
+    """(g, paths, z @ F_g.T) for each factor F_g of factors, in blocks of
+    _ROWS paths aligned to the factor's path 0, the last block perhaps
+    shorter; see the module docstring.
 
     Path i of factor g uses normals i*k*w_g .. (i+1)*k*w_g - 1 of the
     stream, for w_g the width of F_g.  Chunks of _BLOCK paths of the widest
-    factor are drawn into two buffers in turn, each chunk by one helper
-    thread while this one computes the products of the chunk before; each
-    factor takes its part of a chunk behind its tail, the normals before the
-    chunk that fall short of a whole path.  The helper lives for one call:
-    finishing, raising or closing the generator waits for the draw in
-    flight and ends the thread.
+    factor are drawn into two buffers in turn: the first on this thread,
+    each later one by one helper thread while this one computes the products
+    of the chunk before.  Each factor takes its part of a chunk behind its
+    tail, the normals before the chunk that fall short of a whole block.
+    Every product is one GEMM of _ROWS * k rows; a factor's last block is
+    copied into zeros to that size, and only its real rows are yielded.
+    The helper starts on the first submit, so a one-chunk call starts no
+    thread, and lives for one call: finishing, raising or closing the
+    generator waits for the draw in flight and ends the thread.
     """
     if not factors:
         return
@@ -108,37 +117,42 @@ def _factor_blocks(factors, k: int, n_paths: int, seed: int):
 
     widths = [k * factor.shape[1] for factor in factors]
     widest = max(widths)
-    chunk, total = _BLOCK * widest, n_paths * widest
-    # a chunk goes behind the first widest normals, which hold any tail; the
-    # helper draws only into spare, whose chunk is fully consumed
-    buf, spare = np.empty(widest + chunk), np.empty(widest + chunk)
+    chunk, total, head = _BLOCK * widest, n_paths * widest, _ROWS * widest
+    # a chunk goes behind head normals, which hold any tail; the helper
+    # draws only into spare, whose chunk is fully consumed
+    buf, spare = np.empty(head + chunk), np.empty(head + chunk)
     rng = philox(seed)
+    rng.standard_normal(out=buf[head:head + min(chunk, total)])
     tails = [buf[:0] for _ in factors]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        def draw(into, start):
-            n = min(chunk, total - start)
-            return helper.submit(rng.standard_normal,
-                                 out=into[widest:widest + n])
-
-        drawn = draw(buf, 0)
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            drawn.result()
             if stop < total:
-                drawn = draw(spare, stop)
+                drawn = helper.submit(
+                    rng.standard_normal,
+                    out=spare[head:head + min(chunk, total - stop)])
             for g, (factor, w) in enumerate(zip(factors, widths)):
                 end = min(stop, n_paths * w)
                 if end <= start:
                     continue
                 held = len(tails[g])
-                buf[widest - held:widest] = tails[g]
-                z = buf[widest - held:widest + end - start]
+                buf[head - held:head] = tails[g]
+                z = buf[head - held:head + end - start]
                 first, paths = (start - held) // w, len(z) // w
+                if end < n_paths * w:
+                    paths -= paths % _ROWS     # whole blocks until the last
                 tails[g] = z[paths * w:].copy()
-                z = z[:paths * w].reshape(paths, k, factor.shape[1])
-                for i in range(0, paths, _BLOCK):
-                    b = slice(first + i, first + min(i + _BLOCK, paths))
-                    yield g, b, z[i:i + _BLOCK] @ factor.T
+                for i in range(0, paths, _ROWS):
+                    rows = min(_ROWS, paths - i)
+                    block = z[i * w:(i + rows) * w]
+                    if rows < _ROWS:
+                        block = np.zeros(_ROWS * w)
+                        block[:rows * w] = z[i * w:(i + rows) * w]
+                    eta = block.reshape(_ROWS * k, -1) @ factor.T
+                    yield (g, slice(first + i, first + i + rows),
+                           eta.reshape(_ROWS, k, -1)[:rows])
+            if stop < total:
+                drawn.result()
             buf, spare = spare, buf
 
 

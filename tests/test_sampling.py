@@ -48,6 +48,12 @@ def test_mean_is_half_diagonal():
 
 
 def test_covariance_rejections():
+    # an empty covariance once failed inside numpy's max
+    for call in (lambda: sample_chi_square(np.zeros((0, 0)), 1, 10, 0),
+                 lambda: laplace_check(np.zeros((0, 0)), 1, [], 10, 0),
+                 lambda: sampling._psd_factor(np.zeros((0, 0)))):
+        with pytest.raises(ValueError, match="at least one row"):
+            call()
     with pytest.raises(ValueError):
         sample_chi_square(np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 10, 0)
     with pytest.raises(ValueError):
@@ -336,10 +342,25 @@ def test_isymi_chi_square_covariance_matches_kernel():
 
 # -- the whole-array routes, kept as oracles of the path-blocked ones ---------
 
+def _fixed_product(z, factor):
+    """z @ factor.T for z of shape (paths, k, w), as the samplers compute it:
+    one 2-D product of _ROWS paths per block, blocks aligned to path 0, the
+    last block zero-padded to _ROWS paths and cut back to its real rows."""
+    R = sampling._ROWS
+    eta = np.empty(z.shape[:2] + factor.shape[:1])
+    for i in range(0, len(z), R):
+        block = np.zeros((R,) + z.shape[1:])
+        rows = len(z[i:i + R])
+        block[:rows] = z[i:i + R]
+        eta[i:i + rows] = (block.reshape(-1, z.shape[2]) @ factor.T).reshape(
+            R, z.shape[1], -1)[:rows]
+    return eta
+
+
 def _whole_chi_square(cov, k, n_paths, seed):
     factor = sampling._psd_factor(cov)
     z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[0]))
-    eta = z @ factor.T
+    eta = _fixed_product(z, factor)
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
@@ -347,38 +368,40 @@ def _whole_isymi(dec, k, n_paths, seed):
     # eta + a xi is [F, a] applied to dim + 1 normals, xi last in each row
     factor = np.column_stack((sampling._psd_factor(dec.kernel.G), dec.a))
     z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
-    eta = z @ factor.T
+    eta = _fixed_product(z, factor)
     return 0.5 * np.sum(eta * eta, axis=1)
 
 
 def _serial_factor_blocks(factors, k, n_paths, seed):
-    """The engine before the stream was drawn ahead: one buffer, every chunk
-    drawn on the caller's thread just before its products."""
+    """The engine without drawing ahead: one buffer, every chunk drawn on
+    the caller's thread just before its products, each factor's blocks
+    multiplied by _fixed_product."""
     if not factors:
         return
-    B = sampling._BLOCK
+    B, R = sampling._BLOCK, sampling._ROWS
     widths = [k * factor.shape[1] for factor in factors]
     widest = max(widths)
-    chunk, total = B * widest, n_paths * widest
-    buf = np.empty(widest + chunk)
+    chunk, total, head = B * widest, n_paths * widest, R * widest
+    buf = np.empty(head + chunk)
     rng = sampling.philox(seed)
     tails = [buf[:0] for _ in factors]
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        rng.standard_normal(out=buf[widest:widest + stop - start])
+        rng.standard_normal(out=buf[head:head + stop - start])
         for g, (factor, w) in enumerate(zip(factors, widths)):
             end = min(stop, n_paths * w)
             if end <= start:
                 continue
             held = len(tails[g])
-            buf[widest - held:widest] = tails[g]
-            z = buf[widest - held:widest + end - start]
+            buf[head - held:head] = tails[g]
+            z = buf[head - held:head + end - start]
             first, paths = (start - held) // w, len(z) // w
+            if end < n_paths * w:
+                paths -= paths % R           # whole blocks until the last
             tails[g] = z[paths * w:].copy()
-            z = z[:paths * w].reshape(paths, k, factor.shape[1])
-            for i in range(0, paths, B):
-                b = slice(first + i, first + min(i + B, paths))
-                yield g, b, z[i:i + B] @ factor.T
+            eta = _fixed_product(z[:paths * w].reshape(paths, k, -1), factor)
+            for i in range(0, paths, R):
+                yield g, slice(first + i, first + min(i + R, paths)), eta[i:i + R]
 
 
 def _lil_factor(base, f, g, spec):
@@ -420,7 +443,7 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
                         for eps in eps_list)
             continue
         z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
-        eta = z @ factor.T
+        eta = _fixed_product(z, factor)
         stat, stat_abs, x_d = _reduce(eta[:, :, 0], eta[:, :, 1:], psi)
         stats.append(np.array([stat, stat_abs, x_d]))
         target = np.sqrt(2.0 * x_d)
@@ -457,8 +480,9 @@ def _conditional_lil(base, f, g, spec, k, n_paths, seed):
     return _reduce(eta_d, delta, psi)
 
 
-B = sampling._BLOCK
-BLOCK_EDGES = [1, B - 1, B, B + 1, int(2.5 * B)]
+B, R = sampling._BLOCK, sampling._ROWS
+# path counts at the edges of a product block and of a drawn chunk
+BLOCK_EDGES = [1, R - 1, R, R + 1, B - 1, B, B + 1, int(2.5 * B)]
 F_OU = lambda x: 0.4 + 0.2 * np.exp(-0.5 * x)
 G_OU = lambda x: 0.8 + 0.1 * x
 
@@ -590,7 +614,8 @@ THREE_GRIDS = SCHEDULES["three-widths"]
 
 
 def test_a_failed_draw_raises_its_own_error_and_leaves_no_thread(monkeypatch):
-    error, seen = _failing_philox(monkeypatch, fail_at=2)
+    # three chunks of the widest factor: the third draw fails
+    error, seen = _failing_philox(monkeypatch, fail_at=3)
     before = threading.active_count()
     calls = [lambda: sample_chi_square(np.eye(3), 2, 3 * B, 1),
              lambda: lil_harness(OU, None, None, THREE_GRIDS, 2, 3 * B, 1)]
@@ -600,12 +625,32 @@ def test_a_failed_draw_raises_its_own_error_and_leaves_no_thread(monkeypatch):
             call()
         assert raised.value is error
         assert threading.active_count() == before
-        # philox on the caller's thread, which tracers patch; every draw on
-        # one other thread, and none after the failed one
-        assert seen[0] == ("philox", threading.get_ident())
-        drawers = {ident for what, ident in seen[1:]}
-        assert len(drawers) == 1 and threading.get_ident() not in drawers
-        assert [what for what, _ in seen] == ["philox", "draw", "draw"]
+        # philox and the first draw on the caller's thread, which tracers
+        # patch; the later draws on one other thread, in order, and none
+        # after the failed one
+        here = threading.get_ident()
+        assert seen[:2] == [("philox", here), ("draw", here)]
+        drawers = {ident for what, ident in seen[2:]}
+        assert len(drawers) == 1 and here not in drawers
+        assert [what for what, _ in seen] == ["philox"] + ["draw"] * 3
+
+
+def test_a_one_chunk_sampler_starts_no_thread(monkeypatch):
+    # the first chunk is drawn on the caller's thread, and the helper starts
+    # on its first draw
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    sample_chi_square(np.eye(3), 2, B, 1)
+    laplace_check(np.eye(3), 2, [1.0, 1.0, 1.0], B, 1)
+    lil_harness(OU, None, None, THREE_GRIDS, 2, B, 1)
+    assert started == []
+    sample_chi_square(np.eye(3), 2, B + 1, 1)
+    assert len(started) == 1
 
 
 def test_samplers_leave_no_thread_behind(monkeypatch):
@@ -671,22 +716,68 @@ def test_blocked_chi_square_equals_the_whole_array_route(k, n_paths):
 
 @pytest.mark.parametrize("m", [12, 52, 104])
 def test_blocked_product_equals_the_whole_product(m):
-    # BLAS does not promise that a product of a row block equals the same
-    # rows of the whole product; the blocked samplers rely on it, and a
-    # narrower grid of a lil table cuts the shared stream into blocks of
-    # whatever size its paths fall into, down to a single path
+    # BLAS does not promise that a row of a product does not depend on the
+    # other rows.  The samplers rely on it for one shape only: a block of
+    # _ROWS paths, each of k rows, with a row at a fixed position.  A run's
+    # last block, zero-padded, must give the rows that the same paths give
+    # inside a full block of a longer run.
     rng = np.random.default_rng(m)
     a = rng.standard_normal((m, m))
     factor = np.linalg.cholesky(a @ a.T + m * np.eye(m))
-    n = int(2.5 * B)
-    z = rng.standard_normal((n, 2, m))
-    whole_blocks = [slice(0, B), slice(B, 2 * B), slice(2 * B, n)]
-    blocked = np.concatenate([z[b] @ factor.T for b in whole_blocks])
-    assert np.array_equal(blocked, z @ factor.T)
-    cuts = [0, 1, 2, 9, 1000, B + 1000, B + 1001, 2 * B + 999, n]
-    cut = np.concatenate([z[i:j] @ factor.T
-                          for i, j in zip(cuts[:-1], cuts[1:])])
-    assert np.array_equal(cut, z @ factor.T)
+    z = rng.standard_normal((2 * R, m))           # a block of k = 2
+    whole = z @ factor.T
+    for rows in [1, 2, 9, R - 1, R, R + 1, 2 * R - 2, 2 * R - 1]:
+        padded = np.zeros_like(z)
+        padded[:rows] = z[:rows]
+        assert np.array_equal((padded @ factor.T)[:rows], whole[:rows])
+
+
+@pytest.mark.parametrize("dim, k", [(1, 1), (4, 2), (13, 1), (53, 2), (54, 2)])
+def test_fixed_shape_products_stay_within_ulps_of_the_stacked_product(dim, k):
+    # the stacked (paths, k, w) @ F.T, numpy's own route, stays the oracle of
+    # the fixed-shape blocks: the two differ in the order of summation only
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    factor = np.linalg.cholesky(a @ a.T + dim * np.eye(dim))
+    n_paths = int(2.5 * B) + 7
+    z = sampling.philox(31).standard_normal((n_paths, k, dim))
+    eta = np.full((n_paths, k, dim), np.nan)
+    for _, b, block in sampling._factor_blocks([factor], k, n_paths, 31):
+        eta[b] = block
+    scale = np.abs(z) @ np.abs(factor).T
+    assert np.all(np.abs(eta - z @ factor.T) <= 8 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_chi_square_run_is_the_prefix_of_a_longer_run(k):
+    # products are fixed-shape blocks aligned to path 0, so a row does not
+    # depend on how many paths follow it
+    pts = [0.2, 0.5, 0.9, 1.4]
+    cov = np.exp(-np.abs(np.subtract.outer(pts, pts)))
+    dec = decompose(assemble_kernel(OU, F_OU, G_OU,
+                                    GridSpec(d=1.0, theta=0.5, n=12, q=0.7)))
+    longest = 3 * B + 5
+    chi = sample_chi_square(cov, k, longest, 23)
+    isymi = sample_isymi_representation(dec, k, longest, 24)
+    for n_paths in BLOCK_EDGES:
+        assert np.array_equal(sample_chi_square(cov, k, n_paths, 23),
+                              chi[:n_paths])
+        assert np.array_equal(sample_isymi_representation(dec, k, n_paths, 24),
+                              isymi[:n_paths])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bordered", [False, True])
+def test_lil_statistics_are_the_prefix_of_a_longer_run(bordered, k):
+    # and a chunk of the widest grid cuts a narrower grid's blocks anywhere
+    f, g = (F_OU, G_OU) if bordered else (None, None)
+    grids = [(factor, psi) for factor, _, psi in
+             (_lil_factor(OU, f, g, spec) for spec in THREE_GRIDS)]
+    want = sampling._lil_statistics(grids, k, 3 * B + 5, 37)
+    for n_paths in BLOCK_EDGES:
+        got = sampling._lil_statistics(grids, k, n_paths, 37)
+        for stats, longer in zip(got, want, strict=True):
+            assert np.array_equal(stats, longer[:, :n_paths])
 
 
 def _traced_peak(call):

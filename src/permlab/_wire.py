@@ -13,18 +13,27 @@ from numbers import Integral, Real
 import numpy as np
 
 
-def kind_of(spec, kinds, what: str, tag: str = "kind") -> str:
-    """The spec's tag value, once spec is a dict whose tag is in kinds."""
+def kind_of(spec, schema, noun: str, tag: str = "kind") -> tuple[str, str]:
+    """(kind, label) of a tagged document whose fields fit its kind.
+
+    schema maps each kind to (required, optional, ...), the fields besides
+    the tag; label is "'<kind>' <noun> spec", for the caller's messages.
+    """
     if not isinstance(spec, dict) or tag not in spec:
-        raise ValueError(f"{what} spec must be a dict with a {tag!r} field")
+        raise ValueError(f"{noun} spec must be a dict with a {tag!r} field")
     kind = spec[tag]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"{what} spec field {tag!r} must be one of "
-                         f"{sorted(kinds)}, got {kind!r}")
-    return kind
+    if not isinstance(kind, str) or kind not in schema:
+        raise ValueError(f"{noun} spec field {tag!r} must be one of "
+                         f"{sorted(schema)}, got {kind!r}")
+    required, optional = schema[kind][:2]
+    label = f"{kind!r} {noun} spec"
+    check_fields(spec, {tag, *required, *optional}, required, label)
+    return kind, label
 
 
-def check_fields(spec: dict, allowed, required, what: str):
+def check_fields(spec, allowed, required, what: str):
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a dict")
     extra = set(spec) - set(allowed)
     if extra:
         raise ValueError(f"unknown fields in {what}: {sorted(extra)}")
@@ -76,8 +85,8 @@ def integers(spec: dict, key: str, what: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def items(spec: dict, key: str, what: str):
-    return _seq(spec[key], f"{what} field {key!r}")
+def items(spec: dict, key: str, what: str, length=None):
+    return _seq(spec[key], f"{what} field {key!r}", length)
 
 
 def numbers(spec: dict, key: str, what: str, length: int, default=None) -> tuple:

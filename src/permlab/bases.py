@@ -92,6 +92,13 @@ class ExpDecayBase(_GridKernel):
     C: float = 0.5
     translation_invariant = True
 
+    def __post_init__(self):
+        for name in ("beta", "C"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"exp_decay field {name!r} must be positive, "
+                                 f"got {value!r}")
+
     def radial(self, t):
         rate, denom = sqrt(self.beta / self.C), 2.0 * sqrt(self.beta * self.C)
         out = np.exp(-rate * np.abs(t)) / denom

@@ -181,7 +181,9 @@ class ScalePotential:
     hi: float = 10.0
 
     def __post_init__(self):
-        if abs(float(self.s(0.0))) > 1e-12:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s0 = self.s(0.0)        # a negative power blows up at 0
+        if not abs(s0) <= 1e-12:
             raise ValueError("scale function must vanish at zero")
         xs = np.linspace(self.hi / 200.0, self.hi, 200)
         if not np.all(np.asarray(self.s.diff()(xs)) > 0):

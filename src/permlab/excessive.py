@@ -180,18 +180,13 @@ def on_grid(fn, pts: np.ndarray) -> np.ndarray:
     return np.array(np.broadcast_to(fn(pts), pts.shape), dtype=float)
 
 
-_FIELDS = {
-    "indicator": {"kind", "a", "b"},
-    "atoms": {"kind", "atoms"},
-    "const": {"kind", "c"},
-    "scale_concave": {"kind", "p", "x0"},
-}
+# (required, optional) fields of each kind besides "kind"
+_SCHEMA = {"indicator": (("a", "b"), ()), "atoms": (("atoms",), ()),
+           "const": (("c",), ()), "scale_concave": (("p", "x0"), ())}
 
 
 def excessive_from_spec(spec: dict, base):
-    kind = wire.kind_of(spec, _FIELDS, "excessive")
-    what = f"{kind!r} excessive spec"
-    wire.check_fields(spec, _FIELDS[kind], _FIELDS[kind], what)
+    kind, what = wire.kind_of(spec, _SCHEMA, "excessive")
     if kind == "indicator":
         return IndicatorPotential(base, wire.number(spec, "a", what),
                                   wire.number(spec, "b", what))

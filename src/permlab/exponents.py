@@ -178,20 +178,14 @@ class CharExponent:
                 "atoms": [[s, w] for s, w in self.atoms]}
 
 
-_SPEC_FIELDS = {
-    "stable": {"kind", "index"},
-    "mixture": {"kind", "atoms"},
-    "gaussian_plus": {"kind", "C", "atoms"},
-}
-
-_SPEC_REQUIRED = {"stable": {"index"}, "mixture": {"atoms"}, "gaussian_plus": set()}
+# (required, optional) fields of each kind besides "kind"
+_SCHEMA = {"stable": (("index",), ()), "mixture": (("atoms",), ()),
+           "gaussian_plus": ((), ("C", "atoms"))}
 
 
 def exponent_from_spec(spec: dict) -> CharExponent:
     """Parse the JSON wire form; unknown fields are rejected."""
-    kind = wire.kind_of(spec, _SPEC_FIELDS, "exponent")
-    what = f"{kind!r} exponent spec"
-    wire.check_fields(spec, _SPEC_FIELDS[kind], _SPEC_REQUIRED[kind], what)
+    kind, what = wire.kind_of(spec, _SCHEMA, "exponent")
     if kind == "stable":
         return CharExponent.pure_stable(wire.number(spec, "index", what))
     if kind == "mixture":

@@ -138,32 +138,21 @@ class Pow(Expr):
                 "exponent": self.exponent}
 
 
+# kind: (required fields, optional fields, builder from the spec and label)
 _KINDS = {
-    "const": lambda d, w: Const(wire.number(d, "value", w)),
-    "affine": lambda d, w: Affine(wire.number(d, "a", w),
-                                  wire.number(d, "b", w, 0.0)),
-    "sum": lambda d, w: Sum(*map(expr_from_spec, wire.items(d, "terms", w))),
-    "prod": lambda d, w: Prod(*map(expr_from_spec, wire.items(d, "factors", w))),
-    "exp": lambda d, w: Exp(expr_from_spec(d["arg"])),
-    "pow": lambda d, w: Pow(expr_from_spec(d["base"]),
-                            wire.number(d, "exponent", w)),
+    "const": (("value",), (), lambda d, w: Const(wire.number(d, "value", w))),
+    "affine": (("a",), ("b",), lambda d, w: Affine(
+        wire.number(d, "a", w), wire.number(d, "b", w, 0.0))),
+    "sum": (("terms",), (), lambda d, w: Sum(
+        *map(expr_from_spec, wire.items(d, "terms", w)))),
+    "prod": (("factors",), (), lambda d, w: Prod(
+        *map(expr_from_spec, wire.items(d, "factors", w)))),
+    "exp": (("arg",), (), lambda d, w: Exp(expr_from_spec(d["arg"]))),
+    "pow": (("base", "exponent"), (), lambda d, w: Pow(
+        expr_from_spec(d["base"]), wire.number(d, "exponent", w))),
 }
-
-_FIELDS = {
-    "const": {"kind", "value"},
-    "affine": {"kind", "a", "b"},
-    "sum": {"kind", "terms"},
-    "prod": {"kind", "factors"},
-    "exp": {"kind", "arg"},
-    "pow": {"kind", "base", "exponent"},
-}
-
-_OPTIONAL = {"affine": {"b"}}
 
 
 def expr_from_spec(spec: dict) -> Expr:
-    kind = wire.kind_of(spec, _KINDS, "expression")
-    what = f"{kind!r} expression spec"
-    wire.check_fields(spec, _FIELDS[kind],
-                      _FIELDS[kind] - _OPTIONAL.get(kind, set()), what)
-    return _KINDS[kind](spec, what)
+    kind, what = wire.kind_of(spec, _KINDS, "expression")
+    return _KINDS[kind][2](spec, what)

@@ -74,9 +74,6 @@ class LevyPotential:
     def __post_init__(self):
         if not 0.0 <= self.beta < np.inf:
             raise ValueError(f"killing rate {self.beta} must be finite and >= 0")
-        g0, _ = self.psi.support()
-        if g0 <= 1.0 and self.psi.gaussian_coeff == 0.0:
-            raise ValueError("exponent index at zero must exceed 1")
         self._u_cache: dict[float, tuple[float, float]] = {}
         self._s_cache: dict[float, tuple[float, float]] = {}
 

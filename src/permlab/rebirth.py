@@ -200,14 +200,13 @@ _MODEL = "model spec"
 
 def _model_fields(spec: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Check the fields of a model spec; return its (m, mu, extras)."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{_MODEL} must be a dict")
     required = {"states", "m", "mu"}
     wire.check_fields(spec, required | {"generator", "potential", "p", "alpha"},
                       required, _MODEL)
     if "generator" not in spec and "potential" not in spec:
         raise ValueError("model spec needs a 'generator' or a 'potential'")
     m = wire.array(spec, "m", _MODEL, 1)
+    wire.items(spec, "states", _MODEL, len(m))     # one label per state
     mu = wire.array(spec, "mu", _MODEL, 1)
     if mu.shape != m.shape:
         raise ValueError("model spec fields 'm' and 'mu' need one entry per state")

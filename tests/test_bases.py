@@ -255,3 +255,12 @@ def test_mirror_upper_copies_the_upper_triangle():
     mat = np.arange(9.0).reshape(3, 3)
     assert np.array_equal(mirror_upper(mat),
                           [[0.0, 1.0, 2.0], [1.0, 4.0, 5.0], [2.0, 5.0, 8.0]])
+
+
+@pytest.mark.parametrize("beta, c, field", [
+    (0.0, 0.5, "beta"), (-1.0, 0.5, "beta"), (0.5, 0.0, "C"),
+    (0.5, -1.0, "C"), (float("nan"), 0.5, "beta"),
+])
+def test_exp_decay_refuses_a_nonpositive_rate_or_coefficient(beta, c, field):
+    with pytest.raises(ValueError, match=repr(field)):
+        ExpDecayBase(beta, c)

@@ -329,6 +329,12 @@ LIL = {"base": EXP_DECAY, "schedule": [10], "grid": {
      "generator"),
     ({"model": {**MODEL, "m": [True, 1.0]}}, "m"),
     ({"model": {**MODEL, "mu": ["0.5", 0.0]}}, "mu"),
+    # numbers outside their range; states of the wrong type or length
+    (_kernel_docs({"family": "exp_decay", "beta": 0}), "beta"),
+    (_kernel_docs({"family": "exp_decay", "beta": -1}), "beta"),
+    (_kernel_docs({"family": "exp_decay", "C": 0}), "C"),
+    ({"model": {**MODEL, "states": 7}}, "states"),
+    ({"model": {**MODEL, "states": [0, 1, 2]}}, "states"),
 ])
 def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
                                                        field):

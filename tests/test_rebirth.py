@@ -3,7 +3,7 @@ import pytest
 
 from permlab import (FiniteChain, FullRebirthModel, PartialRebirthModel,
                      chain_from_spec, ek_identity_check, full_rebirth_potential,
-                     partial_rebirth_potential)
+                     partial_rebirth_potential, potential_from_spec)
 
 
 def two_state():
@@ -241,8 +241,20 @@ def test_chain_from_spec():
         chain_from_spec({"states": [], "m": [], "mu": []})
 
 
+@pytest.mark.parametrize("states", [7, "ab", None, [0], [0, 1, 2]])
+def test_model_states_are_one_label_per_state(states):
+    spec = {"states": states, "m": [1.0, 1.0],
+            "generator": [[-1.0, 0.3], [0.3, -0.8]], "mu": [0.5, 0.0]}
+    with pytest.raises(ValueError, match="'states'"):
+        chain_from_spec(spec)
+    with pytest.raises(ValueError, match="'states'"):
+        potential_from_spec(spec)
+    # labels may be any JSON values
+    chain, _, _ = chain_from_spec({**spec, "states": [None, {"x": [1]}]})
+    assert chain.n_states == 2
+
+
 def test_potential_from_spec_accepts_both_forms():
-    from permlab import potential_from_spec
     gen_spec = {
         "states": [0, 1],
         "m": [1.0, 1.0],

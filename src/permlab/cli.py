@@ -227,7 +227,14 @@ def _cmd_rebirth_check_ek(args) -> int:
     chain, _, _ = chain_from_spec(_load_json(args.model))
 
     def f(x):
-        return np.exp(-s * np.sum(x, axis=1))
+        # exp(-s * the row sums): a fold over the columns in column order,
+        # numpy's own order of a row sum below 8 states, and then in place,
+        # since x holds one row per path
+        total = x[:, 0].copy()
+        for col in x.T[1:]:
+            total += col
+        total *= -s
+        return np.exp(total, out=total)
 
     rep = ek_identity_check(chain, args.y, f, args.paths, args.seed)
     report = {"lhs": rep.lhs, "rhs": rep.rhs, "z": rep.z,

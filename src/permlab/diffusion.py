@@ -54,6 +54,19 @@ def _panel_integral(fn, a: float, b: float) -> float:
     return total
 
 
+def _check_on(xs: np.ndarray, where: str, checks):
+    """Refuse unless fn is finite on xs and side(fn, 0) holds there, for
+    each (fn, name, side, msg) of checks in turn.  An overflow or an
+    invalid operation gives a non-finite value, which fails silently."""
+    with np.errstate(all="ignore"):
+        values = [np.asarray(fn(xs), dtype=float) for fn, *_ in checks]
+    for vals, (_, name, side, msg) in zip(values, checks):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} must be finite on {where}")
+        if not side(vals, 0.0).all():
+            raise ValueError(f"{msg} on {where}")
+
+
 @dataclass
 class PQPotential:
     """u(x, y) = p(x)q(y) for x <= y, with a killing rate attached."""
@@ -70,17 +83,14 @@ class PQPotential:
         xs = np.linspace(lo, hi, 101)
         p1, q1 = self.p.diff(), self.q.diff()
         p2, q2 = p1.diff(), q1.diff()
-        checks = [
-            (np.all(self.p(xs) > 0), "p must be positive"),
-            (np.all(self.q(xs) > 0), "q must be positive"),
-            (np.all(p1(xs) > 0), "p must be strictly increasing"),
-            (np.all(q1(xs) < 0), "q must be strictly decreasing"),
-            (np.all(p2(xs) > 0), "p must be strictly convex"),
-            (np.all(q2(xs) > 0), "q must be strictly convex"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ValueError(msg + " on the working interval")
+        _check_on(xs, "the working interval", [
+            (self.p, "p", np.greater, "p must be positive"),
+            (self.q, "q", np.greater, "q must be positive"),
+            (p1, "p'", np.greater, "p must be strictly increasing"),
+            (q1, "q'", np.less, "q must be strictly decreasing"),
+            (p2, "p''", np.greater, "p must be strictly convex"),
+            (q2, "q''", np.greater, "q must be strictly convex"),
+        ])
 
     def u(self, x, y):
         """p(x ^ y) q(x v y); scalars or arrays that broadcast together."""
@@ -181,15 +191,16 @@ class ScalePotential:
     hi: float = 10.0
 
     def __post_init__(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             s0 = self.s(0.0)        # a negative power blows up at 0
         if not abs(s0) <= 1e-12:
             raise ValueError("scale function must vanish at zero")
         xs = np.linspace(self.hi / 200.0, self.hi, 200)
-        if not np.all(np.asarray(self.s.diff()(xs)) > 0):
-            raise ValueError("scale function must be strictly increasing")
-        if not np.all(np.asarray(self.s(xs)) > 0):
-            raise ValueError("scale function must be positive on (0, hi]")
+        _check_on(xs, "(0, hi]", [
+            (self.s.diff(), "s'", np.greater,
+             "scale function must be strictly increasing"),
+            (self.s, "s", np.greater, "scale function must be positive"),
+        ])
 
     def u(self, x, y):
         """2 (s(x) ^ s(y)); scalars or arrays that broadcast together."""

@@ -12,14 +12,17 @@ chain, the fully reborn chain killed at rate p, and the h-conditioned chain
 of the isomorphism check.  Each builds its holding rates and a table of
 cumulative move laws over (states..., exit) and hands them to one vectorized
 engine, _jump_rounds.  Each round moves every live path once; a path that
-takes the exit dies.  The engine holds the indices and states of the live
-paths only, in path order, and drops the dead after each round, so a round
-costs the paths still alive, not all of them.  It draws from one Philox
-stream in a fixed order: every round, one exponential holding time per live
-path, then one uniform per live path (its move).  The move is the number of
-state columns of the cumulative table that the uniform exceeds, so the exit
-takes all of [0, 1) above the last state column, including the rounding gap
-of a row that sums to just below 1.  The two rebirth simulators go through
+takes the exit dies.  The engine holds the live paths only, in path order:
+the flat offset of each one's row of the local-time array, its state, and
+its index when elapsed time is kept.  A round adds a holding time at the
+offset plus the state, then one np.flatnonzero of the survivors compacts
+every live array, so a round costs the paths still alive, not all of them.
+It draws from one Philox stream in a fixed order: every round, one
+exponential holding time per live path, then one uniform per live path (its
+move).  The move is the number of state columns of the cumulative table
+that the uniform exceeds, so the exit takes all of [0, 1) above the last
+state column, including the rounding gap of a row that sums to just below
+1.  The two rebirth simulators go through
 _jump_chain, which also keeps each path's elapsed time and occupation error;
 the conditioned chain needs only its local times and skips that bookkeeping.
 """
@@ -282,28 +285,32 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
     exit_col = cumtable.shape[1] - 1
-    cols = cumtable[:, :exit_col].T.copy()      # the state columns
+    first, *cols = cumtable[:, :exit_col].T.copy()   # the state columns
     rng = philox(seed)
-    idx = np.arange(n_paths)                     # the live paths
-    s = np.full(n_paths, start, dtype=np.int64)  # and their states
     L = np.zeros((n_paths, n_states))
     flat = L.reshape(-1)
+    rows = np.arange(0, flat.size, n_states)     # flat offsets of live rows
+    s = np.full(n_paths, start, dtype=np.int64)  # and their states
+    idx = np.arange(n_paths) if timed else None  # and indices, when timed
     elapsed = np.zeros(n_paths) if timed else None
     rounds = 0
-    while len(idx):
+    while len(rows):
         if rounds >= _ROUND_CAP:
             raise RoundCapError(f"paths did not terminate within {_ROUND_CAP} "
-                                f"rounds; {len(idx)} paths alive")
-        hold = rng.exponential(1.0, size=len(idx)) / hold_rate[s]
-        flat[idx * n_states + s] += hold / m[s]   # each live path once
+                                f"rounds; {len(rows)} paths alive")
+        hold = rng.exponential(1.0, size=len(rows))
+        hold /= hold_rate[s]
+        flat[rows + s] += hold / m[s]   # each live path once
         if timed:
             elapsed[idx] += hold
-        u = rng.random(len(idx))
-        nxt = np.zeros(len(idx), dtype=np.int64)
+        u = rng.random(len(rows))
+        nxt = np.greater(u, first[s], out=np.empty(len(rows), dtype=np.int64))
         for col in cols:
             nxt += u > col[s]
-        live = nxt != exit_col
-        idx, s = idx[live], nxt[live]
+        live = np.flatnonzero(nxt != exit_col)
+        rows, s = rows.take(live), nxt.take(live)
+        if timed:
+            idx = idx.take(live)
         rounds += 1
     return L, elapsed, rounds
 

@@ -158,10 +158,21 @@ def _factor_blocks(factors, k: int, n_paths: int, seed: int):
 
 def _chi_square(factor: np.ndarray, k: int, n_paths: int,
                 seed: int) -> np.ndarray:
-    """(n_paths, rows) samples of half the sum of k squares of factor z."""
+    """(n_paths, rows) samples of half the sum of k squares of factor z.
+
+    The squares are summed in copy order, ((z_0^2 + z_1^2) + z_2^2) + ...,
+    by elementwise passes into the block's rows of the output, then halved.
+    That is numpy's own order of np.sum over the copies below 8 of them;
+    from 8 copies on a 1x1 covariance numpy sums pairwise, and the bits may
+    differ from that in the last place.
+    """
     x = np.empty((n_paths, factor.shape[0]))
     for _, b, eta in _factor_blocks([factor], k, n_paths, seed):
-        x[b] = 0.5 * np.sum(eta * eta, axis=1)
+        out = x[b]
+        np.square(eta[:, 0], out=out)
+        for c in range(1, k):
+            out += np.square(eta[:, c])
+        out *= 0.5
     return x
 
 
@@ -276,21 +287,36 @@ class LILRow:
 def _reduce(eta, psi):
     """(stat, stat_abs, X(d)) of a block of factor z; see lil_harness.
 
-    Each row of eta is (eta_d, increments) at one copy.
+    Each row of eta is (eta_d, increments) at one copy.  Both sums over the
+    copies, of the increment terms and of eta_d^2, run in copy order,
+    ((c_0 + c_1) + c_2) + ..., by elementwise passes: numpy's own order of
+    np.sum over the copies below 8 of them (from 8 on, numpy sums a
+    contiguous axis pairwise, X(d) and a one-offset grid, and the bits may
+    differ from that in the last place).  The max and min over the offsets
+    run down the columns of a contiguous (m, paths) copy of the ratios,
+    elementwise passes too; they are exact in any order.
     """
-    eta_d, delta = eta[:, :, 0], eta[:, :, 1:]
-    # X(d + t_j) - X(d) = sum over copies of delta (eta_d + delta / 2), a
-    # form that does not cancel at small delta; in place, to keep one
-    # temporary of the block's size
-    terms = 0.5 * delta
-    terms += eta_d[:, :, None]
-    terms *= delta
-    r = np.sum(terms, axis=1)
+    r = x_d = None
+    for copy in eta.transpose(1, 0, 2):     # (paths, 1 + m) per copy
+        eta_d, delta = copy[:, :1], copy[:, 1:]
+        # X(d + t_j) - X(d) = sum over copies of delta (eta_d + delta / 2),
+        # a form that does not cancel at small delta
+        term = 0.5 * delta
+        term += eta_d
+        term *= delta
+        square = np.square(copy[:, 0])
+        if r is None:
+            r, x_d = term, square
+        else:
+            r += term
+            x_d += square
     r /= psi
-    stat = np.max(r, axis=1)
+    r = r.T.copy()
+    stat = np.max(r, axis=0)
     # max |dX| / psi, exactly: psi > 0, so |dX| / psi = |r|
-    stat_abs = np.maximum(stat, -np.min(r, axis=1))
-    return stat, stat_abs, 0.5 * np.sum(eta_d * eta_d, axis=1)
+    stat_abs = np.maximum(stat, -np.min(r, axis=0))
+    x_d *= 0.5
+    return stat, stat_abs, x_d
 
 
 def _lil_statistics(grids, k: int, n_paths: int, seed: int):

@@ -655,7 +655,7 @@ def _engine_call(monkeypatch, table, n_states):
 
 
 @pytest.mark.parametrize("n_paths", [1, 10_000])
-@pytest.mark.parametrize("n_states", [1, 5])
+@pytest.mark.parametrize("n_states", [1, 2, 5, 7])
 @pytest.mark.parametrize("table", ["partial", "full", "conditioned"])
 def test_live_path_engine_equals_the_masked_engine(monkeypatch, table,
                                                    n_states, n_paths):

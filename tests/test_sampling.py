@@ -488,7 +488,7 @@ G_OU = lambda x: 0.8 + 0.1 * x
 
 
 @pytest.mark.parametrize("n_paths", BLOCK_EDGES)
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("bordered", [False, True])
 def test_blocked_lil_equals_the_whole_array_route(monkeypatch, bordered, k,
                                                   n_paths):
@@ -702,7 +702,7 @@ def test_lil_statistics_follow_the_conditional_route_in_law(monkeypatch,
 
 
 @pytest.mark.parametrize("n_paths", BLOCK_EDGES)
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_blocked_chi_square_equals_the_whole_array_route(k, n_paths):
     pts = [0.2, 0.5, 0.9, 1.4]
     cov = np.exp(-np.abs(np.subtract.outer(pts, pts)))
@@ -712,6 +712,61 @@ def test_blocked_chi_square_equals_the_whole_array_route(k, n_paths):
                                     GridSpec(d=1.0, theta=0.5, n=12, q=0.7)))
     assert np.array_equal(sample_isymi_representation(dec, k, n_paths, 24),
                           _whole_isymi(dec, k, n_paths, 24))
+
+
+def test_eight_copies_stay_within_ulps_of_numpys_pairwise_sum(monkeypatch):
+    # the samplers sum over the copies in copy order; np.sum, the oracles'
+    # route, sums 8 or more contiguous terms pairwise: the squares of a 1x1
+    # covariance and X(d).  All terms are positive, so the sum bounds the
+    # error of either order.
+    ulps = 8 * np.finfo(float).eps
+    n_paths = B + 3
+    got = sample_chi_square([[1.7]], 8, n_paths, 23)
+    want = _whole_chi_square([[1.7]], 8, n_paths, 23)
+    assert np.all(np.abs(got - want) <= ulps * want)
+    assert not np.array_equal(got, want)   # the pairwise order shows
+    specs = [GridSpec(d=1.0, theta=0.5, n=12, q=0.7)]
+    _, seen = _spied_lil_statistics(monkeypatch, OU, None, None, specs, 8,
+                                    n_paths, 17)
+    _, (want,) = _whole_lil(OU, None, None, specs, 8, n_paths, seed=17)
+    (got,) = seen
+    assert np.array_equal(got[:2], want[:2])   # offsets are not contiguous
+    assert np.all(np.abs(got[2] - want[2]) <= ulps * want[2])
+
+
+def _two_way_chain(n):
+    """A chain spec on n states, each pair joined at rate 0.1."""
+    gen = np.full((n, n), 0.1)
+    np.fill_diagonal(gen, -1.0)
+    return {"states": list(range(n)), "m": [1.0] * n, "mu": [0.0] * n,
+            "generator": gen.tolist()}
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_check_ek_functional_is_the_exponential_of_the_row_sums(
+        monkeypatch, tmp_path, n):
+    # the command folds the columns in place; np.sum over a row of fewer
+    # than 8 entries adds them in the same order, so the bits agree
+    import json
+
+    from permlab import cli
+    from permlab.rebirth import EKReport
+    seen = []
+
+    def check(chain, y, F, n_paths, seed):
+        seen.append(F)
+        return EKReport(1.0, 1.0, 0.0, 0.1, 0.1)
+
+    monkeypatch.setattr(cli, "ek_identity_check", check)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_two_way_chain(n)))
+    assert cli.main(["rebirth", "check-ek", "--model", str(model), "--s",
+                     "0.7", "--paths", "10", "--seed", "1", "--out",
+                     str(tmp_path / "out")]) == 0
+    x = np.random.default_rng(n).exponential(size=(B + 3, n))
+    before = x.copy()
+    assert np.array_equal(seen[0](x), np.exp(-0.7 * np.sum(x, axis=1)))
+    assert np.array_equal(x, before)
 
 
 @pytest.mark.parametrize("m", [12, 52, 104])

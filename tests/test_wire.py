@@ -179,13 +179,25 @@ def test_commands_exit_zero_or_two_on_any_field_value(tmp_path_factory, case,
     assert _exit_code(workdir, argv, docs, fuzzed, path, value) in (0, 2)
 
 
+NUMBER_CASES = [(argv, docs, name, path) for argv, docs in COMMANDS
+                for name in docs for path in _number_paths(docs[name])]
+
+
 # Zero and minus one are the edges of most parameter ranges (rates, scales,
 # counts); a random draw rarely lands on them, so each number gets both.
-@pytest.mark.parametrize("case", [
-    (argv, docs, name, path) for argv, docs in COMMANDS
-    for name in docs for path in _number_paths(docs[name])])
+@pytest.mark.parametrize("case", NUMBER_CASES)
 @pytest.mark.parametrize("value", [0, -1])
 def test_commands_exit_zero_or_two_at_zero_and_minus_one(tmp_path, case,
                                                          value):
+    argv, docs, fuzzed, path = case
+    assert _exit_code(tmp_path, argv, docs, fuzzed, path, value) in (0, 2)
+
+
+# A huge number overflows the closed forms that check a document (exp, power,
+# products of them); the document must still be refused with one error line,
+# and a numpy RuntimeWarning on the way is an error under pytest.ini.
+@pytest.mark.parametrize("case", NUMBER_CASES)
+@pytest.mark.parametrize("value", [1e300, -1e300])
+def test_commands_exit_zero_or_two_at_huge_values(tmp_path, case, value):
     argv, docs, fuzzed, path = case
     assert _exit_code(tmp_path, argv, docs, fuzzed, path, value) in (0, 2)

@@ -1,12 +1,14 @@
 """Excessive functions as potentials of measures.
 
-Only potential-type constructions are accepted: indicator-interval potentials
-of translation-invariant bases, atomic-measure potentials, constants, and the
-capped concave family for scale kernels.  Arbitrary callables are rejected
-because nothing could certify them.  The discrete surrogate for
-excessiveness, min over j of (U^-1 f)_j >= -tol on a grid Gram matrix U, is
-exposed here as gram_surrogate_min, a check for library users; no other
-layer of permlab calls it.
+The constructions here are potentials: indicator-interval potentials of
+translation-invariant bases, atomic-measure potentials, constants, and the
+capped concave family for scale kernels.  Only excessive_from_spec limits f
+and g to these kinds, since nothing could certify another function; the
+library's assemble_kernel and on_grid take any callable (lambda x: x, say)
+unchecked.  The discrete surrogate for excessiveness, min over j of
+(U^-1 f)_j >= -tol on a grid Gram matrix U, is exposed here as
+gram_surrogate_min, a check for library users; no other layer of permlab
+calls it.
 
 Every excessive function and derivative takes a scalar, giving a float, or
 an array, giving an array of its shape equal to the scalar calls bit for bit.

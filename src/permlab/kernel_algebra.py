@@ -58,6 +58,7 @@ MAX_GRID_POINTS = 200
 _LOGLOG_CAP = exp(-_e)   # largest admissible offset, log log 1/t >= 1
 _NEGATIVITY_TOL = 1e-10  # scaled dip of r, v below zero that decompose accepts
 SIGN_TOL = 1e-10         # scaled sign excess the M-matrix checks accept
+_COND_LIMIT = 1e12       # condition estimate above which G counts as singular
 
 
 class GridError(ValueError):
@@ -119,12 +120,13 @@ class AugmentedKernel:
     cond: float
 
 
-def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedKernel:
+def assemble_kernel(base, f, g, grid) -> AugmentedKernel:
     """Build the augmented matrix for a base kernel and two excessive functions.
 
     grid may be a GridSpec or an explicit point array whose first entry is
     the distinguished point.  f, g >= 0 on the grid and > 0 at that point,
     except f = g = 0 on the grid, which is the symmetric kernel (nu = 1).
+    G with a condition estimate above _COND_LIMIT is refused as singular.
     """
     pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
     if not np.all(np.isfinite(pts)):
@@ -141,7 +143,7 @@ def assemble_kernel(base, f, g, grid, *, cond_limit: float = 1e12) -> AugmentedK
         raise ValueError("f and g must be positive at the distinguished point")
     G_inv = la.inv(G)
     cond = la.cond1(G, G_inv[0])
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise ValueError(f"Gram matrix numerically singular (cond ~ {cond:.3g})")
     K = _kernel_pair(G, fvec, gvec)[0]
     return AugmentedKernel(pts, G, fvec, gvec, K, G_inv, cond)

@@ -54,6 +54,7 @@ __all__ = [
 
 _BLOCK = 4096            # paths of the widest factor per drawn chunk
 _ROWS = 1024             # paths per product, aligned to each factor's path 0
+_EPS_LIST = (0.1, 0.2, 0.3)   # the lil harness's eps, one row each per grid
 # _psd_factor's eigenvalue fallback sets eigenvalues down to
 # -_EIG_CLIP_TOL * max(trace, 1) to zero; one below that is indefinite
 _EIG_CLIP_TOL = 1e-10
@@ -329,14 +330,15 @@ def _lil_statistics(grids, k: int, n_paths: int, seed: int):
     return outs
 
 
-def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
-                eps_list=(0.1, 0.2, 0.3)) -> list[LILRow]:
+def lil_harness(base, f, g, grid_specs, k: int, n_paths: int,
+                seed: int) -> list[LILRow]:
     """Per-grid exceedance frequencies of the normalized running maximum.
 
     For each grid the statistic is max_j (X(t'_j) - X(d)) / psi(t_j) with
     psi(t) = sqrt(2 sigma^2(d+t, d) log log 1/t); the lower frequency counts
     paths where it clears (1 - eps) sqrt(2 X(d)), the upper frequency counts
     paths whose two-sided maximum stays below (1 + eps) sqrt(2 X(d)).
+    Each grid gives one row per eps in _EPS_LIST = (0.1, 0.2, 0.3), in order.
     When f and g are given the symmetrized comparison process is sampled and
     its determinant ratio is reported alongside; one of them alone is a
     ValueError.  The joint covariance of the value at d and the increments
@@ -379,11 +381,11 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int, seed: int,
     for spec, factor, _, nu in grids:
         if factor is None:
             rows.extend(LILRow(spec.n, spec.m, eps, np.nan, np.nan, np.nan,
-                               n_paths, degenerate=True) for eps in eps_list)
+                               n_paths, degenerate=True) for eps in _EPS_LIST)
             continue
         stat, stat_abs, x_d = next(stats)
         target = np.sqrt(2.0 * x_d)
-        for eps in eps_list:
+        for eps in _EPS_LIST:
             rows.append(LILRow(
                 n=spec.n, m=spec.m, epsilon=eps,
                 freq_lower=float(np.mean(stat >= (1.0 - eps) * target)),

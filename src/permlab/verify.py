@@ -1,8 +1,10 @@
 """The acceptance battery: every desk-checkable identity, bound, and trend in
 one registry, runnable from the command line or the test suite.
 
-Each criterion returns a CriterionResult with a pass flag and a detail string;
-nothing here loosens a tolerance to force green.  Monte Carlo criteria use
+Each criterion is a body returning (passed, details), declared with its
+number, name, suite and time limit by @_criterion, which alone times it and
+builds its CriterionResult; the suites are read off those declarations.
+Nothing here loosens a tolerance to force green.  Monte Carlo criteria use
 fixed seeds so the battery is reproducible bit for bit.
 """
 
@@ -46,25 +48,38 @@ class CriterionResult:
         return f"[{tag}] criterion {self.cid:2d} ({self.elapsed:6.2f}s) {self.name}: {self.details}"
 
 
-def _result(cid, name, passed, details, t0) -> CriterionResult:
-    return CriterionResult(cid, name, bool(passed), details,
-                           time.perf_counter() - t0)
+CRITERIA = {}     # cid -> criterion, filled by @_criterion
+
+
+def _criterion(cid: int, name: str, suite: str, limit):
+    """Register a body returning (passed, details) as criterion cid, timed;
+    one that runs for limit seconds or longer (None: none) is a FAIL."""
+    def register(body):
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body()
+            elapsed = time.perf_counter() - t0
+            if limit is not None and elapsed >= limit:
+                passed, details = False, f"{details}; past its {limit:g}s limit"
+            return CriterionResult(cid, name, bool(passed), details, elapsed)
+
+        criterion.suite = suite
+        CRITERIA[cid] = criterion
+        return criterion
+    return register
 
 
 # -- 1: closed-form potential cross-check --------------------------------
 
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "exponentially killed quadratic potential", "core", limit=1.0)
+def criterion_1():
     pot = LevyPotential(CharExponent.gaussian(0.5), beta=0.5)
     worst = 0.0
     for x in (0.0, 0.1, 1.0, 5.0):
         want = exp(-abs(x))
         got = pot.u(x)
         worst = max(worst, abs(got - want) / want)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 1.0
-    return _result(1, "exponentially killed quadratic potential",
-                   ok, f"max rel err {worst:.2e}, {elapsed:.3f}s", t0)
+    return worst <= 1e-6, f"max rel err {worst:.2e}"
 
 
 # -- 2: normalization constants ------------------------------------------
@@ -96,31 +111,27 @@ def _c_constant_oracle(r: float) -> float:
     return (2.0 / pi) * total
 
 
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "regular-variation constants", "core", limit=None)
+def criterion_2():
     errs = []
     c2_err = abs(regular_variation_constant(2.0) - 1.0)
     for r in (1.2, 1.5, 1.9):
         errs.append(abs(regular_variation_constant(r) - _c_constant_oracle(r)))
-    ok = c2_err <= 1e-8 and max(errs) <= 1e-6
-    return _result(2, "regular-variation constants",
-                   ok, f"|C_2 - 1| = {c2_err:.1e}, oracle gap {max(errs):.1e}", t0)
+    return (c2_err <= 1e-8 and max(errs) <= 1e-6,
+            f"|C_2 - 1| = {c2_err:.1e}, oracle gap {max(errs):.1e}")
 
 
 # -- 3: increment-variance asymptotics ------------------------------------
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "stable increment-variance asymptotics", "core", limit=30.0)
+def criterion_3():
     lo, hi = np.inf, -np.inf
     for r in (1.2, 1.5, 1.9):
         for beta in (0.0, 1.0):
             pot = LevyPotential(CharExponent.pure_stable(r), beta=beta)
             (_, ratio), = check_sigma2_asymptotics(pot, [1e-4])
             lo, hi = min(lo, ratio), max(hi, ratio)
-    elapsed = time.perf_counter() - t0
-    ok = 0.95 <= lo and hi <= 1.05 and elapsed < 30.0
-    return _result(3, "stable increment-variance asymptotics",
-                   ok, f"ratios in [{lo:.5f}, {hi:.5f}], {elapsed:.2f}s", t0)
+    return 0.95 <= lo and hi <= 1.05, f"ratios in [{lo:.5f}, {hi:.5f}]"
 
 
 # -- 4: randomized matrix identities --------------------------------------
@@ -163,8 +174,8 @@ def _random_instance(rng):
     return base, random_excessive(), random_excessive(), spec
 
 
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "randomized kernel decompositions", "core", limit=None)
+def criterion_4():
     n_instances = 50
     rng = np.random.default_rng(20240517)
     done = 0
@@ -175,7 +186,9 @@ def criterion_4() -> CriterionResult:
         attempts += 1
         try:
             base, f, g, spec = _random_instance(rng)
-            ak = assemble_kernel(base, f, g, spec, cond_limit=1e7)
+            ak = assemble_kernel(base, f, g, spec)
+            if ak.cond > 1e7:
+                continue
             dec = decompose(ak)
         except (GridError, ValueError):
             continue
@@ -187,17 +200,16 @@ def criterion_4() -> CriterionResult:
                 and dec.nu >= 1.0 - 1e-10):
             failures.append(attempts)
         done += 1
-    ok = done == n_instances and not failures
-    return _result(4, "randomized kernel decompositions", ok,
-                   f"{done} instances, det err {worst['det']:.1e}, "
-                   f"rho err {worst['rho']:.1e}, min nu {worst['nu']:.12f}, "
-                   f"failures {failures}", t0)
+    return (done == n_instances and not failures,
+            f"{done} instances, det err {worst['det']:.1e}, "
+            f"rho err {worst['rho']:.1e}, min nu {worst['nu']:.12f}, "
+            f"failures {failures}")
 
 
 # -- 5: tridiagonal inverse of the min kernel ------------------------------
 
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "min-kernel tridiagonal inverse", "core", limit=None)
+def criterion_5():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
@@ -207,15 +219,13 @@ def criterion_5() -> CriterionResult:
         # I - T G with exact products, so that only T's error shows
         resid = np.max(np.abs(la.residual((tri, None), (G, None))))
         worst = max(worst, float(resid))
-    ok = worst <= 1e-12
-    return _result(5, "min-kernel tridiagonal inverse", ok,
-                   f"max |T G - I| = {worst:.2e} over 20 grids", t0)
+    return worst <= 1e-12, f"max |T G - I| = {worst:.2e} over 20 grids"
 
 
 # -- 6: determinant-ratio limits ------------------------------------------
 
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "determinant-ratio limits", "core", limit=None)
+def criterion_6():
     base = brownian_min_kernel()
     spec = GridSpec(d=1.0, theta=0.85, n=60, q=0.95)
     dec = decompose(assemble_kernel(base, lambda x: x, ConstantExcessive(1.0), spec))
@@ -227,16 +237,15 @@ def criterion_6() -> CriterionResult:
         spec = GridSpec(d=1.0, theta=0.85, n=n, q=0.95, direction=-1)
         nus.append(decompose(assemble_kernel(base, f, g, spec)).nu)
     flat_ok = (nus[-1] - 1.0 <= 1e-3) and nus[0] >= nus[1] >= nus[2] >= 1.0 - 1e-12
-    ok = slope_gap <= 0.01 and flat_ok
-    return _result(6, "determinant-ratio limits", ok,
-                   f"|nu - 1.5| = {slope_gap:.2e}; flat-pair nu-1 = "
-                   + ", ".join(f"{v - 1:.2e}" for v in nus), t0)
+    return (slope_gap <= 0.01 and flat_ok,
+            f"|nu - 1.5| = {slope_gap:.2e}; flat-pair nu-1 = "
+            + ", ".join(f"{v - 1:.2e}" for v in nus))
 
 
 # -- 7: Laplace-transform battery ------------------------------------------
 
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "permanental Laplace transforms", "mc", limit=60.0)
+def criterion_7():
     ou = np.exp(-np.abs(np.subtract.outer([0.0, 0.4, 1.1], [0.0, 0.4, 1.1])))
     mk = 2.0 * np.minimum.outer([0.5, 0.9, 1.4], [0.5, 0.9, 1.4])
     battery = [
@@ -250,30 +259,26 @@ def criterion_7() -> CriterionResult:
     for i, (cov, k, s) in enumerate(battery):
         _, _, z = laplace_check(cov, k, s, 1_000_000, seed=1000 + i)
         zs.append(abs(z))
-    elapsed = time.perf_counter() - t0
-    ok = max(zs) <= 4.0 and elapsed < 60.0
-    return _result(7, "permanental Laplace transforms", ok,
-                   f"|z| = {', '.join(f'{z:.2f}' for z in zs)}; {elapsed:.1f}s", t0)
+    return max(zs) <= 4.0, f"|z| = {', '.join(f'{z:.2f}' for z in zs)}"
 
 
 # -- 8: iterated-logarithm trend -------------------------------------------
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "iterated-logarithm exceedance trend", "mc", limit=None)
+def criterion_8():
     base = brownian_unit_base()
     specs = [GridSpec(d=0.0, theta=0.3, n=n, q=0.5) for n in (20, 30, 40)]
-    rows = lil_harness(base, None, None, specs, k=1, n_paths=2000,
-                       seed=99, eps_list=(0.3,))
+    rows = [r for r in lil_harness(base, None, None, specs, k=1, n_paths=2000,
+                                   seed=99) if r.epsilon == 0.3]
     lower = [r.freq_lower for r in rows]
     upper = [r.freq_upper for r in rows]
     trend_ok = trend_is_nondecreasing(lower, 2000)
     lower_ok = lower[-1] >= 0.9
     upper_ok = upper[-1] >= 0.9
-    ok = trend_ok and lower_ok and upper_ok
-    return _result(8, "iterated-logarithm exceedance trend", ok,
-                   f"lower {', '.join(f'{v:.3f}' for v in lower)} "
-                   f"(need 0.9 at n=40), upper {upper[-1]:.3f}, "
-                   f"trend {'ok' if trend_ok else 'broken'}", t0)
+    return (trend_ok and lower_ok and upper_ok,
+            f"lower {', '.join(f'{v:.3f}' for v in lower)} "
+            f"(need 0.9 at n=40), upper {upper[-1]:.3f}, "
+            f"trend {'ok' if trend_ok else 'broken'}")
 
 
 # -- shared chains for 9-12 -------------------------------------------------
@@ -298,20 +303,18 @@ def _rebirth_cases():
             (_three_state_chain(), np.array([0.2, 0.1, 0.3]), 1)]
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "occupation-density bookkeeping", "core", limit=None)
+def criterion_9():
     worst = 0.0
     for chain, mu, start in _rebirth_cases():
         res = PartialRebirthModel(chain, mu).simulate(start, 20000, seed=31)
         scale = np.maximum(1.0, res.elapsed)
         worst = max(worst, float(np.max(res.occupation_error / scale)))
-    ok = worst <= 1e-12
-    return _result(9, "occupation-density bookkeeping", ok,
-                   f"max per-path error {worst:.2e}", t0)
+    return worst <= 1e-12, f"max per-path error {worst:.2e}"
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "full-rebirth resolvent identities", "core", limit=None)
+def criterion_10():
     rng = np.random.default_rng(41)
     worst_mass = 0.0
     worst_decomp = 0.0
@@ -334,14 +337,13 @@ def criterion_10() -> CriterionResult:
         f = u_ap.T @ mu
         direct = u_ap + (alpha / p) * f[None, :]
         worst_decomp = max(worst_decomp, float(np.max(np.abs(w - direct))))
-    ok = worst_mass <= 1e-12 and worst_decomp <= 1e-12
-    return _result(10, "full-rebirth resolvent identities", ok,
-                   f"mass {worst_mass:.2e}, exponential-kill split "
-                   f"{worst_decomp:.2e} over 20 chains", t0)
+    return (worst_mass <= 1e-12 and worst_decomp <= 1e-12,
+            f"mass {worst_mass:.2e}, exponential-kill split "
+            f"{worst_decomp:.2e} over 20 chains")
 
 
-def criterion_11() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(11, "local-time means vs rebirthed potential", "mc", limit=120.0)
+def criterion_11():
     n_paths = 100_000
     worst = 0.0
     for chain, mu, start in _rebirth_cases():
@@ -352,14 +354,11 @@ def criterion_11() -> CriterionResult:
         se = res.local_times.std(axis=0, ddof=1) / sqrt(n_paths)
         z = np.abs(emp - ext.u_ext[start]) / se
         worst = max(worst, float(np.max(z)))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 4.0 and elapsed < 120.0
-    return _result(11, "local-time means vs rebirthed potential", ok,
-                   f"max |z| = {worst:.2f} at {n_paths} paths, {elapsed:.1f}s", t0)
+    return worst <= 4.0, f"max |z| = {worst:.2f} at {n_paths} paths"
 
 
-def criterion_12() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(12, "local-time isomorphism identity", "mc", limit=None)
+def criterion_12():
     one = FiniteChain(np.array([[-1.3]]), np.array([0.7]))
     c = one.potential()[0, 0]
     s = 0.9
@@ -376,15 +375,13 @@ def criterion_12() -> CriterionResult:
         return np.all(X <= box[None, :], axis=1).astype(float)
 
     rep3 = ek_identity_check(chain, 1, box_indicator, 1_000_000, seed=74)
-    elapsed = time.perf_counter() - t0
-    ok = abs(rep1.z) <= 4.0 and abs(rep3.z) <= 4.0 and oracle_z <= 4.0
-    return _result(12, "local-time isomorphism identity", ok,
-                   f"one-state z {rep1.z:.2f} (closed-form gap {oracle_z:.2f}), "
-                   f"three-state z {rep3.z:.2f}; {elapsed:.1f}s", t0)
+    return (abs(rep1.z) <= 4.0 and abs(rep3.z) <= 4.0 and oracle_z <= 4.0,
+            f"one-state z {rep1.z:.2f} (closed-form gap {oracle_z:.2f}), "
+            f"three-state z {rep3.z:.2f}")
 
 
-def criterion_13() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(13, "generator identity for product kernels", "core", limit=None)
+def criterion_13():
     pot = PQPotential(Exp(Affine(1.0, 0.0)), Exp(Affine(-1.0, 0.0)),
                       beta=0.5, interval=(-1.5, 2.5))
     b = Const(1.0)
@@ -399,14 +396,13 @@ def criterion_13() -> CriterionResult:
     grid = np.linspace(-0.5, 1.0, 13)
     rep = wronskian_defect(pot, b, bump,
                            (center - width / 2.0, center + width / 2.0), grid)
-    ok = rep.sup_residual <= 1e-4 and rep.wronskian_spread <= 1e-10
-    return _result(13, "generator identity for product kernels", ok,
-                   f"sup residual {rep.sup_residual:.2e}, c = {rep.c_pq:.6f}, "
-                   f"wronskian spread {rep.wronskian_spread:.1e}", t0)
+    return (rep.sup_residual <= 1e-4 and rep.wronskian_spread <= 1e-10,
+            f"sup residual {rep.sup_residual:.2e}, c = {rep.c_pq:.6f}, "
+            f"wronskian spread {rep.wronskian_spread:.1e}")
 
 
-def criterion_14() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(14, "excessive-function constructions", "core", limit=None)
+def criterion_14():
     details = []
     ok = True
 
@@ -441,25 +437,16 @@ def criterion_14() -> CriterionResult:
     worst_neg = min(worst_neg, float(np.min(dec.r)), float(np.min(dec.v)))
     ok = ok and worst_neg >= -1e-10
     details.append(f"border coefficient floor {worst_neg:.1e}")
-    return _result(14, "excessive-function constructions", ok,
-                   "; ".join(details), t0)
+    return ok, "; ".join(details)
 
 
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13, 14: criterion_14,
-}
-
-SUITES = {
-    "core": (1, 2, 3, 4, 5, 6, 9, 10, 13, 14),
-    "mc": (7, 8, 11, 12),
-    "full": tuple(range(1, 15)),
-}
+SUITES = {suite: tuple(cid for cid in sorted(CRITERIA)
+                       if CRITERIA[cid].suite == suite)
+          for suite in dict.fromkeys(run.suite for run in CRITERIA.values())}
+SUITES["full"] = tuple(sorted(CRITERIA))
 
 
-def run_suite(suite: str = "full") -> list[CriterionResult]:
+def run_suite(suite: str) -> list[CriterionResult]:
     """Run a suite's criteria in order, printing each result line."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")

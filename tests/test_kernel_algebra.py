@@ -96,10 +96,21 @@ def test_zero_pair_is_the_symmetric_kernel():
 
 
 def test_assemble_rejects_singular_gram():
-    # a very deep grid makes kernel rows numerically identical
+    # a deep grid makes kernel rows nearly identical: at n = 36 LAPACK still
+    # factors G, but its condition estimate (4.4e12) is past the limit
+    spec = GridSpec(d=1.0, theta=0.5, n=36, q=0.5)
+    with pytest.raises(ValueError, match="numerically singular"):
+        assemble_kernel(OU, ONE, ONE, spec)
+    # at n = 60 the rows are identical in float64 and LAPACK refuses G
     spec = GridSpec(d=1.0, theta=0.5, n=60, q=0.5)
-    with pytest.raises(ValueError, match="singular"):
-        assemble_kernel(OU, ONE, ONE, spec, cond_limit=1e10)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        assemble_kernel(OU, ONE, ONE, spec)
+
+
+def test_condition_limit_is_not_an_argument():
+    with pytest.raises(TypeError):
+        assemble_kernel(OU, ONE, ONE, GridSpec(1.0, 0.5, 20, 0.5),
+                        cond_limit=1e10)
 
 
 def test_grid_touching_origin_rejected_for_hit_zero_base():

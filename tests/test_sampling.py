@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import permlab
 from permlab import (ConstantExcessive, GridSpec, ScaleMinBase,
                      ScalePotential, assemble_kernel, brownian_min_kernel,
                      brownian_unit_base, decompose, laplace_check,
@@ -226,6 +230,15 @@ def test_lil_rows_and_trend():
         assert trend_is_nondecreasing(freqs, 2000)
 
 
+def test_lil_epsilons_are_fixed():
+    specs = [GridSpec(d=0.0, theta=0.3, n=20, q=0.5)]
+    rows = lil_harness(OU, None, None, specs, k=1, n_paths=100, seed=1)
+    assert [r.epsilon for r in rows] == [0.1, 0.2, 0.3]
+    with pytest.raises(TypeError):
+        lil_harness(OU, None, None, specs, k=1, n_paths=100, seed=1,
+                    eps_list=(0.3,))
+
+
 def test_lil_flags_degenerate_kernel():
     class AllOnes:
         positive_domain = False
@@ -291,10 +304,12 @@ def test_lil_flat_pair_statistic_matches_symmetric_law():
     f, g = make_flat_pair(mk, 1.0)
     spec = GridSpec(d=1.0, theta=0.85, n=60, q=0.95, direction=-1)
     n_paths = 4000
-    rows_flat = lil_harness(mk, f, g, [spec], k=1, n_paths=n_paths, seed=21,
-                            eps_list=(0.3,))
-    rows_sym = lil_harness(mk, None, None, [spec], k=1, n_paths=n_paths,
-                           seed=22, eps_list=(0.3,))
+    rows_flat = [r for r in lil_harness(mk, f, g, [spec], k=1,
+                                        n_paths=n_paths, seed=21)
+                 if r.epsilon == 0.3]
+    rows_sym = [r for r in lil_harness(mk, None, None, [spec], k=1,
+                                       n_paths=n_paths, seed=22)
+                if r.epsilon == 0.3]
     assert rows_flat[0].nu - 1.0 < 1e-3
     # compare the exceedance frequencies in place of full samples
     se = np.sqrt(0.25 / n_paths)
@@ -428,8 +443,7 @@ def _reduce(eta_d, delta, psi):
             0.5 * np.sum(eta_d * eta_d, axis=1))
 
 
-def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
-               eps_list=(0.1, 0.2, 0.3)):
+def _whole_lil(base, f, g, grid_specs, k, n_paths, seed):
     """The harness's stream layout on whole arrays: each path's k rows of
     1 + m normals (then xi, with borders) drawn as one (paths, k, width)
     array, restarting the stream at seed for every grid.  Returns (rows,
@@ -440,7 +454,7 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
         if factor is None:
             rows.extend(sampling.LILRow(spec.n, spec.m, eps, np.nan, np.nan,
                                         np.nan, n_paths, degenerate=True)
-                        for eps in eps_list)
+                        for eps in (0.1, 0.2, 0.3))
             continue
         z = sampling.philox(seed).standard_normal((n_paths, k, factor.shape[1]))
         eta = _fixed_product(z, factor)
@@ -451,7 +465,7 @@ def _whole_lil(base, f, g, grid_specs, k, n_paths, seed,
             n=spec.n, m=spec.m, epsilon=eps,
             freq_lower=float(np.mean(stat >= (1.0 - eps) * target)),
             freq_upper=float(np.mean(stat_abs <= (1.0 + eps) * target)),
-            nu=nu, paths=n_paths) for eps in eps_list)
+            nu=nu, paths=n_paths) for eps in (0.1, 0.2, 0.3))
     return rows, stats
 
 
@@ -907,3 +921,36 @@ def test_psd_factor_rejects_an_eigenvalue_beyond_the_tolerance():
     assert f"eigenvalue {lowest:.3e}" in str(err.value)
     with pytest.raises(ValueError, match="indefinite"):
         sample_chi_square(cov, 1, 100, 1)
+
+
+# the tests above compare the samplers with oracles in one process; this
+# compares their outputs across processes on one and two BLAS threads
+_DIGEST = """
+import hashlib
+import numpy as np
+from permlab import (GridSpec, brownian_unit_base, lil_harness,
+                     sample_chi_square)
+pts = np.linspace(0.1, 2.0, 53)
+cov = np.exp(-np.abs(np.subtract.outer(pts, pts)))
+h = hashlib.sha256(sample_chi_square(cov, 2, 5000, 3).tobytes())
+specs = [GridSpec(d=1.0, theta=0.5, n=n, q=0.7) for n in (16, 12, 20)]
+rows = lil_harness(brownian_unit_base(), None, None, specs, 2, 5000, 3)
+h.update(repr(rows).encode())
+print(h.hexdigest())
+"""
+
+
+def _digest_on_blas_threads(n: int) -> str:
+    src = os.path.dirname(os.path.dirname(permlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n),
+               PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", _DIGEST], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout.strip()
+
+
+def test_sampler_outputs_equal_on_one_and_two_blas_threads():
+    one = _digest_on_blas_threads(1)
+    assert len(one) == 64
+    assert _digest_on_blas_threads(2) == one

@@ -228,8 +228,9 @@ def _cmd_rebirth_check_ek(args) -> int:
 
     def f(x):
         # exp(-s * the row sums): a fold over the columns in column order,
-        # numpy's own order of a row sum below 8 states, and then in place,
-        # since x holds one row per path
+        # numpy's own order of a row sum below 8 states, and then in place;
+        # each value reads its own row only, so it does not matter that
+        # ek_identity_check hands x over in blocks of paths
         total = x[:, 0].copy()
         for col in x.T[1:]:
             total += col

@@ -13,18 +13,25 @@ of the isomorphism check.  Each builds its holding rates and a table of
 cumulative move laws over (states..., exit) and hands them to one vectorized
 engine, _jump_rounds.  Each round moves every live path once; a path that
 takes the exit dies.  The engine holds the live paths only, in path order:
-the flat offset of each one's row of the local-time array, its state, and
-its index when elapsed time is kept.  A round adds a holding time at the
-offset plus the state, then one np.flatnonzero of the survivors compacts
-every live array, so a round costs the paths still alive, not all of them.
-It draws from one Philox stream in a fixed order: every round, one
-exponential holding time per live path, then one uniform per live path (its
-move).  The move is the number of state columns of the cumulative table
-that the uniform exceeds, so the exit takes all of [0, 1) above the last
-state column, including the rounding gap of a row that sums to just below
-1.  The two rebirth simulators go through
-_jump_chain, which also keeps each path's elapsed time and occupation error;
-the conditioned chain needs only its local times and skips that bookkeeping.
+one array of their indices and one of their states, in the smallest
+unsigned type that holds the exit column.  A round adds a holding time at
+the flat offset index * states + state of each live path's local time, then
+one np.flatnonzero of the survivors compacts both arrays, so a round costs
+the paths still alive, not all of them.  It draws from one Philox stream in
+a fixed order: every round, one exponential holding time per live path,
+then one uniform per live path (its move).  A round runs in chunks of
+_CHUNK live paths, so its holding times, offsets and uniforms never span
+more than a chunk: first the exponentials of every chunk, each chunk
+scattered with np.add.at as it is drawn, then the uniforms of every chunk
+into one array of next states.  Philox draws
+taken in chunks are those of one draw of their total size, and every
+exponential of a round still comes before every uniform, so the chunks
+change no draw.  The move is the number of state columns of the cumulative
+table that the uniform exceeds, so the exit takes all of [0, 1) above the
+last state column, including the rounding gap of a row that sums to just
+below 1.  The two rebirth simulators go through _jump_chain, which also
+keeps each path's elapsed time and occupation error; the conditioned chain
+needs only its local times and skips that bookkeeping.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from . import _linalg as la
 from . import _wire as wire
 from .kernel_algebra import SIGN_TOL, offdiag_positive_excess
-from .sampling import philox, sample_chi_square
+from .sampling import _chi_square_blocks, _psd_factor, philox
 
 __all__ = [
     "FiniteChain",
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 _ROUND_CAP = 200_000   # vectorized loop rounds per simulation
+_CHUNK = 65_536        # live paths per draw of a round
 
 
 class RoundCapError(RuntimeError):
@@ -286,31 +294,39 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
         raise ValueError(f"need at least one path, got {n_paths}")
     exit_col = cumtable.shape[1] - 1
     first, *cols = cumtable[:, :exit_col].T.copy()   # the state columns
+    state_type = np.min_scalar_type(exit_col)
     rng = philox(seed)
     L = np.zeros((n_paths, n_states))
     flat = L.reshape(-1)
-    rows = np.arange(0, flat.size, n_states)     # flat offsets of live rows
-    s = np.full(n_paths, start, dtype=np.int64)  # and their states
-    idx = np.arange(n_paths) if timed else None  # and indices, when timed
+    live = np.arange(n_paths)                       # live paths, in order
+    s = np.full(n_paths, start, dtype=state_type)   # and their states
     elapsed = np.zeros(n_paths) if timed else None
     rounds = 0
-    while len(rows):
+    while len(live):
         if rounds >= _ROUND_CAP:
             raise RoundCapError(f"paths did not terminate within {_ROUND_CAP} "
-                                f"rounds; {len(rows)} paths alive")
-        hold = rng.exponential(1.0, size=len(rows))
-        hold /= hold_rate[s]
-        flat[rows + s] += hold / m[s]   # each live path once
-        if timed:
-            elapsed[idx] += hold
-        u = rng.random(len(rows))
-        nxt = np.greater(u, first[s], out=np.empty(len(rows), dtype=np.int64))
-        for col in cols:
-            nxt += u > col[s]
-        live = np.flatnonzero(nxt != exit_col)
-        rows, s = rows.take(live), nxt.take(live)
-        if timed:
-            idx = idx.take(live)
+                                f"rounds; {len(live)} paths alive")
+        for a in range(0, len(live), _CHUNK):
+            # a chunk's states are widened once: numpy converts a small-int
+            # index anew on every gather, and .take gathers faster than
+            # fancy indexing does
+            p, sc = live[a:a + _CHUNK], s[a:a + _CHUNK].astype(np.intp)
+            hold = rng.exponential(1.0, size=len(p))
+            hold /= hold_rate.take(sc)
+            # each live path once, so each entry gets one addition
+            np.add.at(flat, p * n_states + sc, hold / m.take(sc))
+            if timed:
+                np.add.at(elapsed, p, hold)
+        nxt = np.empty(len(live), dtype=state_type)
+        for a in range(0, len(live), _CHUNK):
+            sc, out = s[a:a + _CHUNK].astype(np.intp), nxt[a:a + _CHUNK]
+            u = rng.random(len(sc))
+            np.greater(u, first.take(sc), out=out)
+            for col in cols:
+                out += u > col.take(sc)
+        # indexing by a mask runs about 3x slower on the scattered deaths
+        keep = np.flatnonzero(nxt != exit_col)
+        live, s = live.take(keep), nxt.take(keep)
         rounds += 1
     return L, elapsed, rounds
 
@@ -409,19 +425,20 @@ class EKReport:
     rhs_se: float
 
 
-def _simulate_conditioned(chain: FiniteChain, y: int, n_paths: int,
-                          seed: int) -> np.ndarray:
+def _simulate_conditioned(chain: FiniteChain, v: np.ndarray, y: int,
+                          n_paths: int, seed: int) -> np.ndarray:
     """Local times of the chain reweighted by its potential column at y.
 
-    Transition probabilities are tilted by h = u(., y); the tilt removes all
-    killing except an extra death channel at y itself with rate
-    1/(m(y) h(y)), which is the exact finite-state form of the conditioned
-    process entering the isomorphism identity.
+    v is the chain's potential matrix.  Transition probabilities are tilted
+    by h = v(., y); the tilt removes all killing except an extra death
+    channel at y itself with rate 1/(m(y) h(y)), which is the exact
+    finite-state form of the conditioned process entering the isomorphism
+    identity.
     """
     n = chain.n_states
     if not 0 <= y < n:
         raise ValueError(f"state y={y} is outside 0..{n - 1}")
-    h = chain.potential()[:, y]
+    h = v[:, y]
     if np.any(h <= 0.0):
         raise ValueError("potential column vanishes: chain not irreducible enough")
     hold_rate = -np.diag(chain.Q)
@@ -442,6 +459,11 @@ def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,
     independent chi-square vector of order 1 with the potential as kernel.
     Right side: F under the chi-square law reweighted by 2 X(y) / u(y, y).
     Both sides use independent streams; the z-score compares the two means.
+
+    F is applied to blocks of rows, one row per path, and returns one value
+    per row; a row's value may depend on that row only.  The chi-squares
+    are drawn block by block, so no second array of every path's vectors
+    is held beside the local times.
     """
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths for the standard errors, "
@@ -449,12 +471,17 @@ def ek_identity_check(chain: FiniteChain, y: int, F, n_paths: int,
     if not 0 <= seed <= 2 ** 64 - 3:    # the chi-squares key seed + 1, seed + 2
         raise ValueError(f"seed must lie in 0..2**64 - 3, got {seed}")
     v = chain.potential()
-    L = _simulate_conditioned(chain, y, n_paths, seed)
-    x_left = sample_chi_square(v, 1, n_paths, seed + 1)
-    lhs_samples = np.asarray(F(L + x_left), dtype=float)
-    x_right = sample_chi_square(v, 1, n_paths, seed + 2)
-    weights = 2.0 * x_right[:, y] / v[y, y]
-    rhs_samples = weights * np.asarray(F(x_right), dtype=float)
+    factor = _psd_factor(v)
+    L = _simulate_conditioned(chain, v, y, n_paths, seed)
+    lhs_samples = np.empty(n_paths)
+    for b, x in _chi_square_blocks(factor, 1, n_paths, seed + 1):
+        x += L[b]
+        lhs_samples[b] = np.asarray(F(x), dtype=float)
+    del L
+    rhs_samples = np.empty(n_paths)
+    for b, x in _chi_square_blocks(factor, 1, n_paths, seed + 2):
+        weights = 2.0 * x[:, y] / v[y, y]
+        rhs_samples[b] = weights * np.asarray(F(x), dtype=float)
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))
     lhs_se = float(np.std(lhs_samples, ddof=1) / sqrt(n_paths))

@@ -157,23 +157,30 @@ def _factor_blocks(factors, k: int, n_paths: int, seed: int):
             buf, spare = spare, buf
 
 
-def _chi_square(factor: np.ndarray, k: int, n_paths: int,
-                seed: int) -> np.ndarray:
-    """(n_paths, rows) samples of half the sum of k squares of factor z.
+def _chi_square_blocks(factor: np.ndarray, k: int, n_paths: int, seed: int):
+    """(paths, rows) for each block of _factor_blocks: the block's samples
+    of half the sum of k squares of factor z, one row per path.
 
     The squares are summed in copy order, ((z_0^2 + z_1^2) + z_2^2) + ...,
-    by elementwise passes into the block's rows of the output, then halved.
-    That is numpy's own order of np.sum over the copies below 8 of them;
-    from 8 copies on a 1x1 covariance numpy sums pairwise, and the bits may
-    differ from that in the last place.
+    by elementwise passes, then halved.  That is numpy's own order of
+    np.sum over the copies below 8 of them; from 8 copies on a 1x1
+    covariance numpy sums pairwise, and the bits may differ from that in
+    the last place.
     """
-    x = np.empty((n_paths, factor.shape[0]))
     for _, b, eta in _factor_blocks([factor], k, n_paths, seed):
-        out = x[b]
-        np.square(eta[:, 0], out=out)
+        rows = np.square(eta[:, 0])
         for c in range(1, k):
-            out += np.square(eta[:, c])
-        out *= 0.5
+            rows += np.square(eta[:, c])
+        rows *= 0.5
+        yield b, rows
+
+
+def _chi_square(factor: np.ndarray, k: int, n_paths: int,
+                seed: int) -> np.ndarray:
+    """(n_paths, rows) samples of _chi_square_blocks, collected."""
+    x = np.empty((n_paths, factor.shape[0]))
+    for b, rows in _chi_square_blocks(factor, k, n_paths, seed):
+        x[b] = rows
     return x
 
 

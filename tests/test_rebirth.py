@@ -4,6 +4,7 @@ import pytest
 from permlab import (FiniteChain, FullRebirthModel, PartialRebirthModel,
                      chain_from_spec, ek_identity_check, full_rebirth_potential,
                      partial_rebirth_potential, potential_from_spec)
+from permlab.rebirth import EKReport
 
 
 def two_state():
@@ -529,7 +530,7 @@ def test_killed_chain_has_the_law_of_the_clocked_loop(chain, mu, p, start, seed)
 ])
 def test_conditioned_simulation_equals_reference_loop(chain, y, seed):
     from permlab.rebirth import _simulate_conditioned
-    got = _simulate_conditioned(chain, y, 20_000, seed)
+    got = _simulate_conditioned(chain, chain.potential(), y, 20_000, seed)
     assert np.array_equal(got, _reference_conditioned(chain, y, 20_000, seed))
 
 
@@ -550,8 +551,9 @@ def test_engine_rejects_bad_start_and_path_count(start, paths):
 @pytest.mark.parametrize("y", [2, -1])
 def test_conditioned_rejects_state_outside_the_chain(y):
     from permlab.rebirth import _simulate_conditioned
+    chain = two_state()
     with pytest.raises(ValueError, match="outside"):
-        _simulate_conditioned(two_state(), y, 10, 1)
+        _simulate_conditioned(chain, chain.potential(), y, 10, 1)
 
 
 @pytest.mark.parametrize("paths", [1, 0])
@@ -577,6 +579,67 @@ def test_ek_check_accepts_the_largest_seed_it_can_key():
     rep = ek_identity_check(two_state(), 0, lambda X: np.ones(len(X)), 10,
                             2 ** 64 - 3)
     assert np.isfinite(rep.z)
+
+
+# -- the former whole-array isomorphism check, kept as the oracle ------------
+
+def _whole_ek_identity_check(chain, y, F, n_paths, seed):
+    """ek_identity_check as it was before it streamed its chi-squares: F
+    applied once to every path's vectors on each side."""
+    from permlab import rebirth
+    from permlab.sampling import sample_chi_square
+    v = chain.potential()
+    L = rebirth._simulate_conditioned(chain, v, y, n_paths, seed)
+    x_left = sample_chi_square(v, 1, n_paths, seed + 1)
+    lhs_samples = np.asarray(F(L + x_left), dtype=float)
+    x_right = sample_chi_square(v, 1, n_paths, seed + 2)
+    weights = 2.0 * x_right[:, y] / v[y, y]
+    rhs_samples = weights * np.asarray(F(x_right), dtype=float)
+    lhs, rhs = float(np.mean(lhs_samples)), float(np.mean(rhs_samples))
+    lhs_se = float(np.std(lhs_samples, ddof=1) / np.sqrt(n_paths))
+    rhs_se = float(np.std(rhs_samples, ddof=1) / np.sqrt(n_paths))
+    denom = np.sqrt(lhs_se ** 2 + rhs_se ** 2)
+    z = 0.0 if denom == 0.0 else float((lhs - rhs) / denom)
+    return EKReport(lhs, rhs, z, lhs_se, rhs_se)
+
+
+def _criterion_12_cases():
+    """(chain, y, F) of criterion 12: the one-state chain's Laplace
+    functional and the three-state chain's box indicator."""
+    from permlab.verify import _three_state_chain
+    one = FiniteChain(np.array([[-1.3]]), np.array([0.7]))
+    three = _three_state_chain()
+    box = np.diag(three.potential())
+
+    def box_indicator(X):
+        return np.all(X <= box[None, :], axis=1).astype(float)
+
+    return [(one, 0, lambda X: np.exp(-0.9 * X[:, 0])),
+            (three, 1, box_indicator)]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("n_paths", [2, 5000])
+def test_streamed_ek_check_equals_the_whole_array_check(case, n_paths):
+    chain, y, F = _criterion_12_cases()[case]
+    assert (ek_identity_check(chain, y, F, n_paths, 74)
+            == _whole_ek_identity_check(chain, y, F, n_paths, 74))
+
+
+def test_ek_check_applies_its_functional_to_blocks_of_rows():
+    from permlab.sampling import _ROWS
+    chain = three_state()
+    n_paths, sizes = 2 * _ROWS + 7, []
+
+    def F(X):
+        sizes.append(X.shape)
+        return np.ones(len(X))
+
+    ek_identity_check(chain, 1, F, n_paths, 5)
+    rows = np.array([shape[0] for shape in sizes])
+    assert all(shape[1] == 3 for shape in sizes) and np.all(rows <= _ROWS)
+    # n_paths rows on each side, the left side's first
+    assert n_paths in np.cumsum(rows) and np.sum(rows) == 2 * n_paths
 
 
 def test_untimed_engine_gives_the_timed_local_times():
@@ -624,6 +687,48 @@ def _masked_jump_rounds(seed, start, n_paths, hold_rate, cumtable, m, timed):
     return L, elapsed, rounds
 
 
+# -- the former whole-round engine, kept as the oracle of the chunked one ----
+
+def _whole_round_jump_rounds(seed, start, n_paths, hold_rate, cumtable, m,
+                             timed):
+    """The live-path engine as it was before it ran each round in chunks of
+    paths: one exponential and one uniform draw over every live path per
+    round, int64 states, and the flat offsets of the live rows, their states
+    and their indices compacted as separate arrays."""
+    from permlab import rebirth
+    n_states = len(hold_rate)
+    exit_col = cumtable.shape[1] - 1
+    first, *cols = cumtable[:, :exit_col].T.copy()
+    rng = rebirth.philox(seed)
+    L = np.zeros((n_paths, n_states))
+    flat = L.reshape(-1)
+    rows = np.arange(0, flat.size, n_states)
+    s = np.full(n_paths, start, dtype=np.int64)
+    idx = np.arange(n_paths) if timed else None
+    elapsed = np.zeros(n_paths) if timed else None
+    rounds = 0
+    while len(rows):
+        if rounds >= rebirth._ROUND_CAP:
+            raise RuntimeError(f"paths did not terminate within "
+                               f"{rebirth._ROUND_CAP} rounds; "
+                               f"{len(rows)} paths alive")
+        hold = rng.exponential(1.0, size=len(rows))
+        hold /= hold_rate[s]
+        flat[rows + s] += hold / m[s]
+        if timed:
+            elapsed[idx] += hold
+        u = rng.random(len(rows))
+        nxt = np.greater(u, first[s], out=np.empty(len(rows), dtype=np.int64))
+        for col in cols:
+            nxt += u > col[s]
+        live = np.flatnonzero(nxt != exit_col)
+        rows, s = rows.take(live), nxt.take(live)
+        if timed:
+            idx = idx.take(live)
+        rounds += 1
+    return L, elapsed, rounds
+
+
 def _chain_of(n_states):
     if n_states == 1:
         return FiniteChain(np.array([[-1.3]]), np.array([0.7]))
@@ -649,7 +754,8 @@ def _engine_call(monkeypatch, table, n_states):
         return engine(*args)
 
     monkeypatch.setattr(rebirth, "_jump_rounds", spy)
-    rebirth._simulate_conditioned(chain, n_states // 2, 1, 0)
+    rebirth._simulate_conditioned(chain, chain.potential(), n_states // 2, 1,
+                                  0)
     monkeypatch.undo()
     return (seen[0][1], *seen[0][3:])
 
@@ -670,6 +776,43 @@ def test_live_path_engine_equals_the_masked_engine(monkeypatch, table,
     else:
         assert np.array_equal(elapsed, want_elapsed)
     assert rounds == want_rounds
+
+
+def _assert_same_run(got, want):
+    L, elapsed, rounds = got
+    want_L, want_elapsed, want_rounds = want
+    assert np.array_equal(L, want_L)
+    if want_elapsed is None:
+        assert elapsed is None
+    else:
+        assert np.array_equal(elapsed, want_elapsed)
+    assert rounds == want_rounds
+
+
+@pytest.mark.parametrize("timed", [True, False])
+@pytest.mark.parametrize("n_states", [1, 2, 5, 7])
+@pytest.mark.parametrize("table", ["partial", "full", "conditioned"])
+def test_chunked_engine_equals_the_whole_round_engine(monkeypatch, table,
+                                                      n_states, timed):
+    # every exponential of a round is drawn before every uniform, chunk by
+    # chunk, so the chunks read the stream of the whole-round draws
+    from permlab import rebirth
+    start, *rest = _engine_call(monkeypatch, table, n_states)
+    rest[-1] = timed
+    chunk = 16
+    monkeypatch.setattr(rebirth, "_CHUNK", chunk)
+    for n_paths in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        _assert_same_run(rebirth._jump_rounds(52, start, n_paths, *rest),
+                         _whole_round_jump_rounds(52, start, n_paths, *rest))
+
+
+def test_chunked_engine_equals_the_whole_round_engine_past_two_chunks():
+    from permlab import rebirth
+    n_paths = 2 * rebirth._CHUNK + 1
+    args = (53, 1, n_paths, *PartialRebirthModel(
+        three_state(), np.array([0.2, 0.1, 0.3]))._jump_table(), True)
+    _assert_same_run(rebirth._jump_rounds(*args),
+                     _whole_round_jump_rounds(*args))
 
 
 def test_round_cap_reports_the_live_count(monkeypatch):

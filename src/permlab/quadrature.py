@@ -26,11 +26,22 @@ evaluated; 1 - cos(lam*x) is written as 2 sin^2(lam*x/2), which has no
 cancellation at small lam*x.
 
 The rest is summed period by period over consecutive cosine zeros, _BATCH
-half periods of _GL_ORDER Gauss-Legendre nodes at a time, for chunks of
-_ROWS values of |x| in lockstep.  Those contributions strictly alternate in
-sign with decreasing magnitude, so iterated averaging of the partial sums
-(Euler acceleration) converges far faster than the raw series, which
-matters when gamma is close to 1.
+half periods of _GL_ORDER Gauss-Legendre nodes at a time, for all |x| of a
+chunk in lockstep.  Those contributions strictly alternate in sign with
+decreasing magnitude, so iterated averaging of the partial sums (Euler
+acceleration) converges far faster than the raw series, which matters when
+gamma is close to 1.
+
+A call runs its |x| in chunks of _ROWS = 256, and each chunk pays the fixed
+cost of its refinement rounds and period-sum batches once, whatever its
+width.  Within a chunk, panels are evaluated in blocks of _BLOCK // 15
+and period-sum nodes in groups of at most _BLOCK values, so that the
+working set is set by _BLOCK, not by the chunk: the quadrature of a
+40-point Levy gram and its increment variances (781 distinct |x|) peaks at
+1.4 MB traced, against 5.5 MB for the same chunks evaluated whole and
+0.6 MB for chunks of 16.  A one-point call makes one block and one group.
+Both reductions add the nodes one by one, in the same order for every
+entry, so no value depends on the chunk or block it fell in.
 
 The non-oscillating tail int_{lam0}^inf w, with lam0 = z0 in the increment
 variance and lam0 = 1 in u(0), runs on the same panels, for every lam0 of a
@@ -85,7 +96,8 @@ _SPLIT_WAYS = 4       # equal parts a panel is split into
 _SPLIT_EDGES = np.arange(_SPLIT_WAYS + 1) / _SPLIT_WAYS
 # first panel edges of a flat tail, in s = (lam0 / lam)^(gamma - 1)
 _TAIL_EDGES = np.array([0.0, 1 / 16, 1 / 4, 1.0])
-_ROWS = 16            # |x| per chunk, which keeps the working set under 1 MB
+_ROWS = 256           # |x| per chunk, evaluated in lockstep
+_BLOCK = 8192         # values per block of panels or group of period-sum nodes
 
 # QUADPACK's qk15 on [-1, 1] by halves, from the outermost node inwards:
 # Kronrod nodes (the Gauss nodes are every second one), Kronrod weights and
@@ -104,10 +116,10 @@ _WG = np.array([
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
 _K15_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
-# rows weighting (f, f, |f|): K15, G7 (zero off its nodes) and K15 again
-_GK_WEIGHTS = np.zeros((3, 15))
-_GK_WEIGHTS[0] = _GK_WEIGHTS[2] = np.concatenate((_WGK, _WGK[-2::-1]))
-_GK_WEIGHTS[1, 1::2] = np.concatenate((_WG, _WG[-2::-1]))
+# columns weighting (f, f, |f|): K15, G7 (zero off its nodes) and K15 again
+_GK_WEIGHTS = np.zeros((15, 3))
+_GK_WEIGHTS[:, 0] = _GK_WEIGHTS[:, 2] = np.concatenate((_WGK, _WGK[-2::-1]))
+_GK_WEIGHTS[1::2, 1] = np.concatenate((_WG, _WG[-2::-1]))
 
 
 def _gamma(n):
@@ -172,16 +184,24 @@ def _split_points(ax: np.ndarray) -> np.ndarray:
 def _panels(integrand, owner, left, right):
     """Rows left, right, K15 value, |K15 - G7| and the rounding term of the
     panels [left, right] of integrand(t, owner), panel i belonging to entry
-    owner[i]."""
+    owner[i], evaluated in blocks of _BLOCK // 15 panels."""
+    out = np.empty((5, left.size))
+    out[0], out[1] = left, right
     half = 0.5 * (right - left)
-    t = (left + half) + half * _K15_NODES[:, None]
-    f = integrand(t, owner)
-    # accumulate sums node by node, in the same order for every panel
-    terms = _GK_WEIGHTS[:, :, None] * f
-    np.abs(terms[2], out=terms[2])
-    k, g, size = np.add.accumulate(terms, axis=1)[:, -1]
-    return np.stack((left, right, half * k, half * np.abs(k - g),
-                     _PANEL_ROUNDING * half * size))
+    step = _BLOCK // _K15_NODES.size
+    for start in range(0, left.size, step):
+        blk = slice(start, start + step)
+        h = half[blk]
+        f = integrand((left[blk] + h) + h * _K15_NODES[:, None], owner[blk])
+        # (node, sum, panel): with the nodes outermost the reduction adds
+        # them one by one, in the same order for every panel
+        terms = f[:, None, :] * _GK_WEIGHTS[:, :, None]
+        np.abs(terms[:, 2], out=terms[:, 2])
+        k, g, size = np.add.reduce(terms, axis=0)
+        out[2, blk] = h * k
+        out[3, blk] = h * np.abs(k - g)
+        out[4, blk] = _PANEL_ROUNDING * h * size
+    return out
 
 
 def _refine(integrand, owner, left, right, length, cfg: QuadratureConfig):
@@ -307,10 +327,18 @@ def _period_sums(weight, ax, z0, tol, cfg, c_tail, gamma):
     while live.size:
         h = half[live, None]
         mid = z0[live, None] + np.arange(done, done + _BATCH) * h + 0.5 * h
-        lam = mid + 0.5 * h * _GL_NODES[:, None, None]
-        vals = np.cos(lam * ax[live, None]) * weight(lam)
-        # accumulate node by node, in the same order for every entry
-        s = np.add.accumulate(_GL_WEIGHTS[:, None, None] * vals, axis=0)[-1]
+        # the nodes in groups of at most _BLOCK values; with the nodes
+        # outermost, and the sum of the groups before leading each group,
+        # the reduction adds the nodes one by one, in the same order for
+        # every entry
+        step = max(1, _BLOCK // (live.size * _BATCH))
+        s = None
+        for i in range(0, _GL_ORDER, step):
+            lam = mid + 0.5 * h * _GL_NODES[i:i + step, None, None]
+            vals = np.cos(lam * ax[live, None]) * weight(lam)
+            vals *= _GL_WEIGHTS[i:i + step, None, None]
+            s = np.add.reduce(vals if s is None
+                              else np.concatenate((s[None], vals)), axis=0)
         terms = 0.5 * h * s
         done += _BATCH
         # accumulate adds in sequence, the order of a running total
@@ -345,9 +373,9 @@ def _fail_where(failures: dict, idx, mask, message: str, value, err):
 
 
 def _by_chunks(rows, xs) -> tuple[np.ndarray, np.ndarray]:
-    """rows(ax) applied to chunks of _ROWS entries of |xs|, which bounds the
-    working set; raises the QuadratureError of the smallest failing |x|, and
-    a ValueError on a non-finite |x|."""
+    """rows(ax) applied to chunks of _ROWS entries of |xs|; raises the
+    QuadratureError of the smallest failing |x|, and a ValueError on a
+    non-finite |x|."""
     ax = np.abs(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise ValueError(f"the transforms need finite x, got "

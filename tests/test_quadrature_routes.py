@@ -15,6 +15,11 @@ mpmath settles the cases where the two disagree.
 Against closed forms the bounds are strict: a seeded sweep of Gaussian and
 pure stable potentials has no value outside its reported bound, rounding
 included, and mpmath checks a two-atom mixture.
+
+The array transforms run their |x| in chunks and their nodes in blocks;
+the former node sums, by np.add.accumulate over every panel and node at
+once, are kept below, and the transforms must equal them bit for bit at
+every chunk width and block size.
 """
 
 import math
@@ -26,8 +31,11 @@ from scipy.integrate import IntegrationWarning, quad
 
 from permlab import (CharExponent, LevyPotential, QuadratureConfig,
                      QuadratureError, regular_variation_constant)
-from permlab.quadrature import (cosine_halfline, one_minus_cos_halfline,
-                                smooth_tail)
+from permlab import quadrature
+from permlab.bases import LevyBase
+from permlab.quadrature import (cosine_halfline, cosine_halfline_array,
+                                one_minus_cos_halfline,
+                                one_minus_cos_halfline_array, smooth_tail)
 
 _SPLIT, _GL, _BATCH, _LIMIT = 10.0, 16, 32, 400
 
@@ -151,7 +159,10 @@ def scipy_smooth_tail(weight, lam0, cfg):
     return lam0 * val, lam0 * err
 
 
-def ref_one_minus_cos_halfline(weight, x, cfg, c_tail, gamma, weight_at_zero=0.0):
+def ref_one_minus_cos_halfline(weight, x, cfg, c_tail, gamma, weight_at_zero=0.0,
+                               flat_tail=None):
+    """The former route; flat_tail(z0), when given, replaces its flat tail
+    by a value and bound of one's own."""
     if x == 0.0:
         return 0.0, 0.0
     ax = abs(x)
@@ -168,7 +179,10 @@ def ref_one_minus_cos_halfline(weight, x, cfg, c_tail, gamma, weight_at_zero=0.0
     head, head_err = quad(integrand, 0.0, z0, epsabs=cfg.abs_tol / 4,
                           epsrel=cfg.rel_tol / 4, limit=_LIMIT,
                           points=pts or None)
-    flat, flat_err = ref_smooth_tail(weight, z0, cfg, c_tail, gamma)
+    if flat_tail is None:
+        flat, flat_err = ref_smooth_tail(weight, z0, cfg, c_tail, gamma)
+    else:
+        flat, flat_err = flat_tail(z0)
     scale = abs(head) + abs(flat)
     tol = cfg.budget(scale)
     series, series_err, converged = _period_sums(weight, x, z0, cfg, tol / 2)
@@ -193,11 +207,16 @@ EXPONENTS = {
     "mixture": CharExponent.stable_mixture([(1.2, 0.5), (1.7, 1.0)]),
     "gaussian_plus": CharExponent.gaussian_plus(0.3, [(1.3, 0.7)]),
 }
+# lowest index 1.05, where the former route's flat tail can miss its bound
+LOW_INDEX = {
+    "stable-1.05": CharExponent.pure_stable(1.05),
+    "mixture-1.05": CharExponent.stable_mixture([(1.05, 2.0), (1.2, 0.5)]),
+}
 XS = (0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0)
 
 
 def _setup(name, beta):
-    psi = EXPONENTS[name]
+    psi = {**EXPONENTS, **LOW_INDEX}[name]
     pot = LevyPotential(psi, beta=beta)
     c, g = psi.tail_minorant()
     return pot, pot._weight(beta), c, g
@@ -231,14 +250,30 @@ def test_truncated_cosine_halfline_fails_as_before(max_half_periods):
 
 
 @pytest.mark.parametrize("beta", (0.0, 0.5, 2.0))
-@pytest.mark.parametrize("name", sorted(EXPONENTS))
+@pytest.mark.parametrize("name", sorted(EXPONENTS) + sorted(LOW_INDEX))
 def test_one_minus_cos_halfline_agrees_with_the_former_route(name, beta):
     pot, w, c, g = _setup(name, beta)
+
+    def mp_flat(z0):
+        # mpmath must find the panels' flat tail within its bound and the
+        # former one outside its own
+        exact = _mp_tail(pot.psi, beta, z0)
+        flat, flat_err, _ = smooth_tail(w, np.array([z0]), pot.quad, c, g)
+        ref, ref_err = ref_smooth_tail(w, z0, pot.quad, c, g)
+        assert abs(flat[0] - exact) <= flat_err[0], (z0, flat[0], exact)
+        assert abs(ref - exact) > ref_err, (z0, ref, exact)
+        return exact, 0.0
+
     for x in XS[1:]:
         val, err = one_minus_cos_halfline(w, x, pot.quad, c, g)
         # scipy's nodes are interior too: the reference never reads lam = 0
         ref, ref_err = ref_one_minus_cos_halfline(w, x, pot.quad, c, g,
                                                   weight_at_zero=np.nan)
+        if not abs(val - ref) <= err + ref_err:
+            # the former tail misses on 6 of the 21 mixture-1.05 cases; the
+            # former route with mpmath's tail must agree
+            ref, ref_err = ref_one_minus_cos_halfline(
+                w, x, pot.quad, c, g, weight_at_zero=np.nan, flat_tail=mp_flat)
         assert abs(val - ref) <= err + ref_err, (name, beta, x)
 
 
@@ -425,3 +460,167 @@ def test_two_atom_mixture_within_its_bounds_of_mpmath(beta):
                                    [0, 1, mp.inf])) / mp.pi
                 val, err = pot.u_with_error(x)
                 assert abs(val - float(u)) <= err, (x, val, u, err)
+
+
+# -- chunks and blocks -------------------------------------------------------------
+
+def _accumulated_panels(integrand, owner, left, right):
+    """_panels before its blocks: every panel at once, each node sum by
+    np.add.accumulate."""
+    half = 0.5 * (right - left)
+    t = (left + half) + half * quadrature._K15_NODES[:, None]
+    f = integrand(t, owner)
+    terms = quadrature._GK_WEIGHTS.T[:, :, None] * f
+    np.abs(terms[2], out=terms[2])
+    k, g, size = np.add.accumulate(terms, axis=1)[:, -1]
+    return np.stack((left, right, half * k, half * np.abs(k - g),
+                     quadrature._PANEL_ROUNDING * half * size))
+
+
+def _accumulated_period_sums(weight, ax, z0, tol, cfg, c_tail, gamma):
+    """_period_sums before its node groups: every node of a batch at once,
+    summed by np.add.accumulate."""
+    value, err, tail = np.empty(ax.size), np.empty(ax.size), np.zeros(ax.size)
+    live = np.arange(ax.size)
+    half = np.pi / ax
+    total = np.zeros(ax.size)
+    partials = np.empty((ax.size, 0))
+    done = 0
+    while live.size:
+        h = half[live, None]
+        mid = z0[live, None] + np.arange(done, done + _BATCH) * h + 0.5 * h
+        lam = mid + 0.5 * h * quadrature._GL_NODES[:, None, None]
+        vals = np.cos(lam * ax[live, None]) * weight(lam)
+        s = np.add.accumulate(quadrature._GL_WEIGHTS[:, None, None] * vals,
+                              axis=0)[-1]
+        terms = 0.5 * h * s
+        done += _BATCH
+        run = np.add.accumulate(np.concatenate((total[:, None], terms), axis=1),
+                                axis=1)[:, 1:]
+        total = run[:, -1]
+        partials = np.concatenate((partials, run), axis=1)[:, -64:]
+        val, e = quadrature._averaged_alternating(partials)
+        last = np.abs(terms[:, -1])
+        conv = (e + np.minimum(last, e) < tol[live]) | (last < tol[live] * 1e-3)
+        stop = conv | (done >= cfg.max_half_periods)
+        value[live[stop]] = val[stop]
+        err[live[stop]] = np.where(conv, e + last * 2.0 ** (-min(done, 50)),
+                                   e + last)[stop]
+        cut = live[stop & ~conv]
+        z_end = z0[cut] + cfg.max_half_periods * np.pi / ax[cut]
+        tail[cut] = z_end ** (1.0 - gamma) / (c_tail * (gamma - 1.0))
+        live, total, partials = live[~stop], total[~stop], partials[~stop]
+    return value, err, tail
+
+
+def _chunk_xs(n, seed):
+    """n values of x in a seeded order, signs mixed, with 0 and 1e-6 at
+    the edges of chunks of 7, 16 and 256."""
+    rng = np.random.default_rng(seed)
+    xs = 10.0 ** rng.uniform(-4.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    xs[[15, 255]] = 0.0
+    xs[[7, 256]] = 1e-6
+    return xs
+
+
+def _transforms(xs, cfg):
+    _, w, c, g = _setup("mixture", 0.5)
+    return [transform(w, xs, cfg, c, g)
+            for transform in (cosine_halfline_array, one_minus_cos_halfline_array)]
+
+
+@pytest.fixture(scope="module")
+def former_chunks():
+    """The 610 values and bounds of the two transforms, with the former
+    node sums in the former chunks of 16."""
+    xs = _chunk_xs(610, 11)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_panels", _accumulated_panels)
+        mp.setattr(quadrature, "_period_sums", _accumulated_period_sums)
+        mp.setattr(quadrature, "_ROWS", 16)
+        return xs, _transforms(xs, QuadratureConfig())
+
+
+def _assert_same_bits(got, expected):
+    for (val, err), (ref, ref_err) in zip(got, expected):
+        assert np.array_equal(val, ref) and np.array_equal(err, ref_err)
+
+
+@pytest.mark.parametrize("rows", (1, 7, 16, 256))
+def test_transforms_do_not_depend_on_the_chunk_width(monkeypatch, former_chunks,
+                                                     rows):
+    xs, expected = former_chunks
+    monkeypatch.setattr(quadrature, "_ROWS", rows)
+    _assert_same_bits(_transforms(xs, QuadratureConfig()), expected)
+
+
+@pytest.mark.parametrize("block", (15, 64, 1000))
+def test_transforms_do_not_depend_on_the_block_size(monkeypatch, former_chunks,
+                                                    block):
+    # 15 values make one panel per block and one node per group, where a
+    # node sum over the node axis last would add pairwise
+    xs, expected = former_chunks
+    monkeypatch.setattr(quadrature, "_BLOCK", block)
+    _assert_same_bits(_transforms(xs[:120], QuadratureConfig()),
+                      [(val[:120], err[:120]) for val, err in expected])
+
+
+def test_panels_equal_the_accumulated_node_sums():
+    _, w, _, _ = _setup("mixture", 0.5)
+    rng = np.random.default_rng(12)
+    step = quadrature._BLOCK // 15
+    for n in (1, 2, step - 1, step, step + 1, 3 * step + 5):
+        left = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        right = left * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0, n))
+        ax = 10.0 ** rng.uniform(-4.0, 1.0, n)
+
+        def integrand(lam, own):
+            return np.cos(lam * ax[own]) * w(lam)
+
+        owner = np.arange(n)
+        assert np.array_equal(quadrature._panels(integrand, owner, left, right),
+                              _accumulated_panels(integrand, owner, left, right))
+
+
+@pytest.mark.parametrize("transform, cfg", [
+    (cosine_halfline_array, QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)),
+    (one_minus_cos_halfline_array,
+     QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14))])
+def test_a_failing_grid_raises_for_its_smallest_failing_x(monkeypatch, transform,
+                                                         cfg):
+    # about a third of these x fail, each evaluated alone
+    _, w, c, g = _setup("mixture", 0.5)
+    xs = _chunk_xs(300, 13)
+    alone = {}
+    for x in xs:
+        try:
+            transform(w, [x], cfg, c, g)
+        except QuadratureError as exc:
+            alone[abs(x)] = exc
+    assert 0 < len(alone) < xs.size
+    want = alone[min(alone)]
+    # the smallest failing |x| moves past the first chunk of 256, behind
+    # other failing ones
+    xs = xs[np.argsort(np.abs(xs) == min(alone), kind="stable")]
+    for rows in (1, 7, 16, 256):
+        monkeypatch.setattr(quadrature, "_ROWS", rows)
+        with pytest.raises(QuadratureError) as got:
+            transform(w, xs, cfg, c, g)
+        assert (str(got.value), got.value.value, got.value.err_bound) == (
+            str(want), want.value, want.err_bound)
+
+
+def test_levy_gram_quadrature_peaks_below_two_and_a_half_mb():
+    # 40 points give 781 distinct offsets, four chunks of up to 256; the
+    # chunks evaluated whole peak at 5.5 MB, chunks of 16 at 0.6 MB
+    import tracemalloc
+    pts = np.concatenate(([0.0], 1.0 + 0.9 ** np.arange(39)))
+    pot = _setup("mixture", 0.5)[0]
+    tracemalloc.start()
+    try:
+        LevyBase(pot).gram(pts, pts)
+        pot.sigma2(np.subtract.outer(pts, pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6

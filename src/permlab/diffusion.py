@@ -9,7 +9,8 @@ against |x - y|, and the generator identity
 
     (L - beta) int u(., y) h(y) dy = -c_{p,q} h
 
-with L = (1/2) d/dx b(x) d/dx is verified numerically on demand.
+with L = (1/2) d/dx b(x) d/dx is verified numerically on demand.  Both checks
+are array formulas: h and b are called on arrays, one pass over the grid.
 """
 
 from __future__ import annotations
@@ -40,18 +41,23 @@ _EXCESSIVE_POINTS = 201  # sample points of the excessiveness check
 _EXCESSIVE_TOL = 1e-7    # negativity and convexity allowance of that check
 
 
-def _panel_integral(fn, a: float, b: float) -> float:
-    """Composite 64-point Gauss-Legendre integral of fn over [a, b]."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, _PANELS + 1)
+def _panel_integral(fn, a, b) -> np.ndarray:
+    """Composite 64-point Gauss-Legendre integrals of fn over each [a, b].
+
+    a and b broadcast together.  fn is called once, on the nodes of every
+    nonempty interval as an (intervals, _PANELS, 64) array; each interval adds
+    its panels in order, and an empty one (b <= a) gives exactly 0.0."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape)
+    live = b > a
+    edges = np.linspace(a[live], b[live], _PANELS + 1, axis=-1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     nodes, weights = _GL64
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        total += half * float(weights @ fn(mid + half * nodes))
-    return total
+    vals = fn(mid[..., None] + half[..., None] * nodes)
+    # accumulate adds in order; a sum of 8 contiguous panels goes pairwise
+    out[live] = np.add.accumulate(half * (vals @ weights), axis=-1)[:, -1]
+    return out
 
 
 def _check_on(xs: np.ndarray, where: str, checks):
@@ -81,15 +87,15 @@ class PQPotential:
             raise ValueError("the product family carries beta > 0")
         lo, hi = self.interval
         xs = np.linspace(lo, hi, 101)
-        p1, q1 = self.p.diff(), self.q.diff()
-        p2, q2 = p1.diff(), q1.diff()
+        self.p1, self.q1 = self.p.diff(), self.q.diff()
+        self.p2, self.q2 = self.p1.diff(), self.q1.diff()
         _check_on(xs, "the working interval", [
             (self.p, "p", np.greater, "p must be positive"),
             (self.q, "q", np.greater, "q must be positive"),
-            (p1, "p'", np.greater, "p must be strictly increasing"),
-            (q1, "q'", np.less, "q must be strictly decreasing"),
-            (p2, "p''", np.greater, "p must be strictly convex"),
-            (q2, "q''", np.greater, "q must be strictly convex"),
+            (self.p1, "p'", np.greater, "p must be strictly increasing"),
+            (self.q1, "q'", np.less, "q must be strictly decreasing"),
+            (self.p2, "p''", np.greater, "p must be strictly convex"),
+            (self.q2, "q''", np.greater, "q must be strictly convex"),
         ])
 
     def u(self, x, y):
@@ -106,8 +112,7 @@ class PQPotential:
 
     def tau(self, d: float) -> float:
         """Local increment scale q(d)p'(d) - p(d)q'(d); positive for valid pairs."""
-        val = (float(self.q(d)) * float(self.p.diff()(d))
-               - float(self.p(d)) * float(self.q.diff()(d)))
+        val = self.q(d) * self.p1(d) - self.p(d) * self.q1(d)
         if val <= 0.0:
             raise ValueError("nonpositive local scale: invalid p, q pair")
         return val
@@ -117,22 +122,16 @@ class PQPotential:
 
     def eigen_residual(self, b: Expr) -> float:
         """Max relative residual of (1/2)(b f')' = beta f for f in {p, q}."""
-        lo, hi = self.interval
-        xs = np.linspace(lo, hi, 101)
-        b1 = b.diff()
-        worst = 0.0
-        for f in (self.p, self.q):
-            f1, f2 = f.diff(), f.diff().diff()
-            lf = 0.5 * (np.asarray(b(xs)) * f2(xs) + np.asarray(b1(xs)) * f1(xs))
-            res = np.max(np.abs(lf - self.beta * np.asarray(f(xs)))
-                         / np.maximum(np.abs(self.beta * np.asarray(f(xs))), 1e-300))
-            worst = max(worst, float(res))
-        return worst
+        xs = np.linspace(*self.interval, 101)
+        lf = 0.5 * (b(xs) * np.array([self.p2(xs), self.q2(xs)])
+                    + b.diff()(xs) * np.array([self.p1(xs), self.q1(xs)]))
+        bf = self.beta * np.array([self.p(xs), self.q(xs)])
+        return float(np.max(np.abs(lf - bf) / np.maximum(np.abs(bf), 1e-300)))
 
-    def wronskian(self, b: Expr, x: float) -> float:
-        """(1/2) b(x) (q'(x)p(x) - q(x)p'(x)); constant and negative."""
-        return 0.5 * float(b(x)) * (float(self.q.diff()(x)) * float(self.p(x))
-                                    - float(self.q(x)) * float(self.p.diff()(x)))
+    def wronskian(self, b: Expr, x):
+        """(1/2) b(x) (q'(x)p(x) - q(x)p'(x)); constant and negative.  An
+        array x gives the scalar calls' values, a scalar x a float."""
+        return 0.5 * b(x) * (self.q1(x) * self.p(x) - self.q(x) * self.p1(x))
 
 
 @dataclass
@@ -150,35 +149,27 @@ def wronskian_defect(pot: PQPotential, b: Expr, h, h_support: tuple[float, float
 
     The pair is rejected when p and q fail the eigenfunction identity for the
     supplied coefficient b.  The potential is evaluated by composite
-    quadrature and L by five-point finite differences.
+    quadrature and L by five-point finite differences, in one array pass:
+    h and b are called on arrays, once per side of x for the quadrature.
     """
     eig = pot.eigen_residual(b)
-    if eig > _EIGEN_TOL:
+    if not eig <= _EIGEN_TOL:     # a NaN residual fails too
         raise ValueError(f"pair fails the eigen identity: residual {eig:.3e}")
     lo, hi = h_support
-
-    def potential_of_h(x: float) -> float:
-        left = _panel_integral(lambda y: np.asarray(pot.p(y)) * h(y),
-                               lo, min(x, hi))
-        right = _panel_integral(lambda y: np.asarray(pot.q(y)) * h(y),
-                                max(x, lo), hi)
-        return float(pot.q(x)) * left + float(pot.p(x)) * right
-
-    b1 = b.diff()
+    if not lo < hi:
+        raise ValueError(f"h_support must satisfy lo < hi, got {h_support}")
     x_grid = np.asarray(x_grid, dtype=float)
-    c_pq = -pot.wronskian(b, float(x_grid[0]))
-    spread = max(abs(pot.wronskian(b, x) - pot.wronskian(b, float(x_grid[0])))
-                 for x in x_grid)
-    residuals = np.empty_like(x_grid)
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * _FD_STEP
+    wron = pot.wronskian(b, x_grid)
+    c_pq = -float(wron[0])
+    spread = float(np.max(np.abs(wron - wron[0])))
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _FD_STEP ** 2)
     w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * _FD_STEP)
-    for i, x in enumerate(x_grid):
-        f_vals = np.array([potential_of_h(x + o) for o in offsets])
-        f2 = float(w2 @ f_vals)
-        f1 = float(w1 @ f_vals)
-        lf = 0.5 * (float(b(x)) * f2 + float(b1(x)) * f1)
-        residuals[i] = lf - pot.beta * f_vals[2] + c_pq * float(h(x))
+    xs = x_grid[:, None] + np.arange(-2.0, 3.0) * _FD_STEP   # 5-point stencils
+    left = _panel_integral(lambda y: pot.p(y) * h(y), lo, np.minimum(xs, hi))
+    right = _panel_integral(lambda y: pot.q(y) * h(y), np.maximum(xs, lo), hi)
+    f_vals = pot.q(xs) * left + pot.p(xs) * right
+    lf = 0.5 * (b(x_grid) * (f_vals @ w2) + b.diff()(x_grid) * (f_vals @ w1))
+    residuals = lf - pot.beta * f_vals[:, 2] + c_pq * h(x_grid)
     return WronskianReport(c_pq, residuals, float(np.max(np.abs(residuals))),
                            spread, eig)
 
@@ -283,23 +274,21 @@ def riesz_reconstruct(pot: ScalePotential, p: float, x0: float,
                       x_grid) -> np.ndarray:
     """Residuals of rebuilding the capped concave function from its curvature.
 
-    The target is f(s(x)) with f the concave cap of exponent p flattening at
-    s(x0); the reconstruction integrates (s(x) ^ y) against -f''(y) dy over
-    (0, s(x0)).
+    The target is f(s(x)) with f the concave cap of exponent p > 2 flattening
+    at s(x0), x0 > 0; the reconstruction integrates (s(x) ^ y) against
+    -f''(y) dy over (0, s(x0)), in one quadrature pass per side of s(x).
     """
+    if not p > 2.0:
+        raise ValueError(f"cap exponent p must exceed 2, got {p}")
+    if not x0 > 0.0:
+        raise ValueError(f"flat point x0 must be positive, got {x0}")
+    if not np.all(np.asarray(x_grid) > 0.0):
+        raise ValueError("x_grid must lie inside (0, inf)")
     s0 = float(pot.s(x0))
-    out = np.empty(len(x_grid))
-    for i, x in enumerate(x_grid):
-        sx = float(pot.s(x))
-        cut = min(sx, s0)
-
-        def low(y):
-            return np.asarray(y) * (-concave_cap_second_derivative(p, s0, y))
-
-        def high(y):
-            return sx * (-concave_cap_second_derivative(p, s0, np.asarray(y)))
-
-        rebuilt = _panel_integral(low, 0.0, cut)
-        rebuilt += _panel_integral(high, cut, s0)
-        out[i] = rebuilt - concave_cap_value(p, s0, sx)
-    return out
+    sx = pot.s(x_grid)
+    cut = np.minimum(sx, s0)
+    low = _panel_integral(
+        lambda y: y * -concave_cap_second_derivative(p, s0, y), 0.0, cut)
+    high = _panel_integral(
+        lambda y: -concave_cap_second_derivative(p, s0, y), cut, s0)
+    return low + sx * high - concave_cap_value(p, s0, sx)

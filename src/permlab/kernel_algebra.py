@@ -45,6 +45,7 @@ __all__ = [
     "AugmentedKernel",
     "Decomposition",
     "assemble_kernel",
+    "grid_points",
     "decompose",
     "grid_condition_diagnostic",
     "min_kernel_inverse",
@@ -120,6 +121,16 @@ class AugmentedKernel:
     cond: float
 
 
+def grid_points(base, grid) -> np.ndarray:
+    """Points of a grid: finite, and positive on a positive_domain base."""
+    pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
+    if not np.all(np.isfinite(pts)):
+        raise GridError("grid points must be finite")
+    if base.positive_domain and np.any(pts <= 0.0):
+        raise GridError("grid touches the forbidden origin of this base")
+    return pts
+
+
 def assemble_kernel(base, f, g, grid) -> AugmentedKernel:
     """Build the augmented matrix for a base kernel and two excessive functions.
 
@@ -128,11 +139,7 @@ def assemble_kernel(base, f, g, grid) -> AugmentedKernel:
     except f = g = 0 on the grid, which is the symmetric kernel (nu = 1).
     G with a condition estimate above _COND_LIMIT is refused as singular.
     """
-    pts = grid.points() if isinstance(grid, GridSpec) else np.asarray(grid, float)
-    if not np.all(np.isfinite(pts)):
-        raise GridError("grid points must be finite")
-    if base.positive_domain and np.any(pts <= 0.0):
-        raise GridError("grid touches the forbidden origin of this base")
+    pts = grid_points(base, grid)
     G = mirror_upper(base.gram(pts, pts))
     if np.any(G <= 0.0):
         raise ValueError("kernel must be strictly positive on the grid square")

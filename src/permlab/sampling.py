@@ -38,7 +38,8 @@ from numbers import Integral
 import numpy as np
 
 from .bases import mirror_upper
-from .kernel_algebra import Decomposition, GridSpec, assemble_kernel, decompose
+from .kernel_algebra import (Decomposition, GridSpec, assemble_kernel,
+                             decompose, grid_points)
 
 __all__ = [
     "philox",
@@ -348,9 +349,10 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int,
     Each grid gives one row per eps in _EPS_LIST = (0.1, 0.2, 0.3), in order.
     When f and g are given the symmetrized comparison process is sampled and
     its determinant ratio is reported alongside; one of them alone is a
-    ValueError.  The joint covariance of the value at d and the increments
-    is factored by plain Cholesky, with no shift: one that is not positive
-    definite raises numpy's LinAlgError, a ValueError.
+    ValueError, as is a grid point outside the base's domain (GridError).
+    The joint covariance of the value at d and the increments is factored
+    by plain Cholesky, with no shift: one that is not positive definite
+    raises numpy's LinAlgError, a ValueError.
 
     Each grid reads the stream from its start; the stream is drawn once.
     Each path draws k rows of 1 + m normals, one for the value at d and one
@@ -366,6 +368,7 @@ def lil_harness(base, f, g, grid_specs, k: int, n_paths: int,
     for spec in grid_specs:
         if not isinstance(spec, GridSpec):
             raise TypeError("grid_specs must contain GridSpec values")
+        grid_points(base, spec)
         offsets = spec.offsets()
         cov = _increment_structure(base, spec.d, offsets, spec.direction)
         var = np.diag(cov)[1:]

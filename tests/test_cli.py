@@ -527,6 +527,26 @@ def test_lil_run_with_one_border_is_a_usage_error(tmp_path, capsys, border,
     assert "both border functions" in message
 
 
+X = {"kind": "affine", "a": 1.0, "b": 0.0}
+VPQ = {"family": "vpq", "p": {"kind": "exp", "arg": X},
+       "q": {"kind": "exp", "arg": {"kind": "affine", "a": -1.0, "b": 0.0}},
+       "beta": 0.5}
+
+
+@pytest.mark.parametrize("base, d", [
+    ({"family": "stable_hit_zero", "rho": 0.5}, -1.0),
+    ({"family": "stable_hit_zero", "rho": 0.5}, 0.0),
+    (VPQ, 0.0),
+])
+def test_lil_run_refuses_a_grid_outside_the_base_domain(tmp_path, capsys,
+                                                        base, d):
+    # the harness applies assemble_kernel's domain rule with or without f
+    # and g; it once printed a table at d = -1 and failed in Cholesky at d = 0
+    config = {**LIL, "base": base, "grid": {**LIL["grid"], "d": d}}
+    message = _usage_error(tmp_path, capsys, {"config": config})
+    assert "grid touches the forbidden origin of this base" in message
+
+
 def test_main_keeps_no_state_between_calls(brownian_psi, capsys):
     from permlab import cli
     u = ["potential", "eval", "--psi", brownian_psi, "--beta", "0.5",

@@ -171,9 +171,19 @@ def _kernel_pair(G, fvec, gvec) -> tuple:
     return _bordered(1.0, fvec, gvec, hi), _bordered(0.0, zero, zero, lo)
 
 
+def _refined_solve(G: np.ndarray, X: tuple, b: np.ndarray) -> tuple:
+    """G^-1 b as a pair from the pair X of G^-1, refined once with the exact
+    residual b - G x."""
+    sol = X[0] @ b + X[1] @ b
+    return la.pair_add(sol, 0.0 * sol, X[0] @ la.residual((G, None), (sol, None), b))
+
+
 def _closed_form_inverse(G_inv: tuple, rho: tuple, row: tuple, col: tuple) -> tuple:
-    """[[1 + rho, -row], [-col, G^-1]] as a pair (hi, lo) from pairs: A for
-    (v, r), A_sym for (h, h).  fsum rounds the corner's low part once."""
+    """[[1 + rho, -row], [-col, G^-1]] as a pair (hi, lo) from pairs, the
+    inverse of a bordered kernel u + g f^T: decompose's A for (v, r) and
+    A_sym for (h, h), and rebirth.partial_rebirth_potential's inverse of the
+    extension for (mu, u^-1 1), G = u.  fsum rounds the corner's low part
+    once."""
     corner = 1.0 + rho[0]
     return (_bordered(corner, -row[0], -col[0], G_inv[0]),
             _bordered(fsum((1.0, *rho, -corner)), -row[1], -col[1], G_inv[1]))
@@ -217,8 +227,9 @@ class Decomposition:
 def offdiag_positive_excess(mat: np.ndarray) -> float:
     """Largest off-diagonal entry after scaling rows by the diagonal."""
     scaled = mat / np.abs(np.diag(mat))[:, None]
-    off = scaled - np.diag(np.diag(scaled))
-    return float(np.max(off))
+    d = scaled.diagonal()
+    np.fill_diagonal(scaled, d - d)
+    return float(np.max(scaled))
 
 
 def _entrywise_negative_excess(mat: np.ndarray) -> float:
@@ -236,11 +247,9 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     """
     G, X, f = ak.G, ak.G_inv, ak.fvec
     gf = np.column_stack((ak.gvec, f))
-    # [r v] = G^-1 [g f], refined once with the exact residual [g f] - G [r v]
-    # into pairs: r + r_lo, like each hi + lo below, keeps what rounding drops
-    sol = X[0] @ gf + X[1] @ gf
-    sol = la.pair_add(sol, 0.0 * sol, X[0] @ la.residual((G, None), (sol, None), gf))
-    (r, v), (r_lo, v_lo) = (x.T.copy() for x in sol)
+    # [r v] = G^-1 [g f] as pairs: r + r_lo, like each hi + lo below, keeps
+    # what rounding drops
+    (r, v), (r_lo, v_lo) = (x.T.copy() for x in _refined_solve(G, X, gf))
     if any(np.min(x) < -_NEGATIVITY_TOL * max(1.0, np.max(np.abs(x))) for x in (r, v)):
         raise ValueError("negative border coefficients: input is not excessive "
                          "for this kernel on this grid")
@@ -296,8 +305,10 @@ def min_kernel_inverse(t) -> np.ndarray:
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("grid must be strictly increasing and positive")
     a = 1.0 / np.diff(t, prepend=0.0)
-    off = np.diag(a[1:], 1)
-    return np.diag(a + np.append(a[1:], 0.0)) - off - off.T
+    out = np.diag(a + np.append(a[1:], 0.0))
+    i = np.arange(len(t) - 1)
+    out[i, i + 1] = out[i + 1, i] = -a[1:]
+    return out
 
 
 def grid_condition_diagnostic(spec: GridSpec, increment_variance) -> float:

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import _linalg as la
 from . import _wire as wire
-from .kernel_algebra import SIGN_TOL, offdiag_positive_excess
+from .kernel_algebra import (SIGN_TOL, _closed_form_inverse, _refined_solve,
+                            min_kernel_inverse, offdiag_positive_excess)
 from .sampling import _chi_square_blocks, _psd_factor, philox
 
 __all__ = [
@@ -129,7 +130,12 @@ class FiniteChain:
 
 @dataclass
 class RebirthExtension:
-    """Potential of a partially reborn chain on states + return point."""
+    """Potential of a partially reborn chain on states + return point.
+
+    inverse_m_matrix_ok: the closed-form inverse of the model (u, mu), with
+    the tridiagonal u^-1 when u is exactly a min kernel, has no scaled
+    positive off-diagonal entry beyond SIGN_TOL (partial_rebirth_potential).
+    """
 
     u_ext: np.ndarray
     m_ext: np.ndarray
@@ -154,6 +160,28 @@ def _probability_measure(mu) -> np.ndarray:
     return mu
 
 
+def _potential_inverse(u: np.ndarray) -> tuple:
+    """(u^-1, r = u^-1 1) as pairs (hi, lo).  When u is exactly
+    min(t_i, t_j), bit for bit, for its sorted diagonal t strictly
+    increasing (a diffusion in natural scale killed at 0), u^-1 is
+    min_kernel_inverse(t) permuted back, and r = e_k / t_0 at the state k
+    of smallest t, since u e_k = t_0 1.  Any other u takes la.inv, which
+    raises LinAlgError on a repeated state, and one refined solve for r.
+    """
+    n = len(u)
+    d = np.diag(u)
+    order = np.argsort(d)
+    t = d[order]
+    if np.all(np.diff(t) > 0.0) and np.array_equal(u, np.minimum.outer(d, d)):
+        back = np.argsort(order)
+        r = np.zeros((2, n))
+        r[:, order[0]] = la.pair_div((1.0, 0.0), (t[0], 0.0))
+        X = min_kernel_inverse(t)[np.ix_(back, back)], np.zeros_like(u)
+        return X, tuple(r)
+    X = la.inv(u)
+    return X, tuple(x[:, 0] for x in _refined_solve(u, X, np.ones((n, 1))))
+
+
 def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
                               m: np.ndarray) -> RebirthExtension:
     """Extend the potential by a return point fed by the measure mu.
@@ -162,9 +190,19 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     f(y) along the return-point row, and ones in the return-point column.
     Mass above 1 is accepted for analysis, although no transient process
     realizes it and PartialRebirthModel refuses to simulate it.
+
+    The extension is the paper's u + g f^T with g = 1 and its border last.
+    As u is symmetric, its inverse is [[u^-1, -r], [-mu^T, 1 + |mu|]] with
+    r = u^-1 1, so only u is inverted: by the tridiagonal
+    min_kernel_inverse when u equals min(u_ii, u_jj) bit for bit and its
+    sorted diagonal strictly increases, by la.inv otherwise
+    (_potential_inverse).  inverse_m_matrix_ok reads that closed form,
+    built by _closed_form_inverse with its border first, a symmetric
+    permutation that keeps the verdict.  So the verdict is about the model
+    (u, mu), not about u_ext with f rounded to float64.
     """
-    u = np.asarray(u, dtype=float)
-    mu, _ = _rebirth_measure(mu)
+    u = np.asarray_chkfinite(u, dtype=float)    # a min kernel skips la.inv's check
+    mu, mass = _rebirth_measure(mu)
     m = np.asarray(m, dtype=float)
     n = u.shape[0]
     if np.max(np.abs(u - u.T)) > 1e-10 * np.max(np.abs(u)):
@@ -178,8 +216,8 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     ext[:n, n] = 1.0
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
-    # det ext = det u, so the inverse exists for every mass
-    a = la.inv(ext)[0]
+    X, r = _potential_inverse(u)
+    a = _closed_form_inverse(X, (mass, 0.0), (mu, 0.0 * mu), r)[0]
     inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 

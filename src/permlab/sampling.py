@@ -268,7 +268,13 @@ def sandwich_check(dec: Decomposition, k: int, event, n_paths: int,
 def _increment_structure(base, d: float, offsets: np.ndarray, direction: int):
     """Joint covariance of (eta_d, eta_j - eta_d for each offset).
 
-    Built from increment variances so that nothing cancels at tiny offsets;
+    Built from increment variances, so that nothing cancels at tiny offsets
+    for the bases whose sigma2 is a closed form of the offset: exp_decay
+    (expm1), scale (|s(x) - s(y)|) and the translation-invariant Levy base
+    (1 - cos).  The others, pq and vpq among them, take _GridKernel.sigma2
+    = k(x, x) + k(y, y) - 2 k(x, y), which does cancel: on pq with
+    p = e^(1.2x), q = e^(-1.2x) at d = 1 its relative error is 2.3e-10 at
+    offset 1e-6 and 8.3e-8 at 1e-10.
     Cov(eta_d, eta_j - eta_d) = (u(p_j, p_j) - u(d, d) - sigma2(d, p_j)) / 2.
     """
     pts = d + direction * offsets

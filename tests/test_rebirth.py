@@ -4,7 +4,10 @@ import pytest
 from permlab import (FiniteChain, FullRebirthModel, PartialRebirthModel,
                      chain_from_spec, ek_identity_check, full_rebirth_potential,
                      partial_rebirth_potential, potential_from_spec)
-from permlab.rebirth import EKReport
+from permlab import _linalg as la
+from permlab.kernel_algebra import (SIGN_TOL, _closed_form_inverse,
+                                    min_kernel_inverse, offdiag_positive_excess)
+from permlab.rebirth import EKReport, _potential_inverse
 
 
 def two_state():
@@ -110,6 +113,151 @@ def test_partial_rebirth_scale_diffusion_window_density():
     assert got == pytest.approx(want, rel=1e-12)
     integral = float(np.sum(s * mu))   # midpoint rule for int s d(mu)
     assert ext.f[i_x0] == pytest.approx(integral, rel=1e-4)
+
+
+# -- the closed-form inverse of the extension --------------------------------
+
+def _scale_diffusion(c, x0, slope, mass, n=400):
+    """(u, mu, m) of the hit-zero diffusion with scale s = x + c x^2 on n
+    cells of [0, 2], reborn with a density 1 + slope x below x0."""
+    edges = np.linspace(0.0, 2.0, n + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    width = edges[1] - edges[0]
+    s = centers + c * centers ** 2
+    mu = np.where(centers <= x0, 1.0 + slope * centers, 0.0) * width
+    mu *= mass / np.sum(mu)
+    return np.minimum.outer(s, s), mu, np.full(n, width)
+
+
+# three draws of the 400-state job of the grid-algebra benchmark
+SCALE_DRAWS = [(0.376, 1.041, 0.5017, 0.6788), (0.3286, 1.106, 0.7071, 0.6721),
+               (0.2058, 1.094, 0.4179, 0.6154)]
+
+
+def _random_model(seed, n, kind):
+    """(u, mu, m): the potential of a random chain symmetric with respect to
+    m, or a random positive definite matrix with positive entries, whose
+    inverse is seldom an M-matrix; mu has a mass between 0 and 1.5."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 2.0, n)
+    if kind == "chain":
+        rates = rng.uniform(0.05, 1.0, (n, n))
+        rates = np.triu(rates, 1) + np.triu(rates, 1).T
+        Q = rates / m[:, None]
+        Q -= np.diag(np.sum(Q, axis=1) + rng.uniform(0.05, 1.0, n))
+        u = FiniteChain(Q, m).potential()
+    else:
+        b = rng.uniform(0.1, 1.0, (n, n)) + np.eye(n)
+        u = b @ b.T
+    mu = rng.uniform(0.0, 1.0, n)
+    return u, mu * rng.uniform(0.0, 1.5) / np.sum(mu), m
+
+
+def _count_inv(monkeypatch):
+    """Record the row count of every la.inv call."""
+    calls, inv = [], la.inv
+
+    def counting(a):
+        calls.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(la, "inv", counting)
+    return calls
+
+
+def _closed_form_and_dense(u, mu, m):
+    """(extension, its closed-form inverse with the border last as in
+    u_ext, the oracle: the refined dense inverse of u_ext)."""
+    ext = partial_rebirth_potential(u, mu, m)
+    X, r = _potential_inverse(u)
+    A = _closed_form_inverse(X, (float(np.sum(mu)), 0.0), (mu, 0.0 * mu), r)[0]
+    last = np.r_[1:len(A), 0]
+    dense = la.inv(ext.u_ext)[0]
+    return ext, A[np.ix_(last, last)], dense
+
+
+def _assert_matches_dense(u, mu, m):
+    ext, A, dense = _closed_form_and_dense(u, mu, m)
+    assert np.max(np.abs(A - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(la.residual((ext.u_ext, None), (A, None)))) <= 1e-12
+    margin = offdiag_positive_excess(dense)
+    if abs(margin - SIGN_TOL) > 1e-12:
+        assert ext.inverse_m_matrix_ok == (margin <= SIGN_TOL)
+    return ext, A, margin
+
+
+@pytest.mark.parametrize("draw", SCALE_DRAWS)
+def test_the_closed_form_matches_the_dense_oracle_on_scale_diffusions(draw):
+    _assert_matches_dense(*_scale_diffusion(*draw))
+
+
+@pytest.mark.parametrize("kind", ["chain", "positive"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_closed_form_matches_the_dense_oracle_on_small_models(kind, n):
+    verdicts = set()
+    for seed in range(5):
+        ext, _, _ = _assert_matches_dense(*_random_model(100 * n + seed, n, kind))
+        verdicts.add(ext.inverse_m_matrix_ok)
+    # a chain's u^-1 = diag(m)(-Q) and u^-1 1 = m * kill are M-matrix signs
+    if kind == "chain":
+        assert verdicts == {True}
+
+
+@pytest.mark.parametrize("draw", SCALE_DRAWS)
+def test_a_scale_diffusion_verdict_does_not_lean_on_the_tolerance(monkeypatch, draw):
+    u, mu, m = _scale_diffusion(*draw)
+    calls = _count_inv(monkeypatch)
+    assert partial_rebirth_potential(u, mu, m).inverse_m_matrix_ok
+    assert calls == []        # the tridiagonal: no dense inverse at all
+    monkeypatch.undo()
+    ext, A, dense_margin = _assert_matches_dense(u, mu, m)
+    # the dense route reads rounding noise of about +1e-13 off the band
+    assert 0.0 < dense_margin <= SIGN_TOL
+    assert offdiag_positive_excess(A) <= 1e-15
+
+
+def test_a_permuted_min_kernel_inverts_as_the_sorted_tridiagonal(monkeypatch):
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    perm = rng.permutation(9)
+    back = np.argsort(perm)
+    calls = _count_inv(monkeypatch)
+    (hi, lo), (r, r_lo) = _potential_inverse(np.minimum.outer(t[perm], t[perm]))
+    assert calls == []
+    assert np.array_equal(hi, min_kernel_inverse(t)[np.ix_(perm, perm)])
+    assert not lo.any()
+    # u e_k = t_0 1 at the state k of smallest t
+    want = np.zeros(9)
+    want[back[0]] = 1.0 / t[0]
+    assert np.array_equal(r, want)
+    assert np.count_nonzero(r_lo) <= 1
+
+
+def test_a_min_kernel_off_by_one_ulp_takes_the_dense_route(monkeypatch):
+    t = np.cumsum(np.random.default_rng(8).uniform(0.1, 1.0, 7))
+    u = np.minimum.outer(t, t)
+    u[2, 5] = u[5, 2] = np.nextafter(u[2, 5], np.inf)
+    calls = _count_inv(monkeypatch)
+    (hi, _), _ = _potential_inverse(u)
+    assert calls == [7]
+    tri = min_kernel_inverse(t)
+    assert np.max(np.abs(hi - tri)) <= 1e-12 * np.max(np.abs(tri))
+    assert np.count_nonzero(hi) > np.count_nonzero(tri)
+
+
+def test_a_repeated_state_is_singular():
+    t = np.array([0.5, 1.0, 1.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        partial_rebirth_potential(np.minimum.outer(t, t), np.full(4, 0.1),
+                                  np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_min_kernel_with_a_non_finite_state_is_refused(bad):
+    t = np.array([0.5, 1.0, bad])
+    with pytest.raises(ValueError):
+        partial_rebirth_potential(np.minimum.outer(t, t), np.full(3, 0.1),
+                                  np.ones(3))
 
 
 # -- full rebirth -----------------------------------------------------------

@@ -18,13 +18,26 @@ float64 holds exactly, in any order of summation and on any number of BLAS
 threads.  Of the products S_i T_j with i + j <= 3, c and the three largest
 are summed by Sum2, a cascade of error-free sums (Ogita, Rump & Oishi,
 "Accurate sum and dot product", SISC 26, 2005); the other seven lie below
-2^(1-2b) of |A| |X| and are summed plainly.  For pairs with |lo| <= 2^-53
-|hi|, as in inv, a computed entry differs from the exact R_ij by at most
+2^(1-2b) of |A| |X| and are summed plainly.  product runs that sum twice
+over one set of products, from 0 and then from its own result, and so
+returns A X as a pair hi + lo.  For pairs with |lo| <= 2^-53 |hi|, as in
+inv, a computed entry differs from the exact R_ij by at most
 
     2^-53 |R_ij| + 16 n 2^(t_i + t'_j) (2^(-4b) + 2^(-2b-51)) + 2^-100,
 
 with t_i and t'_j the exponents of row i of A and column j of X, and that
 takes the error of the refined inverse down to about cond * 2^-4b.
+
+residual and product take A already cut: cut(a) returns its four slices as
+one 4 x m x n array, and the caller keeps it for as many products with A as
+it needs, so each left operand is cut once (inv cuts a once for both of its
+Newton steps).  X is cut _BLOCK columns at a time.  Because A's slices are
+contiguous, the products S_0 T_j ... S_(3-j) T_j of a block come from one
+GEMM each, four per block in place of ten, and each entry is the same exact
+value as that of its own product.  Besides the cut, which the caller
+holds, the temporaries are a block's slices of X (4 n _BLOCK doubles) and
+its products: one stack of at most 4 m _BLOCK at a time in residual, all
+ten, 10 m _BLOCK, in product.
 
 two_product and pair_add are the error-free transformations of Dekker and
 Knuth (Ogita, Rump & Oishi 2005, algorithms 3.1-3.3), pair_div is exact to
@@ -41,8 +54,8 @@ _BLOCK = 64              # columns of X per pass of residual
 _SPLIT = 2.0 ** 27 + 1   # Veltkamp's constant: halves of 26 bits
 _SINGULAR = "singular matrix in LU factorization"
 
-__all__ = ["lu_factor", "lu_solve", "inv", "residual", "slogdet", "cond1",
-           "two_product", "pair_add", "pair_div", "dot"]
+__all__ = ["lu_factor", "lu_solve", "inv", "cut", "residual", "product",
+           "slogdet", "cond1", "two_product", "pair_add", "pair_div", "dot"]
 
 
 def lu_factor(a: np.ndarray):
@@ -76,8 +89,9 @@ def inv(a: np.ndarray) -> tuple:
             raise
         raise np.linalg.LinAlgError(_SINGULAR) from err
     lo = np.zeros_like(hi)
+    s = cut((a, None))
     for _ in range(2):
-        hi, lo = pair_add(hi, lo, hi @ residual((a, None), (hi, lo)))
+        hi, lo = pair_add(hi, lo, hi @ residual(s, (hi, lo)))
     return hi, lo
 
 
@@ -129,12 +143,18 @@ def dot(x: np.ndarray, y: np.ndarray) -> tuple:
     return hi, fsum(np.append(terms, -hi))
 
 
-def _slices(hi: np.ndarray, lo, beta: int) -> list:
-    """The four Ozaki slices of the rows of hi + lo (lo may be None).  With
-    2^t above the largest |entry| of a row of hi, slice k is a multiple of
-    2^(e_k - b) of size at most 2^e_k, b = 53 - beta.  e_0 = t and e_1 =
-    t - b; lo joins what is left before slice 2, which takes a bit of
-    headroom for it: e_2 = t - 2b + 1, e_3 = e_2 - b.
+def _beta(n: int) -> int:
+    """The splitting constant beta = ceil((53 + log2 n) / 2) of products
+    of inner dimension n."""
+    return ceil((53 + log2(n)) / 2)
+
+
+def _slices(hi: np.ndarray, lo, beta: int) -> np.ndarray:
+    """The four Ozaki slices of the rows of hi + lo (lo may be None), as one
+    4 x m x n array.  With 2^t above the largest |entry| of a row of hi,
+    slice k is a multiple of 2^(e_k - b) of size at most 2^e_k, b = 53 -
+    beta.  e_0 = t and e_1 = t - b; lo joins what is left before slice 2,
+    which takes a bit of headroom for it: e_2 = t - 2b + 1, e_3 = e_2 - b.
     """
     b = 53 - beta
     _, t = np.frexp(np.abs(hi).max(axis=1, keepdims=True))
@@ -142,56 +162,91 @@ def _slices(hi: np.ndarray, lo, beta: int) -> list:
     shifts = np.array([beta, beta - b, beta + 1 - 2 * b, beta + 1 - 3 * b])
     sigmas = np.ldexp(1.0, t + shifts[:, None, None])
     rest = np.array(hi, dtype=float, order="C")
-    out = []
-    for k, sigma in enumerate(sigmas):
+    out = np.empty((4,) + rest.shape)
+    for k, (piece, sigma) in enumerate(zip(out, sigmas)):
         if k == 2 and lo is not None:
             rest += lo
-        piece = rest + sigma
+        np.add(rest, sigma, out=piece)
         piece -= sigma
         rest -= piece
-        out.append(piece)
     return out
 
 
-def residual(a: tuple, x: tuple, c: np.ndarray | None = None) -> np.ndarray:
-    """c - a x for pairs a = (hi, lo) of m x n and x = (hi, lo) of n x k
-    float64 matrices (lo may be None) and a float64 m x k matrix c, the
-    identity by default, with exact slice products (module docstring).  X
-    is taken _BLOCK columns at a time, so that the temporaries besides a's
-    slices stay O((m + n) _BLOCK); the result does not depend on _BLOCK."""
-    m, n = a[0].shape
-    beta = ceil((53 + log2(n)) / 2)
-    s = _slices(*a, beta)
-    out = np.empty((m, x[0].shape[1]))
-    for c0 in range(0, out.shape[1], _BLOCK):
-        cols = slice(c0, c0 + _BLOCK)
-        # X is sliced by columns, which are the rows of its transpose
-        t = _slices(*(None if y is None else y[:, cols].T for y in x), beta)
-        # S_i T_j for i + j <= 3.  S_0 T_0, S_1 T_0 and S_0 T_1 go through
-        # Sum2: acc, plus the rounding errors of its sums gathered in err.
-        # The other seven lie below 2^(1-2b) of |a| |x| and are summed
-        # plainly in tail.
-        acc = (np.eye(m, len(t[0]), -c0) if c is None
+def cut(a: tuple) -> np.ndarray:
+    """The left operand of residual and product: the pair a = (hi, lo) of
+    an m x n float64 matrix (lo may be None) cut by rows into its four
+    slices, stacked as one 4 x m x n array (module docstring)."""
+    return _slices(*a, _beta(a[0].shape[1]))
+
+
+def _products(s: np.ndarray, x: tuple, cols: slice):
+    """The slice products S_i T_j, i + j <= 3, of the cut s and the columns
+    cols of the pair x, cut by columns: for j = 0..3, the stack S_0 T_j ...
+    S_(3-j) T_j from one product of S_0 ... S_(3-j), contiguous in s, and
+    T_j.  Each entry is exact, so it equals the product of the two slices
+    alone, whatever order BLAS sums it in."""
+    _, m, n = s.shape
+    # X is sliced by columns, which are the rows of its transpose
+    t = _slices(*(None if y is None else y[:, cols].T for y in x), _beta(n))
+    left = s.reshape(4 * m, n)
+    for j, right in enumerate(t):
+        yield (left[:(4 - j) * m] @ right.T).reshape(4 - j, m, -1)
+
+
+def _sum2(acc: np.ndarray, products) -> np.ndarray:
+    """acc minus the slice products, in place.  S_0 T_0, S_1 T_0 and S_0 T_1
+    go through Sum2: acc, plus the rounding errors of its sums gathered in
+    err.  The other seven lie below 2^(1-2b) of |a| |x| and are summed
+    plainly in tail."""
+    err, tail = np.zeros(acc.shape), np.zeros(acc.shape)
+    for j, stack in enumerate(products):
+        for i, p in enumerate(stack):
+            if i + j > 1:
+                tail += p
+                continue
+            # TwoSum's error (acc - (total - z)) - (p + z), in place
+            total = acc - p
+            z = total - acc
+            acc -= total - z
+            z += p
+            acc -= z
+            err += acc
+            acc = total
+    err -= tail
+    acc += err
+    return acc
+
+
+def residual(s: np.ndarray, x: tuple, c: np.ndarray | None = None) -> np.ndarray:
+    """c - a x for the cut s = cut(a) of an m x n matrix, the pair x = (hi,
+    lo) of an n x k float64 matrix (lo may be None) and a float64 m x k
+    matrix c, the identity by default, with exact slice products (module
+    docstring).  X is taken _BLOCK columns at a time, so that the
+    temporaries besides s stay O((m + n) _BLOCK); the result does not
+    depend on _BLOCK."""
+    m, k = s.shape[1], x[0].shape[1]
+    out = np.empty((m, k))
+    for c0 in range(0, k, _BLOCK):
+        cols = slice(c0, min(c0 + _BLOCK, k))
+        acc = (np.eye(m, cols.stop - c0, -c0) if c is None
                else np.array(c[:, cols], dtype=float))
-        err, tail = np.zeros(acc.shape), np.zeros(acc.shape)
-        for j, right in enumerate(t):
-            for i, left in enumerate(s[:4 - j]):
-                p = left @ right.T
-                if i + j > 1:
-                    tail += p
-                    continue
-                # TwoSum's error (acc - (total - z)) - (p + z), in place
-                total = acc - p
-                z = total - acc
-                acc -= total - z
-                z += p
-                acc -= z
-                err += acc
-                acc = total
-        err -= tail
-        acc += err
-        out[:, cols] = acc
+        # the products are made as the sums reach them, one stack at a time
+        out[:, cols] = _sum2(acc, _products(s, x, cols))
     return out
+
+
+def product(s: np.ndarray, x: tuple) -> tuple:
+    """a x as a pair (hi, lo) for the cut s = cut(a) and the pair x of
+    residual: hi = -residual(s, x, 0) and lo = -residual(s, x, hi), bit for
+    bit, from one set of slice products."""
+    m, k = s.shape[1], x[0].shape[1]
+    hi, lo = np.empty((m, k)), np.empty((m, k))
+    for c0 in range(0, k, _BLOCK):
+        cols = slice(c0, min(c0 + _BLOCK, k))
+        products = list(_products(s, x, cols))
+        hi[:, cols] = -_sum2(np.zeros((m, cols.stop - c0)), products)
+        lo[:, cols] = -_sum2(np.array(hi[:, cols]), products)
+    return hi, lo
 
 
 def slogdet(a: np.ndarray) -> tuple[float, float]:

@@ -117,6 +117,7 @@ class AugmentedKernel:
     fvec: np.ndarray
     gvec: np.ndarray
     K: np.ndarray           # the bordered G + g f^T, each entry rounded once
+    K_lo: np.ndarray        # K's low part: K + K_lo is within 2^-106 of it
     G_inv: tuple            # la.inv(G), the pair (hi, lo) of A's lower block
     cond: float
 
@@ -152,8 +153,8 @@ def assemble_kernel(base, f, g, grid) -> AugmentedKernel:
     cond = la.cond1(G, G_inv[0])
     if cond > _COND_LIMIT:
         raise ValueError(f"Gram matrix numerically singular (cond ~ {cond:.3g})")
-    K = _kernel_pair(G, fvec, gvec)[0]
-    return AugmentedKernel(pts, G, fvec, gvec, K, G_inv, cond)
+    K, K_lo = _kernel_pair(G, fvec, gvec)
+    return AugmentedKernel(pts, G, fvec, gvec, K, K_lo, G_inv, cond)
 
 
 def _bordered(corner, row, col, inner) -> np.ndarray:
@@ -171,18 +172,18 @@ def _kernel_pair(G, fvec, gvec) -> tuple:
     return _bordered(1.0, fvec, gvec, hi), _bordered(0.0, zero, zero, lo)
 
 
-def _refined_solve(G: np.ndarray, X: tuple, b: np.ndarray) -> tuple:
-    """G^-1 b as a pair from the pair X of G^-1, refined once with the exact
-    residual b - G x."""
+def _refined_solve(s: np.ndarray, X: tuple, b: np.ndarray) -> tuple:
+    """G^-1 b as a pair from G's cut s = la.cut((G, None)) and the pair X of
+    G^-1, refined once with the exact residual b - G x."""
     sol = X[0] @ b + X[1] @ b
-    return la.pair_add(sol, 0.0 * sol, X[0] @ la.residual((G, None), (sol, None), b))
+    return la.pair_add(sol, 0.0 * sol, X[0] @ la.residual(s, (sol, None), b))
 
 
 def _closed_form_inverse(G_inv: tuple, rho: tuple, row: tuple, col: tuple) -> tuple:
     """[[1 + rho, -row], [-col, G^-1]] as a pair (hi, lo) from pairs, the
     inverse of a bordered kernel u + g f^T: decompose's A for (v, r) and
-    A_sym for (h, h), and rebirth.partial_rebirth_potential's inverse of the
-    extension for (mu, u^-1 1), G = u.  fsum rounds the corner's low part
+    A_sym for (h, h).  rebirth.partial_rebirth_potential builds the high
+    half alone for (mu, u^-1 1), G = u.  fsum rounds the corner's low part
     once."""
     corner = 1.0 + rho[0]
     return (_bordered(corner, -row[0], -col[0], G_inv[0]),
@@ -191,7 +192,7 @@ def _closed_form_inverse(G_inv: tuple, rho: tuple, row: tuple, col: tuple) -> tu
 
 def _det_ratio_error(K: tuple, A: tuple) -> float:
     """|det(K A) - 1| = |det K / det G - 1| from the exact R = I - K A."""
-    R = la.residual(K, A)
+    R = la.residual(la.cut(K), A)
     sign, logdet = la.slogdet(np.eye(len(R)) - R)
     return abs(float(np.expm1(logdet))) if sign > 0 else np.inf
 
@@ -247,13 +248,15 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     """
     G, X, f = ak.G, ak.G_inv, ak.fvec
     gf = np.column_stack((ak.gvec, f))
+    # G cut once for its two products below, [r v] and G [r h]
+    s = la.cut((G, None))
     # [r v] = G^-1 [g f] as pairs: r + r_lo, like each hi + lo below, keeps
     # what rounding drops
-    (r, v), (r_lo, v_lo) = (x.T.copy() for x in _refined_solve(G, X, gf))
+    (r, v), (r_lo, v_lo) = (x.T.copy() for x in _refined_solve(s, X, gf))
     if any(np.min(x) < -_NEGATIVITY_TOL * max(1.0, np.max(np.abs(x))) for x in (r, v)):
         raise ValueError("negative border coefficients: input is not excessive "
                          "for this kernel on this grid")
-    rho = la.dot(np.r_[f, f], np.r_[r, r_lo])
+    rho = la.dot(np.concatenate((f, f)), np.concatenate((r, r_lo)))
 
     rv = r * v
     rv_clipped = max(0.0, -float(np.min(rv))) / max(1.0, float(np.max(np.abs(rv))))
@@ -263,14 +266,15 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     h_lo = np.divide((p - q) + (e - d) + r * v_lo + r_lo * v, 2.0 * h,
                      out=np.zeros_like(h), where=h > 0.0)
     h, h_lo = la.pair_add(h, 0.0 * h, h_lo)
-    # G [r h] as a pair, from two exact residuals
+    # G [r h] as a pair, from one set of exact slice products; G's slices
+    # go before the (n + 1)^2 matrices below are made
     x = (np.column_stack((r, h)), np.column_stack((r_lo, h_lo)))
-    Gx = -la.residual((G, None), x, np.zeros((len(h), 2)))
-    (Gr, Gh), (Gr_lo, Gh_lo) = Gx.T, -la.residual((G, None), x, Gx).T
-    vGr = la.dot(np.r_[v, v, v_lo], np.r_[Gr, Gr_lo, Gr])[0]
+    (Gr, Gh), (Gr_lo, Gh_lo) = (y.T for y in la.product(s, x))
+    del s
+    vGr = la.dot(np.concatenate((v, v, v_lo)), np.concatenate((Gr, Gr_lo, Gr)))[0]
     rho_identity_error = abs(rho[0] - vGr) / max(1.0, abs(rho[0]))
-    nu = la.dot(np.r_[1.0, f, f, h, h, h_lo],
-                np.r_[1.0, r, r_lo, -Gh, -Gh_lo, -Gh])
+    nu = la.dot(np.concatenate(([1.0], f, f, h, h, h_lo)),
+                np.concatenate(([1.0], r, r_lo, -Gh, -Gh_lo, -Gh)))
 
     A = _closed_form_inverse(X, rho, (v, v_lo), (r, r_lo))
     # G^-1 is symmetric, so only the border pairs (-v_j, -r_j) need their
@@ -284,9 +288,9 @@ def decompose(ak: AugmentedKernel) -> Decomposition:
     K_isymi = _bordered(sum(la.pair_div((1.0, 0.0), nu)), b[0] + b[1],
                         b[0] + b[1], la.pair_add(G, e, p)[0])
     # one Newton correction K_isymi (I - A_sym K_isymi), measured, not applied
-    correction = np.abs(K_isymi @ la.residual(A_sym, (K_isymi, None)))
+    correction = np.abs(K_isymi @ la.residual(la.cut(A_sym), (K_isymi, None)))
     block_err = float(np.max(correction)) / max(1.0, float(np.max(np.abs(K_isymi))))
-    det_err = _det_ratio_error(_kernel_pair(G, f, ak.gvec), A)
+    det_err = _det_ratio_error((ak.K, ak.K_lo), A)
     rho, nu = rho[0], nu[0]
     a = (Gh + Gh_lo) / np.sqrt(max(nu, 1e-300))
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _linalg as la
 from . import _wire as wire
-from .kernel_algebra import (SIGN_TOL, _closed_form_inverse, _refined_solve,
+from .kernel_algebra import (SIGN_TOL, _bordered, _refined_solve,
                             min_kernel_inverse, offdiag_positive_excess)
 from .sampling import _chi_square_blocks, _psd_factor, philox
 
@@ -161,8 +161,8 @@ def _probability_measure(mu) -> np.ndarray:
 
 
 def _potential_inverse(u: np.ndarray) -> tuple:
-    """(u^-1, r = u^-1 1) as pairs (hi, lo).  When u is exactly
-    min(t_i, t_j), bit for bit, for its sorted diagonal t strictly
+    """(u^-1, r = u^-1 1), each the high part of its pair.  When u is
+    exactly min(t_i, t_j), bit for bit, for its sorted diagonal t strictly
     increasing (a diffusion in natural scale killed at 0), u^-1 is
     min_kernel_inverse(t) permuted back, and r = e_k / t_0 at the state k
     of smallest t, since u e_k = t_0 1.  Any other u takes la.inv, which
@@ -174,12 +174,11 @@ def _potential_inverse(u: np.ndarray) -> tuple:
     t = d[order]
     if np.all(np.diff(t) > 0.0) and np.array_equal(u, np.minimum.outer(d, d)):
         back = np.argsort(order)
-        r = np.zeros((2, n))
-        r[:, order[0]] = la.pair_div((1.0, 0.0), (t[0], 0.0))
-        X = min_kernel_inverse(t)[np.ix_(back, back)], np.zeros_like(u)
-        return X, tuple(r)
+        r = np.zeros(n)
+        r[order[0]] = 1.0 / t[0]
+        return min_kernel_inverse(t)[np.ix_(back, back)], r
     X = la.inv(u)
-    return X, tuple(x[:, 0] for x in _refined_solve(u, X, np.ones((n, 1))))
+    return X[0], _refined_solve(la.cut((u, None)), X, np.ones((n, 1)))[0][:, 0]
 
 
 def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
@@ -196,10 +195,11 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     r = u^-1 1, so only u is inverted: by the tridiagonal
     min_kernel_inverse when u equals min(u_ii, u_jj) bit for bit and its
     sorted diagonal strictly increases, by la.inv otherwise
-    (_potential_inverse).  inverse_m_matrix_ok reads that closed form,
-    built by _closed_form_inverse with its border first, a symmetric
-    permutation that keeps the verdict.  So the verdict is about the model
-    (u, mu), not about u_ext with f rounded to float64.
+    (_potential_inverse).  inverse_m_matrix_ok reads that closed form with
+    its border first, a symmetric permutation that keeps the verdict: the
+    high half of _closed_form_inverse's pair, the only half it reads.  So
+    the verdict is about the model (u, mu), not about u_ext with f rounded
+    to float64.
     """
     u = np.asarray_chkfinite(u, dtype=float)    # a min kernel skips la.inv's check
     mu, mass = _rebirth_measure(mu)
@@ -217,7 +217,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
     X, r = _potential_inverse(u)
-    a = _closed_form_inverse(X, (mass, 0.0), (mu, 0.0 * mu), r)[0]
+    a = _bordered(1.0 + mass, -mu, -r, X)
     inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
     return RebirthExtension(ext, m_ext, f, mu, inv_ok)
 

@@ -217,7 +217,7 @@ def criterion_5():
         t = np.cumsum(rng.uniform(0.1, 2.0, size=m)) + rng.uniform(0.1, 2.0)
         tri, G = min_kernel_inverse(t), np.minimum.outer(t, t)
         # I - T G with exact products, so that only T's error shows
-        resid = np.max(np.abs(la.residual((tri, None), (G, None))))
+        resid = np.max(np.abs(la.residual(la.cut((tri, None)), (G, None))))
         worst = max(worst, float(resid))
     return worst <= 1e-12, f"max |T G - I| = {worst:.2e} over 20 grids"
 

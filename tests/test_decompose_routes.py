@@ -224,6 +224,23 @@ def test_each_matrix_is_factored_once(monkeypatch):
     assert determined == [n + 1]         # I - K A, for det(K A)
 
 
+def test_g_is_cut_once_by_inv_and_once_by_decompose(monkeypatch):
+    # one cut of G serves both Newton steps of la.inv, and one more serves
+    # decompose's [r v] refinement and both halves of G [r h]
+    cut, real = [], la._slices
+
+    def slices(hi, lo, beta):
+        cut.append(np.array(hi))
+        return real(hi, lo, beta)
+
+    monkeypatch.setattr(la, "_slices", slices)
+    for family, spec in CASES:
+        cut.clear()
+        ak = _kernel(family, spec)
+        decompose(ak)
+        assert sum(np.array_equal(hi, ak.G) for hi in cut) <= 2, family
+
+
 def test_block_identity_error_sees_a_wrong_lower_block_inverse():
     ak = _kernel("exp_decay", UP)
     assert decompose(ak).block_identity_error <= 1e-10

@@ -5,8 +5,11 @@ replaced.
 _linalg.residual computes c - A X from slice products that cannot round.
 Fraction arithmetic checks it within the bound that the module docstring
 states, and because no product rounds, the result cannot depend on how the
-columns of X are blocked (nor on BLAS's thread count; CI runs this file
-again on two threads).  The longdouble inv, a longdouble LU with longdouble
+columns of X are blocked, on whether A's slices are multiplied one by one
+or stacked, nor on BLAS's thread count; CI runs this file again on two
+threads.  A is cut once and may serve many residuals, which must equal
+those of a fresh cut, and product's pair hi + lo must equal the two
+residuals it stands for.  The longdouble inv, a longdouble LU with longdouble
 Newton steps, is an oracle of the float64 one (longdouble_oracle), and a
 40-digit mpmath inverse decides which of the two is closer on a deep grid.
 inv and slogdet reach LAPACK through numpy.linalg; the route they replaced,
@@ -96,7 +99,8 @@ def test_residual_is_within_its_bound_of_fraction_arithmetic(name, n, flag):
         c = a[0] @ x[0]
     else:
         a, x = _near_inverse(n, flag)
-    got = la.residual(a, x, c)
+    got = la.residual(la.cut(a), x, c)
+    assert np.array_equal(got, _former_residual(a, x, c))
     exact = _exact_residual(a, x, c)
     bound = _bound(a, x, exact)
     for i, row in enumerate(exact):
@@ -123,10 +127,84 @@ def test_residual_does_not_depend_on_the_block_size(name, monkeypatch):
         a, x = _negative(401)
     n = len(a[0])
     monkeypatch.setattr(la, "_BLOCK", n)
-    full = la.residual(a, x)
+    s = la.cut(a)
+    full = la.residual(s, x)
     for block in (1, 7, 64):
         monkeypatch.setattr(la, "_BLOCK", block)
-        assert np.array_equal(la.residual(a, x), full), block
+        assert np.array_equal(la.residual(la.cut(a), x), full), block
+        assert np.array_equal(la.residual(s, x), full), block
+
+
+def _right_operands(rng, n, with_lo):
+    """A thin and a square right operand, with or without a low part."""
+    return [_spread(rng, (n, k), with_lo) for k in (2, n)]
+
+
+@pytest.mark.parametrize("with_lo", [False, True], ids=["hi", "lo"])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_reused_cut_gives_the_residuals_of_fresh_cuts(with_lo, block,
+                                                        monkeypatch):
+    monkeypatch.setattr(la, "_BLOCK", block)
+    rng = np.random.default_rng(block + 100 * with_lo)
+    n = 97
+    a = _spread(rng, (n, n), with_lo)
+    s = la.cut(a)
+    kept = s.copy()
+    for x in _right_operands(rng, n, with_lo) * 2:
+        c = rng.uniform(-1.0, 1.0, (n, x[0].shape[1]))
+        for target in (None, c):
+            assert np.array_equal(la.residual(s, x, target),
+                                  la.residual(la.cut(a), x, target))
+        assert np.array_equal(la.product(s, x)[0], la.product(la.cut(a), x)[0])
+    assert np.array_equal(s, kept)
+
+
+@pytest.mark.parametrize("with_lo", [False, True], ids=["hi", "lo"])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_product_is_the_pair_of_two_residuals(with_lo, block, monkeypatch):
+    monkeypatch.setattr(la, "_BLOCK", block)
+    rng = np.random.default_rng(block + 100 * with_lo + 1)
+    n = 97
+    a = _spread(rng, (n, n), with_lo)
+    s = la.cut(a)
+    for x in _right_operands(rng, n, with_lo):
+        hi, lo = la.product(s, x)
+        assert np.array_equal(hi, -la.residual(s, x, np.zeros(hi.shape)))
+        assert np.array_equal(lo, -la.residual(s, x, hi))
+
+
+def _former_residual(a, x, c=None):
+    """residual as it was before A's slices were stacked: A cut on every
+    call and its ten slice products made one by one, in the same order of
+    summation."""
+    m, n = a[0].shape
+    beta = ceil((53 + log2(n)) / 2)
+    s = list(la._slices(*a, beta))
+    out = np.empty((m, x[0].shape[1]))
+    for c0 in range(0, out.shape[1], la._BLOCK):
+        cols = slice(c0, c0 + la._BLOCK)
+        t = list(la._slices(*(None if y is None else y[:, cols].T for y in x),
+                            beta))
+        acc = (np.eye(m, len(t[0]), -c0) if c is None
+               else np.array(c[:, cols], dtype=float))
+        err, tail = np.zeros(acc.shape), np.zeros(acc.shape)
+        for j, right in enumerate(t):
+            for i, left in enumerate(s[:4 - j]):
+                p = left @ right.T
+                if i + j > 1:
+                    tail += p
+                    continue
+                total = acc - p
+                z = total - acc
+                acc -= total - z
+                z += p
+                acc -= z
+                err += acc
+                acc = total
+        err -= tail
+        acc += err
+        out[:, cols] = acc
+    return out
 
 
 # -- the refined inverse -----------------------------------------------------
@@ -210,7 +288,7 @@ def _former_inv(a):
     hi = la.lu_solve(la.lu_factor(a), np.eye(len(a)))
     lo = np.zeros_like(hi)
     for _ in range(2):
-        hi, lo = la.pair_add(hi, lo, hi @ la.residual((a, None), (hi, lo)))
+        hi, lo = la.pair_add(hi, lo, hi @ la.residual(la.cut((a, None)), (hi, lo)))
     return hi, lo
 
 

@@ -13,25 +13,28 @@ of the isomorphism check.  Each builds its holding rates and a table of
 cumulative move laws over (states..., exit) and hands them to one vectorized
 engine, _jump_rounds.  Each round moves every live path once; a path that
 takes the exit dies.  The engine holds the live paths only, in path order:
-one array of their indices and one of their states, in the smallest
-unsigned type that holds the exit column.  A round adds a holding time at
-the flat offset index * states + state of each live path's local time, then
-one np.flatnonzero of the survivors compacts both arrays, so a round costs
-the paths still alive, not all of them.  It draws from one Philox stream in
-a fixed order: every round, one exponential holding time per live path,
-then one uniform per live path (its move).  A round runs in chunks of
-_CHUNK live paths, so its holding times, offsets and uniforms never span
-more than a chunk: first the exponentials of every chunk, each chunk
-scattered with np.add.at as it is drawn, then the uniforms of every chunk
-into one array of next states.  Philox draws
-taken in chunks are those of one draw of their total size, and every
-exponential of a round still comes before every uniform, so the chunks
-change no draw.  The move is the number of state columns of the cumulative
-table that the uniform exceeds, so the exit takes all of [0, 1) above the
-last state column, including the rounding gap of a row that sums to just
-below 1.  The two rebirth simulators go through _jump_chain, which also
-keeps each path's elapsed time and occupation error; the conditioned chain
-needs only its local times and skips that bookkeeping.
+one array of their indices, int32 while every flat offset
+index * states + state fits in one (the offsets themselves are always
+intp), and one of their states, in the smallest unsigned type that holds
+the exit column.  It draws from one Philox stream in a fixed order: every
+round, one exponential holding time per live path, then one uniform per
+live path (its move).  A round runs in chunks of _CHUNK live paths, in two
+passes.  The first draws each chunk's holding times and adds them at the
+flat offsets of its local times with np.add.at.  The second draws each
+chunk's uniforms, writes its next states over its states, and moves its
+survivors' indices and states to the front of both arrays, behind those of
+the chunks before it; both arrays are then cut to the survivors.  So a
+round allocates nothing larger than a chunk and costs the paths still
+alive, not all of them.  Philox draws taken in chunks are those of one draw
+of their total size, and every exponential of a round still comes before
+every uniform, so the chunks change no draw.  The move is the number of
+state columns of the cumulative table that the uniform exceeds, counted
+from one gather of the columns (stored as rows) and a reduction in the
+state type, so the exit takes all of [0, 1) above the last state column,
+including the rounding gap of a row that sums to just below 1.  The two
+rebirth simulators go through _jump_chain, which also keeps each path's
+elapsed time and occupation error; the conditioned chain needs only its
+local times and skips that bookkeeping.
 """
 
 from __future__ import annotations
@@ -318,12 +321,30 @@ def _jump_chain(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     return SimulationResult(L, elapsed, np.abs(L @ m - elapsed), rounds)
 
 
+def _index_type(n_paths: int, n_states: int):
+    """The type of the engine's path indices: int32 while every flat offset
+    index * states + state fits in one, intp otherwise."""
+    return np.int32 if n_paths * n_states < 2 ** 31 else np.intp
+
+
+def _offsets(p: np.ndarray, n_states: int, sc: np.ndarray) -> np.ndarray:
+    """The flat offsets p * n_states + sc into the local times, in intp
+    whatever the type of the path indices p."""
+    off = p * np.intp(n_states)
+    off += sc
+    return off
+
+
 def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
                  cumtable: np.ndarray, m: np.ndarray, timed: bool):
     """The engine of every simulator: (local times, elapsed, rounds).
 
     Elapsed time is kept only when timed, and is None otherwise.  It takes
-    no draw, so the local times do not depend on it.
+    no draw, so the local times do not depend on it.  The live paths'
+    indices and states are compacted in place (see the module docstring):
+    the survivors of a chunk move only into slots of chunks already moved,
+    so the arrays of a simulation are the local times, the elapsed times,
+    one index and one state per path, and the draws of one chunk.
     """
     n_states = len(hold_rate)
     if not 0 <= start < n_states:
@@ -331,40 +352,49 @@ def _jump_rounds(seed: int, start: int, n_paths: int, hold_rate: np.ndarray,
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
     exit_col = cumtable.shape[1] - 1
-    first, *cols = cumtable[:, :exit_col].T.copy()   # the state columns
+    cols = cumtable[:, :exit_col].T.copy()          # a state column per row
     state_type = np.min_scalar_type(exit_col)
     rng = philox(seed)
     L = np.zeros((n_paths, n_states))
     flat = L.reshape(-1)
-    live = np.arange(n_paths)                       # live paths, in order
-    s = np.full(n_paths, start, dtype=state_type)   # and their states
+    live = np.arange(n_paths, dtype=_index_type(n_paths, n_states))
+    s = np.full(n_paths, start, dtype=state_type)   # the live paths' states
     elapsed = np.zeros(n_paths) if timed else None
     rounds = 0
-    while len(live):
+    while n_live := len(live):
         if rounds >= _ROUND_CAP:
             raise RoundCapError(f"paths did not terminate within {_ROUND_CAP} "
-                                f"rounds; {len(live)} paths alive")
-        for a in range(0, len(live), _CHUNK):
+                                f"rounds; {n_live} paths alive")
+        for a in range(0, n_live, _CHUNK):
             # a chunk's states are widened once: numpy converts a small-int
             # index anew on every gather, and .take gathers faster than
             # fancy indexing does
             p, sc = live[a:a + _CHUNK], s[a:a + _CHUNK].astype(np.intp)
-            hold = rng.exponential(1.0, size=len(p))
+            hold = rng.standard_exponential(len(p))
             hold /= hold_rate.take(sc)
             # each live path once, so each entry gets one addition
-            np.add.at(flat, p * n_states + sc, hold / m.take(sc))
+            np.add.at(flat, _offsets(p, n_states, sc), hold / m.take(sc))
             if timed:
                 np.add.at(elapsed, p, hold)
-        nxt = np.empty(len(live), dtype=state_type)
-        for a in range(0, len(live), _CHUNK):
-            sc, out = s[a:a + _CHUNK].astype(np.intp), nxt[a:a + _CHUNK]
-            u = rng.random(len(sc))
-            np.greater(u, first.take(sc), out=out)
-            for col in cols:
-                out += u > col.take(sc)
-        # indexing by a mask runs about 3x slower on the scattered deaths
-        keep = np.flatnonzero(nxt != exit_col)
-        live, s = live.take(keep), nxt.take(keep)
+        # each pass frees its last chunk's arrays, so that the next
+        # pass never holds two chunks' draws at once
+        del p, sc, hold
+        kept = 0
+        for a in range(0, n_live, _CHUNK):
+            nxt = s[a:a + _CHUNK]
+            u = rng.random(len(nxt))
+            below = cols.take(nxt.astype(np.intp), axis=1) < u
+            np.add.reduce(below.view(np.uint8), axis=0, dtype=state_type,
+                          out=nxt)
+            # indexing by a mask runs about 3x slower on the scattered deaths
+            keep = np.flatnonzero(nxt != exit_col)
+            # kept <= a, so the survivors land in moved chunks' slots
+            end = kept + len(keep)
+            live[kept:end] = live[a:a + _CHUNK].take(keep)
+            s[kept:end] = nxt.take(keep)
+            kept = end
+        del nxt, u, below, keep
+        live, s = live[:kept], s[:kept]
         rounds += 1
     return L, elapsed, rounds
 

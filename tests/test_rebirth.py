@@ -935,21 +935,63 @@ def _assert_same_run(got, want):
     assert rounds == want_rounds
 
 
+def _chunk_fates(run, n_paths):
+    """Run the engine under a spy on np.flatnonzero, which it calls once per
+    chunk of a round's uniform pass: (its run, whole chunks that died,
+    chunks whose survivors moved into earlier chunks' slots)."""
+    calls, real = [], np.flatnonzero
+
+    def spy(a):
+        keep = real(a)
+        calls.append((len(a), len(keep)))
+        return keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "flatnonzero", spy)
+        got = run()
+    # replay the rounds: each takes chunks until it has seen its live paths
+    dead = moved = i = 0
+    n_live = n_paths
+    while n_live:
+        seen = kept = 0
+        while seen < n_live:
+            size, survivors = calls[i]
+            dead += survivors == 0
+            moved += 0 < survivors and kept < seen
+            seen, kept, i = seen + size, kept + survivors, i + 1
+        n_live = kept
+    assert i == len(calls)
+    return got, dead, moved
+
+
 @pytest.mark.parametrize("timed", [True, False])
-@pytest.mark.parametrize("n_states", [1, 2, 5, 7])
+@pytest.mark.parametrize("n_states", [1, 2, 3, 5, 6, 7])
 @pytest.mark.parametrize("table", ["partial", "full", "conditioned"])
 def test_chunked_engine_equals_the_whole_round_engine(monkeypatch, table,
                                                       n_states, timed):
     # every exponential of a round is drawn before every uniform, chunk by
-    # chunk, so the chunks read the stream of the whole-round draws
+    # chunk, so the chunks read the stream of the whole-round draws; at
+    # chunks of 1 and 3 paths whole chunks die, and the survivors of later
+    # chunks are compacted into their slots
     from permlab import rebirth
     start, *rest = _engine_call(monkeypatch, table, n_states)
     rest[-1] = timed
-    chunk = 16
-    monkeypatch.setattr(rebirth, "_CHUNK", chunk)
-    for n_paths in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
-        _assert_same_run(rebirth._jump_rounds(52, start, n_paths, *rest),
-                         _whole_round_jump_rounds(52, start, n_paths, *rest))
+    for chunk in (1, 3, 16):
+        monkeypatch.setattr(rebirth, "_CHUNK", chunk)
+        dead = moved = 0
+        for n_paths in sorted({1, max(1, chunk - 1), chunk, chunk + 1,
+                               3 * chunk + 5, 40}):
+            got, *fates = _chunk_fates(
+                lambda: rebirth._jump_rounds(52, start, n_paths, *rest),
+                n_paths)
+            dead, moved = dead + fates[0], moved + fates[1]
+            _assert_same_run(got, _whole_round_jump_rounds(52, start, n_paths,
+                                                           *rest))
+        if chunk < 16:
+            # the one-state conditioned chain kills every path in its first
+            # round, so no survivor is left to move
+            one_round = table == "conditioned" and n_states == 1
+            assert dead and (moved or one_round)
 
 
 def test_chunked_engine_equals_the_whole_round_engine_past_two_chunks():
@@ -977,12 +1019,40 @@ def test_round_cap_reports_the_live_count(monkeypatch):
     assert 0 < alive < 1000
 
 
+def test_path_indices_are_int32_only_while_every_flat_offset_fits():
+    from permlab.rebirth import _index_type, _offsets
+    assert _index_type(2 ** 31 - 1, 1) is np.int32
+    assert _index_type(2 ** 31, 1) is np.intp
+    assert _index_type((2 ** 31 - 1) // 6, 6) is np.int32
+    assert _index_type((2 ** 31 - 1) // 6 + 1, 6) is np.intp
+    # an int32 index times the states would wrap; the offsets are intp
+    p = np.array([0, 2 ** 31 - 1], dtype=np.int32)
+    off = _offsets(p, 6, np.array([5, 5], dtype=np.intp))
+    assert off.dtype == np.intp
+    assert off.tolist() == [5, (2 ** 31 - 1) * 6 + 5]
+
+
+@pytest.mark.parametrize("table", ["partial", "full", "conditioned"])
+def test_engine_runs_alike_on_intp_path_indices(monkeypatch, table):
+    # the wide indices of more than 2**31 local-time entries, on a small run
+    from permlab import rebirth
+    start, *rest = _engine_call(monkeypatch, table, 3)
+    args = (54, start, 1000, *rest)
+    want = rebirth._jump_rounds(*args)
+    monkeypatch.setattr(rebirth, "_CHUNK", 7)
+    monkeypatch.setattr(rebirth, "_index_type", lambda *shape: np.intp)
+    _assert_same_run(rebirth._jump_rounds(*args), want)
+
+
 class _TopUniforms:
     """A stand-in generator: unit holding draws, and every uniform
     1 - 2^-53, the largest that Generator.random returns."""
 
     def exponential(self, scale, size):
         return np.full(size, scale)
+
+    def standard_exponential(self, size):
+        return np.ones(size)
 
     def random(self, size):
         return np.full(size, 1.0 - 2.0 ** -53)

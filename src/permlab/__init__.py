@@ -4,11 +4,11 @@ chi-square sampling, and local times of rebirthed finite chains."""
 
 from .exponents import CharExponent, exponent_from_spec
 from .potentials import (LevyPotential, check_sigma2_asymptotics,
-                         check_sigma2_regularity, regular_variation_constant)
+                         regular_variation_constant)
 from .quadrature import QuadratureConfig, QuadratureError
 from .expressions import Affine, Const, Exp, Expr, Pow, Prod, Sum, expr_from_spec
-from .diffusion import (PQPotential, ScalePotential, is_excessive_for_scale,
-                        riesz_reconstruct, wronskian_defect)
+from .diffusion import (PQPotential, ScalePotential, riesz_reconstruct,
+                        wronskian_defect)
 from .bases import (ExpDecayBase, HitZeroLevyBase, LevyBase, PQBase,
                     ScaleMinBase, StableHitZeroBase, VBetaBase, VPQBase,
                     brownian_min_kernel, brownian_unit_base)
@@ -17,8 +17,7 @@ from .excessive import (AtomicPotential, ConstantExcessive, IndicatorPotential,
                         gram_surrogate_min, make_flat_pair)
 from .kernel_algebra import (AugmentedKernel, Decomposition, GridError,
                              GridSpec, assemble_kernel, decompose,
-                             grid_condition_diagnostic, min_kernel_inverse,
-                             rowsum_residuals)
+                             min_kernel_inverse, rowsum_residuals)
 from .sampling import (laplace_check, lil_harness, philox,
                        sample_chi_square, sample_isymi_representation,
                        sandwich_check, trend_is_nondecreasing)

@@ -345,8 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_grid(argv))
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, QuadratureError,
-            RoundCapError) as exc:
+    except (ValueError, OSError, QuadratureError, RoundCapError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

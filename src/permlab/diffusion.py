@@ -28,7 +28,6 @@ __all__ = [
     "wronskian_defect",
     "concave_cap_value",
     "concave_cap_second_derivative",
-    "is_excessive_for_scale",
     "riesz_reconstruct",
 ]
 
@@ -37,8 +36,6 @@ _PANELS = 8              # panels of the composite Gauss-Legendre rule
 _FD_STEP = 0.01          # step of the five-point generator stencil
 _EIGEN_TOL = 1e-6        # eigen-identity residual a (p, q, b) triple may have
 _INVERSE_TOL = 1e-12     # relative bracket width of the scale inverse
-_EXCESSIVE_POINTS = 201  # sample points of the excessiveness check
-_EXCESSIVE_TOL = 1e-7    # negativity and convexity allowance of that check
 
 
 def _panel_integral(fn, a, b) -> np.ndarray:
@@ -240,34 +237,6 @@ def concave_cap_second_derivative(p: float, s0: float, y):
     out = np.where(y >= s0, 0.0,
                    -p * (p - 1.0) / (s0 * s0) * np.power(inside, p - 2.0))
     return out if out.ndim else float(out)
-
-
-def is_excessive_for_scale(pot: ScalePotential, f, interval: tuple[float, float]):
-    """Whether f factors through s as a concave function.
-
-    Pulls f back through the numeric inverse of s and inspects second
-    differences of the composition; returns (verdict, witness) where the
-    witness is the first x whose pulled-back second difference is convex.
-    """
-    lo, hi = interval
-    if lo <= 0.0:
-        raise ValueError("interval must sit inside (0, inf)")
-    xs = np.linspace(lo, hi, _EXCESSIVE_POINTS)
-    fx = np.asarray(f(xs), dtype=float)
-    if np.any(fx < -_EXCESSIVE_TOL):
-        bad = xs[np.argmax(fx < -_EXCESSIVE_TOL)]
-        return False, float(bad)
-    y_lo, y_hi = float(pot.s(lo)), float(pot.s(hi))
-    ys = np.linspace(y_lo, y_hi, _EXCESSIVE_POINTS)
-    pulled = pot.inverse(ys)
-    g = np.asarray(f(pulled), dtype=float)
-    dy = ys[1] - ys[0]
-    second = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dy ** 2
-    scale = max(1.0, float(np.max(np.abs(g))))
-    bad = second > _EXCESSIVE_TOL * scale / dy + 1e-6 * scale
-    if np.any(bad):
-        return False, float(pulled[1:-1][np.argmax(bad)])
-    return True, None
 
 
 def riesz_reconstruct(pot: ScalePotential, p: float, x0: float,

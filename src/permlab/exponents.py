@@ -73,20 +73,6 @@ class CharExponent:
     # -- basic structure ----------------------------------------------
 
     @property
-    def kind(self) -> str:
-        if not self.atoms:
-            return "gaussian"
-        if self.gaussian_coeff > 0.0:
-            return "gaussian_plus"
-        if len(self.atoms) == 1 and self.atoms[0][1] == 1.0:
-            return "stable"
-        return "mixture"
-
-    @property
-    def is_pure_gaussian(self) -> bool:
-        return not self.atoms
-
-    @property
     def total_mass(self) -> float:
         """Mass of the defining measure, quadratic part counted at s = 2."""
         return self.gaussian_coeff + sum(w for _, w in self.atoms)
@@ -165,17 +151,6 @@ class CharExponent:
             band = sum(w for s, w in entries if s >= g1 - eps)
             lower = band * a ** (g1 - eps)
         return lower, upper
-
-    # -- serialization ---------------------------------------------------
-
-    def to_spec(self) -> dict:
-        kind = self.kind
-        if kind == "stable":
-            return {"kind": "stable", "index": self.atoms[0][0]}
-        if kind == "mixture":
-            return {"kind": "mixture", "atoms": [[s, w] for s, w in self.atoms]}
-        return {"kind": "gaussian_plus", "C": self.gaussian_coeff,
-                "atoms": [[s, w] for s, w in self.atoms]}
 
 
 # (required, optional) fields of each kind besides "kind"

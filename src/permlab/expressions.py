@@ -31,9 +31,6 @@ class Expr:
     def diff(self) -> "Expr":
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
 
 class Const(Expr):
     def __init__(self, value: float):
@@ -44,9 +41,6 @@ class Const(Expr):
 
     def diff(self):
         return Const(0.0)
-
-    def to_spec(self):
-        return {"kind": "const", "value": self.value}
 
 
 class Affine(Expr):
@@ -62,9 +56,6 @@ class Affine(Expr):
     def diff(self):
         return Const(self.a)
 
-    def to_spec(self):
-        return {"kind": "affine", "a": self.a, "b": self.b}
-
 
 class Sum(Expr):
     def __init__(self, *terms: Expr):
@@ -78,9 +69,6 @@ class Sum(Expr):
 
     def diff(self):
         return Sum(*(t.diff() for t in self.terms))
-
-    def to_spec(self):
-        return {"kind": "sum", "terms": [t.to_spec() for t in self.terms]}
 
 
 class Prod(Expr):
@@ -101,9 +89,6 @@ class Prod(Expr):
             terms.append(Prod(*fs))
         return Sum(*terms)
 
-    def to_spec(self):
-        return {"kind": "prod", "factors": [f.to_spec() for f in self.factors]}
-
 
 class Exp(Expr):
     def __init__(self, arg: Expr):
@@ -114,9 +99,6 @@ class Exp(Expr):
 
     def diff(self):
         return Prod(self.arg.diff(), Exp(self.arg))
-
-    def to_spec(self):
-        return {"kind": "exp", "arg": self.arg.to_spec()}
 
 
 class Pow(Expr):
@@ -132,10 +114,6 @@ class Pow(Expr):
     def diff(self):
         return Prod(Const(self.exponent), Pow(self.base, self.exponent - 1.0),
                     self.base.diff())
-
-    def to_spec(self):
-        return {"kind": "pow", "base": self.base.to_spec(),
-                "exponent": self.exponent}
 
 
 # kind: (required fields, optional fields, builder from the spec and label)

@@ -47,7 +47,6 @@ __all__ = [
     "assemble_kernel",
     "grid_points",
     "decompose",
-    "grid_condition_diagnostic",
     "min_kernel_inverse",
     "rowsum_residuals",
     "MAX_GRID_POINTS",
@@ -313,21 +312,6 @@ def min_kernel_inverse(t) -> np.ndarray:
     i = np.arange(len(t) - 1)
     out[i, i + 1] = out[i + 1, i] = -a[1:]
     return out
-
-
-def grid_condition_diagnostic(spec: GridSpec, increment_variance) -> float:
-    """m(n) * sup over pairs of |t_k - t_j| / sigma^2(|t_k - t_j|).
-
-    Small values indicate the gap-to-variance condition that lets rough
-    kernels dispense with flat border functions; kernels with a linear
-    increment variance make it grow like m(n).  Reported as a diagnostic
-    only, since no finite-n threshold is available.  increment_variance
-    takes the array of all pairwise gaps in one call.
-    """
-    t = np.concatenate(([0.0], spec.offsets()))
-    j, k = np.triu_indices(len(t), 1)
-    gaps = np.abs(t[k] - t[j])
-    return spec.m * float(np.max(gaps / increment_variance(gaps)))
 
 
 def rowsum_residuals(dec: Decomposition) -> dict:

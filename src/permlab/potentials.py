@@ -35,13 +35,9 @@ __all__ = [
     "LevyPotential",
     "regular_variation_constant",
     "check_sigma2_asymptotics",
-    "check_sigma2_regularity",
-    "RegularityReport",
 ]
 
 _MIN_RV_INDEX = 1.0 + 1e-6
-_REGULARITY_STEP = 1e-4    # relative step of the central differences
-_REGULARITY_SLACK = 1e-3   # allowance of both regularity checks
 
 
 def regular_variation_constant(r: float) -> float:
@@ -188,47 +184,3 @@ def check_sigma2_asymptotics(pot: LevyPotential, xs) -> list[tuple[float, float]
         raise ValueError("asymptotic check needs x != 0")
     ratios = pot.sigma2(xs) * np.abs(xs) * pot.psi(1.0 / xs) / c_r
     return list(zip(xs.tolist(), ratios.tolist()))
-
-
-@dataclass
-class RegularityReport:
-    derivative_ok: bool
-    max_derivative_ratio: float
-    derivative_witness: float | None
-    concavity_checked: bool
-    concavity_ok: bool
-    concavity_witness: float | None
-
-
-def check_sigma2_regularity(pot: LevyPotential, grid) -> RegularityReport:
-    """Sampled smoothness checks for a stable-mixture increment variance.
-
-    (a) |d sigma2 / dx| <= sigma2(x)/x up to _REGULARITY_SLACK, via central
-        differences of relative step _REGULARITY_STEP;
-    (b) for beta = 0 (and a non-quadratic exponent) second differences are
-        nonpositive up to _REGULARITY_SLACK; skipped otherwise, where nothing
-        is claimed.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise ValueError("regularity grid must be positive")
-    h = _REGULARITY_STEP * grid
-    s_p, s_m, s_0 = pot.sigma2(np.array([grid + h, grid - h, grid]))
-    bound = s_0 / grid
-    ratio = np.divide(np.abs((s_p - s_m) / (2.0 * h)), bound,
-                      out=np.full_like(bound, np.inf), where=bound > 0.0)
-    steep = grid[ratio > 1.0 + _REGULARITY_SLACK]      # in grid order
-    deriv = (not steep.size, float(np.max(ratio, initial=0.0)),
-             float(steep[0]) if steep.size else None)
-    if pot.psi.is_pure_gaussian or pot.beta != 0.0:
-        return RegularityReport(*deriv, False, True, None)
-
-    xs, first = np.unique(grid, return_index=True)   # distinct and increasing
-    vals = s_0[first]
-    hl, hr = xs[1:-1] - xs[:-2], xs[2:] - xs[1:-1]
-    # divided second difference; <= 0 for a concave function
-    d2 = 2.0 * (hl * vals[2:] - (hl + hr) * vals[1:-1] + hr * vals[:-2])
-    d2 /= hl * hr * (hl + hr)
-    convex = xs[1:-1][d2 > _REGULARITY_SLACK * np.maximum(1.0, np.abs(vals[1:-1]))]
-    return RegularityReport(*deriv, True, not convex.size,
-                            float(convex[0]) if convex.size else None)

@@ -425,6 +425,21 @@ def test_out_of_range_arguments_exit_with_usage_error(tmp_path, capsys, argv):
                  argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "analyze", "--base", "{dir}", "--f", "f", "--g", "g",
+     "--grid", "1.0,0.7,20,0.7"],
+    ["rebirth", "sim", "--model", "{dir}/model.json/x", "--paths", "10",
+     "--seed", "1"],
+    ["rebirth", "sim", "--model", "model", "--paths", "10", "--seed", "1",
+     "--out", "{dir}"],
+], ids=["directory-as-spec", "path-below-a-file", "directory-as-out"])
+def test_a_path_that_is_not_a_file_exits_with_usage_error(tmp_path, capsys,
+                                                          argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    _usage_error(tmp_path, capsys, {"model": MODEL, "f": CONST, "g": CONST},
+                 argv)
+
+
 def test_rebirth_sim_accepts_the_return_point_as_start(model_path, capsys):
     assert main(["rebirth", "sim", "--model", model_path, "--paths", "200",
                  "--seed", "1", "--start", "2"]) == 0

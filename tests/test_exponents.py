@@ -16,7 +16,6 @@ def test_mixture_with_endpoint_atom_folds_into_quadratic_part():
     assert psi(1.0) == pytest.approx(2.0, abs=1e-14)
     assert psi.gaussian_coeff == 1.0
     assert psi.atoms == ((1.2, 1.0),)
-    assert psi.kind == "gaussian_plus"
 
 
 def test_construction_rejects_bad_atoms():
@@ -129,15 +128,14 @@ def test_tail_minorant_is_valid():
 
 
 def test_spec_round_trip_and_rejection():
-    for spec in (
-        {"kind": "stable", "index": 1.5},
-        {"kind": "mixture", "atoms": [[1.2, 1.0], [1.8, 0.5]]},
-        {"kind": "gaussian_plus", "C": 0.5, "atoms": [[1.5, 1.0]]},
+    for spec, want in (
+        ({"kind": "stable", "index": 1.5}, CharExponent.pure_stable(1.5)),
+        ({"kind": "mixture", "atoms": [[1.2, 1.0], [1.8, 0.5]]},
+         CharExponent.stable_mixture([(1.2, 1.0), (1.8, 0.5)])),
+        ({"kind": "gaussian_plus", "C": 0.5, "atoms": [[1.5, 1.0]]},
+         CharExponent.gaussian_plus(0.5, [(1.5, 1.0)])),
     ):
-        psi = exponent_from_spec(spec)
-        again = exponent_from_spec(psi.to_spec())
-        lam = np.logspace(-2, 2, 11)
-        assert np.allclose(psi(lam), again(lam))
+        assert exponent_from_spec(spec) == want
     with pytest.raises(ValueError):
         exponent_from_spec({"kind": "stable", "index": 1.5, "extra": 1})
     with pytest.raises(ValueError):

@@ -6,11 +6,15 @@ numpy.linalg, and quad, which quadrature defines and excessive binds,
 imports scipy.integrate on its first call.  Only u(0) of a Levy potential
 and the indicator potential call it.  Each case runs in a fresh
 interpreter, since this one has scipy loaded already.
+
+Every name a module's __all__ lists resolves, so that a star import works.
 """
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -44,6 +48,17 @@ print(json.dumps({{"scipy": {SCIPY},
     assert got["scipy"] == []
     # perfbench/tracer.py patches quad at both module names
     assert got["quadrature"] and got["excessive"]
+
+
+def test_every_name_in_an_all_list_resolves():
+    for info in pkgutil.iter_modules(permlab.__path__):
+        module = importlib.import_module(f"permlab.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"permlab.{info.name}.__all__ names {missing}"
+    # checks that no route reached, gone from the package
+    for name in ("grid_condition_diagnostic", "check_sigma2_regularity",
+                 "is_excessive_for_scale"):
+        assert not hasattr(permlab, name)
 
 
 def _write(tmp_path, name, doc):

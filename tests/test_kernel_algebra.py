@@ -273,33 +273,3 @@ def test_min_kernel_inverse_rejects_bad_grids():
         min_kernel_inverse([0.0, 1.0])
     with pytest.raises(ValueError):
         min_kernel_inverse([2.0, 1.0])
-
-
-def test_grid_condition_diagnostic_direction():
-    from permlab import regular_variation_constant
-    from permlab.kernel_algebra import grid_condition_diagnostic
-
-    # power increment variance with index below one: the diagnostic shrinks
-    c = regular_variation_constant(1.5)
-    power = lambda x: c * x ** 0.5
-    vals = [grid_condition_diagnostic(GridSpec(0.0, 0.5, n, 0.5), power)
-            for n in (20, 100, 200)]
-    assert vals[0] > vals[-1]
-
-    # a linear increment variance makes it grow with the point count instead
-    linear = lambda x: 2.0 * x
-    grow = [grid_condition_diagnostic(GridSpec(0.0, 0.5, n, 0.5), linear)
-            for n in (20, 100, 200)]
-    assert grow[0] < grow[1] < grow[2]
-
-
-def test_grid_condition_diagnostic_matches_the_pairwise_loop():
-    from permlab.kernel_algebra import grid_condition_diagnostic
-
-    spec = GridSpec(0.0, 0.5, 30, 0.5)
-    variance = lambda x: 1.3 * np.asarray(x) ** 0.7
-    t = np.concatenate(([0.0], spec.offsets()))
-    worst = max(abs(t[k] - t[j]) / variance(abs(t[k] - t[j]))
-                for j in range(len(t)) for k in range(j + 1, len(t)))
-    assert grid_condition_diagnostic(spec, variance) == pytest.approx(
-        spec.m * worst, rel=1e-14)

@@ -3,7 +3,7 @@ import pytest
 
 from permlab import (CharExponent, LevyPotential, QuadratureConfig,
                      QuadratureError, check_sigma2_asymptotics,
-                     check_sigma2_regularity, regular_variation_constant)
+                     regular_variation_constant)
 
 BROWNIAN = CharExponent.gaussian(0.5)
 
@@ -157,55 +157,6 @@ def test_asymptotic_ratio_quadratic():
     assert pot.sigma2(x) / (x / 0.5) == pytest.approx(1.0, abs=1e-3)
     (_, ratio), = check_sigma2_asymptotics(pot, [x])
     assert ratio == pytest.approx(1.0, abs=1e-3)
-
-
-def test_regularity_power_case():
-    pot = LevyPotential(CharExponent.pure_stable(1.5), beta=0.0)
-    rep = check_sigma2_regularity(pot, np.linspace(0.05, 2.0, 9))
-    assert rep.derivative_ok
-    assert rep.max_derivative_ratio == pytest.approx(0.5, abs=0.01)
-    assert rep.concavity_checked and rep.concavity_ok
-
-
-def test_regularity_mixture_with_killing():
-    pot = LevyPotential(CharExponent.stable_mixture([(1.3, 1.0), (1.9, 1.0)]),
-                        beta=0.5)
-    rep = check_sigma2_regularity(pot, np.linspace(0.05, 5.0, 9))
-    assert rep.derivative_ok
-    assert not rep.concavity_checked  # only stated for the unkilled case
-
-
-def test_regularity_skips_pure_quadratic_concavity():
-    pot = LevyPotential(CharExponent.gaussian(1.0), beta=0.0)
-    rep = check_sigma2_regularity(pot, np.linspace(0.1, 1.0, 5))
-    assert not rep.concavity_checked
-
-
-class _SquareSigma2:
-    """sigma2(x) = x^2 at beta = 0: convex, and |d sigma2/dx| = 2 sigma2(x)/x,
-    so both regularity checks fail at every point.  Counts sigma2 calls."""
-
-    psi = CharExponent.pure_stable(1.5)
-    beta = 0.0
-
-    def __init__(self):
-        self.calls = 0
-
-    def sigma2(self, x):
-        self.calls += 1
-        return np.asarray(x) ** 2
-
-
-def test_regularity_reports_first_witnesses_from_one_sigma2_call():
-    pot = _SquareSigma2()
-    rep = check_sigma2_regularity(pot, [0.9, 0.3, 0.6, 0.3, 1.2])
-    assert pot.calls == 1
-    # the first failing point in grid order, and in increasing order for
-    # concavity, where the repeated 0.3 counts once
-    assert not rep.derivative_ok and rep.derivative_witness == 0.9
-    assert rep.max_derivative_ratio == pytest.approx(2.0, rel=1e-6)
-    assert rep.concavity_checked and not rep.concavity_ok
-    assert rep.concavity_witness == 0.6
 
 
 def test_asymptotic_check_rejects_zero():

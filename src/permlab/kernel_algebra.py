@@ -181,9 +181,9 @@ def _refined_solve(s: np.ndarray, X: tuple, b: np.ndarray) -> tuple:
 def _closed_form_inverse(G_inv: tuple, rho: tuple, row: tuple, col: tuple) -> tuple:
     """[[1 + rho, -row], [-col, G^-1]] as a pair (hi, lo) from pairs, the
     inverse of a bordered kernel u + g f^T: decompose's A for (v, r) and
-    A_sym for (h, h).  rebirth.partial_rebirth_potential builds the high
-    half alone for (mu, u^-1 1), G = u.  fsum rounds the corner's low part
-    once."""
+    A_sym for (h, h).  rebirth.RebirthExtension.inverse_m_matrix_ok builds
+    the high half alone for (mu, u^-1 1), G = u, on its first read.  fsum
+    rounds the corner's low part once."""
     corner = 1.0 + rho[0]
     return (_bordered(corner, -row[0], -col[0], G_inv[0]),
             _bordered(fsum((1.0, *rho, -corner)), -row[1], -col[1], G_inv[1]))

@@ -40,14 +40,15 @@ local times and skips that bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
 from . import _linalg as la
 from . import _wire as wire
-from .kernel_algebra import (SIGN_TOL, _bordered, _refined_solve,
-                            min_kernel_inverse, offdiag_positive_excess)
+from .kernel_algebra import (SIGN_TOL, _bordered, min_kernel_inverse,
+                            offdiag_positive_excess)
 from .sampling import _chi_square_blocks, _psd_factor, philox
 
 __all__ = [
@@ -71,6 +72,15 @@ _CHUNK = 65_536        # live paths per draw of a round
 
 class RoundCapError(RuntimeError):
     """Raised when paths are still alive after _ROUND_CAP rounds."""
+
+
+def _symmetric(u: np.ndarray) -> np.ndarray:
+    """u, refused with ValueError when it is asymmetric by more than 1e-10
+    of its largest entry: the one symmetry check of every potential."""
+    gap, top = np.max(np.abs(u - u.T)), np.max(np.abs(u))
+    if gap > 1e-10 * top:
+        raise ValueError(f"potential matrix is asymmetric by {gap / top:.2g}")
+    return u
 
 
 @dataclass
@@ -120,10 +130,14 @@ class FiniteChain:
         return la.inv(mat)[0]
 
     def potential(self, rate: float = 0.0) -> np.ndarray:
-        """Potential density matrix u(x, y) = occupation / m(y); symmetric."""
+        """Potential density matrix u(x, y) = occupation / m(y), averaged
+        with its transpose.  The chain is symmetric with respect to m only
+        up to 1e-10, and the inverse may magnify that, so a u asymmetric by
+        more than _symmetric's bound raises ValueError rather than being
+        averaged away."""
         if rate == 0.0 and np.all(self.kill_rates <= 1e-14):
             raise ValueError("conservative chain has no 0-potential")
-        u = self.occupation(rate) / self.m[None, :]
+        u = _symmetric(self.occupation(rate) / self.m[None, :])
         return 0.5 * (u + u.T)
 
     def killed(self, alpha: float) -> "FiniteChain":
@@ -135,21 +149,37 @@ class FiniteChain:
 class RebirthExtension:
     """Potential of a partially reborn chain on states + return point.
 
-    inverse_m_matrix_ok: the closed-form inverse of the model (u, mu), with
-    the tridiagonal u^-1 when u is exactly a min kernel, has no scaled
-    positive off-diagonal entry beyond SIGN_TOL (partial_rebirth_potential).
+    u is the model's potential, the extension's own copy.  The verdict
+    inverse_m_matrix_ok is computed from the model (u, mu) on first read and
+    kept: the closed-form inverse [[u^-1, -r], [-mu^T, 1 + |mu|]] with
+    r = u^-1 1, read with its border first (a symmetric permutation that
+    keeps the verdict), has no scaled positive off-diagonal entry beyond
+    SIGN_TOL.  Only u is inverted (_potential_inverse), and only the high
+    half of _closed_form_inverse's pair is built, the only half the verdict
+    reads.  So the verdict is about (u, mu), not about u_ext with f rounded
+    to float64.  A singular u raises LinAlgError at that first read.
     """
 
     u_ext: np.ndarray
     m_ext: np.ndarray
     f: np.ndarray
     mu: np.ndarray
-    inverse_m_matrix_ok: bool
+    u: np.ndarray
+
+    @cached_property
+    def inverse_m_matrix_ok(self) -> bool:
+        X, r = _potential_inverse(self.u)
+        a = _bordered(1.0 + float(np.sum(self.mu)), -self.mu, -r, X)
+        # freed before the scaled copy of a: with the extension's copy of u,
+        # no more n x n arrays are held at once than when u had no copy
+        del X
+        return offdiag_positive_excess(a) <= SIGN_TOL
 
 
 def _rebirth_measure(mu) -> tuple[np.ndarray, float]:
-    """(mu, its mass) for a rebirth measure, which must be nonnegative."""
-    mu = np.asarray(mu, dtype=float)
+    """(a copy of mu, its mass) for a rebirth measure, which must be
+    nonnegative."""
+    mu = np.array(mu, dtype=float)
     if not np.all(mu >= 0.0):
         raise ValueError("rebirth measure must be nonnegative")
     return mu, float(np.sum(mu))
@@ -169,19 +199,19 @@ def _potential_inverse(u: np.ndarray) -> tuple:
     increasing (a diffusion in natural scale killed at 0), u^-1 is
     min_kernel_inverse(t) permuted back, and r = e_k / t_0 at the state k
     of smallest t, since u e_k = t_0 1.  Any other u takes la.inv, which
-    raises LinAlgError on a repeated state, and one refined solve for r.
+    raises LinAlgError on a repeated state, and r is the row sums of its
+    pair (hi, lo), hi 1 + lo 1.
     """
-    n = len(u)
     d = np.diag(u)
     order = np.argsort(d)
     t = d[order]
     if np.all(np.diff(t) > 0.0) and np.array_equal(u, np.minimum.outer(d, d)):
         back = np.argsort(order)
-        r = np.zeros(n)
+        r = np.zeros(len(u))
         r[order[0]] = 1.0 / t[0]
         return min_kernel_inverse(t)[np.ix_(back, back)], r
     X = la.inv(u)
-    return X[0], _refined_solve(la.cut((u, None)), X, np.ones((n, 1)))[0][:, 0]
+    return X[0], X[0].sum(1) + X[1].sum(1)
 
 
 def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
@@ -194,22 +224,16 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     realizes it and PartialRebirthModel refuses to simulate it.
 
     The extension is the paper's u + g f^T with g = 1 and its border last.
-    As u is symmetric, its inverse is [[u^-1, -r], [-mu^T, 1 + |mu|]] with
-    r = u^-1 1, so only u is inverted: by the tridiagonal
-    min_kernel_inverse when u equals min(u_ii, u_jj) bit for bit and its
-    sorted diagonal strictly increases, by la.inv otherwise
-    (_potential_inverse).  inverse_m_matrix_ok reads that closed form with
-    its border first, a symmetric permutation that keeps the verdict: the
-    high half of _closed_form_inverse's pair, the only half it reads.  So
-    the verdict is about the model (u, mu), not about u_ext with f rounded
-    to float64.
+    Nothing is inverted here: the extension keeps a copy of u and computes
+    its M-matrix verdict on first read (RebirthExtension).  u must be
+    finite, strictly positive and symmetric within _symmetric's bound; a
+    singular u builds and raises only when the verdict is read.
     """
-    u = np.asarray_chkfinite(u, dtype=float)    # a min kernel skips la.inv's check
-    mu, mass = _rebirth_measure(mu)
+    # a min kernel skips la.inv's check
+    u = _symmetric(np.asarray_chkfinite(u, dtype=float))
+    mu, _ = _rebirth_measure(mu)
     m = np.asarray(m, dtype=float)
     n = u.shape[0]
-    if np.max(np.abs(u - u.T)) > 1e-10 * np.max(np.abs(u)):
-        raise ValueError("potential matrix must be symmetric")
     if np.any(u <= 0.0):
         raise ValueError("potential matrix must be strictly positive")
     f = u.T @ mu
@@ -219,10 +243,7 @@ def partial_rebirth_potential(u: np.ndarray, mu: np.ndarray,
     ext[:n, n] = 1.0
     ext[n, n] = 1.0
     m_ext = np.concatenate([m, [1.0]])
-    X, r = _potential_inverse(u)
-    a = _bordered(1.0 + mass, -mu, -r, X)
-    inv_ok = offdiag_positive_excess(a) <= SIGN_TOL
-    return RebirthExtension(ext, m_ext, f, mu, inv_ok)
+    return RebirthExtension(ext, m_ext, f, mu, u.copy())
 
 
 def full_rebirth_potential(u_p: np.ndarray, mu: np.ndarray, m: np.ndarray,
@@ -289,9 +310,7 @@ def potential_from_spec(spec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         if u.shape != (len(m), len(m)):
             raise ValueError("model spec field 'potential' must be square "
                              "with one row per entry of 'm'")
-        if np.max(np.abs(u - u.T)) > 1e-10 * np.max(np.abs(u)):
-            raise ValueError("potential matrix must be symmetric")
-        return u, m, mu, extras
+        return _symmetric(u), m, mu, extras
     chain = FiniteChain(wire.array(spec, "generator", _MODEL, 2), m)
     return chain.potential(), m, mu, extras
 

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from permlab import (FiniteChain, FullRebirthModel, PartialRebirthModel,
                      chain_from_spec, ek_identity_check, full_rebirth_potential,
-                     partial_rebirth_potential, potential_from_spec)
+                     partial_rebirth_potential, potential_from_spec, rebirth,
+                     verify)
 from permlab import _linalg as la
-from permlab.kernel_algebra import (SIGN_TOL, _bordered, min_kernel_inverse,
-                                    offdiag_positive_excess)
+from permlab.cli import main
+from permlab.kernel_algebra import (SIGN_TOL, _bordered, _refined_solve,
+                                    min_kernel_inverse, offdiag_positive_excess)
 from permlab.rebirth import EKReport, _potential_inverse
 
 
@@ -45,6 +49,47 @@ def test_potential_is_symmetric_inverse():
     assert np.allclose(occupied, u * chain.m[None, :])
     # occupation solves (-Q) G = I
     assert np.allclose(-chain.Q @ occupied, np.eye(3), atol=1e-12)
+
+
+def _asymmetric_chain():
+    """A 3-state chain that FiniteChain accepts, as its m Q is asymmetric by
+    less than 1e-10 of its largest entry, but whose potential is asymmetric
+    by 3.2e-8 of its largest entry: rates and kills spread over decades."""
+    rng = np.random.default_rng(73)
+    m = 10 ** rng.uniform(-2, 2, 3)
+    rates = 10 ** rng.uniform(-3, 3, (3, 3))
+    rates = np.triu(rates, 1) + np.triu(rates, 1).T
+    rates += (1.0 - np.eye(3)) * rng.uniform(0.0, 5e-11, (3, 3)) * np.max(rates)
+    Q = rates / m[:, None]
+    Q -= np.diag(np.sum(Q, axis=1) + 10 ** rng.uniform(-4, 0, 3))
+    return FiniteChain(Q, m)
+
+
+def test_a_potential_asymmetric_beyond_the_bound_is_refused():
+    chain = _asymmetric_chain()
+    u = chain.occupation() / chain.m[None, :]
+    gap = np.max(np.abs(u - u.T)) / np.max(np.abs(u))
+    assert 1e-8 < gap < 1e-7
+    with pytest.raises(ValueError, match="asymmetric by 3.2e-08$"):
+        chain.potential()
+    with pytest.raises(ValueError, match="potential matrix is asymmetric"):
+        chain.potential(rate=0.5)
+
+
+@pytest.mark.parametrize("command", ["sim", "check-ek"])
+def test_rebirth_commands_refuse_an_asymmetric_potential(tmp_path, capsys,
+                                                         command):
+    chain = _asymmetric_chain()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": [0, 1, 2], "m": chain.m.tolist(),
+                                "generator": chain.Q.tolist(),
+                                "mu": [0.2, 0.1, 0.3]}))
+    with pytest.raises(SystemExit) as err:
+        main(["rebirth", command, "--model", str(path), "--paths", "10",
+              "--seed", "1"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: potential matrix is asymmetric by ")
 
 
 def test_conservative_chain_has_no_zero_potential():
@@ -216,6 +261,75 @@ def test_a_scale_diffusion_verdict_does_not_lean_on_the_tolerance(monkeypatch, d
     assert offdiag_positive_excess(A) <= 1e-15
 
 
+def _assert_row_sums_match_the_refined_solve(u, mu, m):
+    """The dense route's r = u^-1 1, the row sums of la.inv's pair, against
+    the former route's one refined solve, and the verdicts each gives."""
+    X = la.inv(u)
+    rows = X[0].sum(1) + X[1].sum(1)
+    refined = _refined_solve(la.cut((u, None)), X, np.ones((len(u), 1)))[0][:, 0]
+    # measured worst: 1.7e-16 of max|X| over the models below
+    assert np.max(np.abs(rows - refined)) <= 1e-15 * np.max(np.abs(X[0]))
+    verdicts = [offdiag_positive_excess(_bordered(1.0 + float(np.sum(mu)), -mu,
+                                                  -r, X[0])) <= SIGN_TOL
+                for r in (rows, refined)]
+    assert verdicts == [partial_rebirth_potential(u, mu, m).inverse_m_matrix_ok] * 2
+
+
+@pytest.mark.parametrize("draw", SCALE_DRAWS)
+def test_row_sum_r_matches_the_refined_solve_on_scale_diffusions(draw):
+    _assert_row_sums_match_the_refined_solve(*_scale_diffusion(*draw))
+
+
+@pytest.mark.parametrize("kind", ["chain", "positive"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_sum_r_matches_the_refined_solve_on_small_models(kind, n):
+    for seed in range(5):
+        _assert_row_sums_match_the_refined_solve(*_random_model(100 * n + seed,
+                                                                n, kind))
+
+
+def test_rebirth_sim_inverts_only_the_chain(monkeypatch, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": [0, 1, 2], "m": [1.0, 0.8, 1.2],
+                                "generator": three_state().Q.tolist(),
+                                "mu": [0.2, 0.1, 0.3]}))
+    calls = _count_inv(monkeypatch)
+    assert main(["rebirth", "sim", "--model", str(path), "--paths", "200",
+                 "--seed", "3", "--out", str(tmp_path / "lt.csv")]) == 0
+    assert calls == [3]        # the chain's potential; no verdict is read
+
+
+def test_criterion_11_inverts_each_chain_once(monkeypatch):
+    calls = _count_inv(monkeypatch)
+    assert verify.criterion_11().passed
+    assert calls == [2, 3]
+
+
+def test_the_verdict_is_computed_once_on_first_read(monkeypatch):
+    calls, inverse = [], _potential_inverse
+
+    def counting(u):
+        calls.append(len(u))
+        return inverse(u)
+
+    monkeypatch.setattr(rebirth, "_potential_inverse", counting)
+    ext = partial_rebirth_potential(three_state().potential(),
+                                    np.array([0.2, 0.1, 0.3]), np.ones(3))
+    assert calls == []
+    assert ext.inverse_m_matrix_ok and ext.inverse_m_matrix_ok
+    assert calls == [3]
+
+
+def test_the_verdict_reads_the_extension_s_own_model():
+    u = np.array([[2.0, 1.0], [1.0, 2.0]])
+    mu = np.array([0.8, 0.7])
+    ext = partial_rebirth_potential(u, mu, np.ones(2))
+    # whose verdict is False (test_partial_rebirth_flag_is_computed_for_every_mass)
+    u[:] = [[1.0, 2.0], [2.0, 5.0]]
+    mu[:] = 0.0
+    assert ext.inverse_m_matrix_ok
+
+
 def test_a_permuted_min_kernel_inverts_as_the_sorted_tridiagonal(monkeypatch):
     rng = np.random.default_rng(7)
     t = np.cumsum(rng.uniform(0.1, 1.0, 9))
@@ -245,9 +359,11 @@ def test_a_min_kernel_off_by_one_ulp_takes_the_dense_route(monkeypatch):
 
 def test_a_repeated_state_is_singular():
     t = np.array([0.5, 1.0, 1.0, 2.0])
+    # the extension builds; its verdict, read on demand, inverts u
+    ext = partial_rebirth_potential(np.minimum.outer(t, t), np.full(4, 0.1),
+                                    np.ones(4))
     with pytest.raises(np.linalg.LinAlgError):
-        partial_rebirth_potential(np.minimum.outer(t, t), np.full(4, 0.1),
-                                  np.ones(4))
+        ext.inverse_m_matrix_ok
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

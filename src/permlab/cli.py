@@ -47,21 +47,20 @@ _BASE_FIELDS = {
     "exp_decay": ((), ("beta", "C")), "pq": (("p", "q", "beta"), ("interval",)),
     "vpq": (("p", "q", "beta"), ("interval",)), "scale": (("s",), ("hi",)),
 }
-_LEVY_BASES = {"levy": LevyBase, "levy_hit_zero": HitZeroLevyBase,
-               "levy_v": VBetaBase}
-# the kernel of each Levy family with the bound its quadrature reports
-_LEVY_BOUNDS = {"levy": lambda pot, x, y: pot.u_with_error(x - y),
-                "levy_hit_zero": lambda pot, x, y: pot.u0_with_error(x, y),
-                "levy_v": lambda pot, x, y: pot.v_with_error(x, y)}
+# each Levy family's base and its kernel with the bound its quadrature reports
+_LEVY = {"levy": (LevyBase, lambda pot, x, y: pot.u_with_error(x - y)),
+         "levy_hit_zero": (HitZeroLevyBase,
+                           lambda pot, x, y: pot.u0_with_error(x, y)),
+         "levy_v": (VBetaBase, lambda pot, x, y: pot.v_with_error(x, y))}
 
 
 def base_from_spec(spec: dict):
     """Kernel-family dispatcher for the JSON wire format."""
     family, what = wire.kind_of(spec, _BASE_FIELDS, "base", "family")
-    if family in _LEVY_BASES:
+    if family in _LEVY:
         beta = 0.0 if family == "levy_hit_zero" else wire.number(spec, "beta", what)
         pot = LevyPotential(exponent_from_spec(spec["psi"]), beta=beta)
-        return _LEVY_BASES[family](pot)
+        return _LEVY[family][0](pot)
     if family == "stable_hit_zero":
         return StableHitZeroBase(wire.number(spec, "rho", what))
     if family == "exp_decay":
@@ -90,16 +89,10 @@ def _write_lines(path, lines):
 # -- potential ------------------------------------------------------------
 
 def _cmd_potential_eval(args) -> int:
-    rows = ["x,y,value,err_bound"]
     xs = [float(v) for v in args.x]
-    ys = [float(v) for v in args.y] if args.y else [None] * len(xs)
-    if not np.all(np.isfinite(xs + (ys if args.y else []))):
+    ys = [float(v) for v in args.y] if args.y else []
+    if not np.all(np.isfinite(xs + ys)):
         raise ValueError("--x and --y take finite numbers")
-    if len(ys) == 1 and len(xs) > 1:
-        ys = ys * len(xs)
-    if len(ys) != len(xs):
-        raise ValueError(f"--y takes one value or one per --x value; got "
-                         f"{len(ys)} for {len(xs)}")
     if args.family:
         if any(v is not None for v in (args.psi, args.kind, args.beta)):
             raise ValueError("--family takes no --psi, --kind or --beta")
@@ -111,28 +104,31 @@ def _cmd_potential_eval(args) -> int:
             raise ValueError(f"--family {args.family} disagrees with the spec's "
                              f"family {spec['family']!r}")
         base = base_from_spec(spec)
-        with_error = _LEVY_BOUNDS.get(args.family)
-        for x, y in zip(xs, ys):
-            yy = x if y is None else y
-            val, err = (with_error(base.pot, x, yy) if with_error
-                        else (base.kernel(x, yy), 0.0))
-            rows.append(f"{x!r},{yy!r},{val!r},{float(err)!r}")
+        # one y for every x, one per x, or by default y = x
+        ys = ys * len(xs) if len(ys) == 1 else ys or xs
+        if len(ys) != len(xs):
+            raise ValueError(f"--y takes one value or one per --x value; got "
+                             f"{len(ys)} for {len(xs)}")
+        bound = _LEVY[args.family][1] if args.family in _LEVY else None
+        evaluate = (functools.partial(bound, base.pot) if bound
+                    else lambda x, y: (base.kernel(x, y), 0.0))
     else:
         if args.psi is None or args.spec is not None:
             raise ValueError("potential eval needs --psi, or --family with --spec")
-        kind = args.kind or "u"
-        # u and sigma2 take one point, u0 and vbeta two
-        if (kind in ("u0", "vbeta")) != bool(args.y):
-            need = "takes no" if args.y else "needs"
-            raise ValueError(f"--kind {kind} {need} --y")
+        if ys:
+            raise ValueError("--psi takes no --y")
         pot = LevyPotential(exponent_from_spec(_load_json(args.psi)),
                             beta=0.0 if args.beta is None else args.beta)
-        evaluate = {"u": pot.u_with_error, "sigma2": pot.sigma2_with_error,
-                    "u0": pot.u0_with_error, "vbeta": pot.v_with_error}[kind]
-        for x, y in zip(xs, ys):
-            val, err = evaluate(x) if y is None else evaluate(x, y)
-            y_out = "" if y is None else repr(y)
-            rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
+        # u and sigma2 take one point and leave the y column empty
+        with_error = (pot.sigma2_with_error if args.kind == "sigma2"
+                      else pot.u_with_error)
+        ys = [None] * len(xs)
+        evaluate = lambda x, y: with_error(x)
+    rows = ["x,y,value,err_bound"]
+    for x, y in zip(xs, ys):
+        val, err = evaluate(x, y)
+        y_out = "" if y is None else repr(y)
+        rows.append(f"{x!r},{y_out},{val!r},{float(err)!r}")
     _write_lines(args.out, rows)
     return 0
 
@@ -251,8 +247,20 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse as from Python 3.13 on, for this parser and its subparsers:
+    an argument that starts with "-" and a digit, or with "-.", is a value,
+    so "--x -1e-3" and "--grid -.5,0.3,20,0.5" parse on every Python.
+    argparse has no public setting for this; add_subparsers builds each
+    subparser from this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permlab",
         description="kernel, potential, and local-time laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = pot_sub.add_parser("eval")
     p_eval.add_argument("--psi", help="exponent spec JSON path")
     p_eval.add_argument("--beta", type=float, help="with --psi; default 0")
-    p_eval.add_argument("--kind", choices=["u", "sigma2", "u0", "vbeta"],
+    p_eval.add_argument("--kind", choices=["u", "sigma2"],
                         help="with --psi; default u")
     p_eval.add_argument("--family",
                         choices=sorted(_BASE_FIELDS),
                         help="kernel family instead of --psi")
     p_eval.add_argument("--spec", help="family spec JSON path")
     p_eval.add_argument("--x", nargs="+", required=True)
-    p_eval.add_argument("--y", nargs="*", help="not with --kind u or sigma2")
+    p_eval.add_argument("--y", nargs="*", help="with --family; default --x")
     p_eval.add_argument("--out", default="-")
     p_eval.set_defaults(func=_cmd_potential_eval)
 
@@ -323,26 +331,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# a value that argparse from Python 3.13 on reads as a negative number
-_NEGATIVE = re.compile(r"-\.?\d")
-
-
-def _join_grid(argv: list[str]) -> list[str]:
-    """argv with "--grid" and a negative d after it joined by "=": argparse
-    before Python 3.13 takes "-0.5,0.3,20,0.5" for an option."""
-    out = []
-    for arg in argv:
-        if out and out[-1] == "--grid" and _NEGATIVE.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
     parser = _parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_grid(argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, QuadratureError, RoundCapError) as exc:

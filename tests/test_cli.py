@@ -44,18 +44,19 @@ def _stable_u0(index, x, y):
     return 0.5 * c * (x ** (index - 1) + y ** (index - 1) - abs(x - y) ** (index - 1))
 
 
-@pytest.mark.parametrize("kind, beta, psi, x, y, exact", [
-    ("u0", "0", {"kind": "stable", "index": 1.5}, 0.3, 0.8,
+@pytest.mark.parametrize("family, doc, x, y, exact", [
+    ("levy_hit_zero", {"psi": {"kind": "stable", "index": 1.5}}, 0.3, 0.8,
      _stable_u0(1.5, 0.3, 0.8)),
-    ("vbeta", "0.5", {"kind": "gaussian_plus", "C": 0.5, "atoms": []}, 1.0, 2.0,
+    ("levy_v", {"psi": {"kind": "gaussian_plus", "C": 0.5, "atoms": []},
+                "beta": 0.5}, 1.0, 2.0,
      math.exp(-1.0) * -math.expm1(-2.0)),
 ])
 def test_potential_eval_two_point_bound_covers_the_closed_form(
-        tmp_path, kind, beta, psi, x, y, exact):
-    spec, out = tmp_path / "psi.json", tmp_path / "out.csv"
-    spec.write_text(json.dumps(psi))
-    rc = main(["potential", "eval", "--psi", str(spec), "--beta", beta,
-               "--kind", kind, "--x", str(x), "--y", str(y), "--out", str(out)])
+        tmp_path, family, doc, x, y, exact):
+    spec, out = tmp_path / "levy.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps(doc))
+    rc = main(["potential", "eval", "--family", family, "--spec", str(spec),
+               "--x", str(x), "--y", str(y), "--out", str(out)])
     assert rc == 0
     _, _, value, err_bound = out.read_text().strip().splitlines()[1].split(",")
     assert 0.0 < float(err_bound) < 1e-8
@@ -87,14 +88,18 @@ def test_potential_eval_levy_family_reports_its_bounds(tmp_path, family, beta,
         doc["beta"] = beta
     spec, out = tmp_path / "levy.json", tmp_path / "levy.csv"
     spec.write_text(json.dumps(doc))
-    rc = main(["potential", "eval", "--family", family, "--spec", str(spec),
-               "--x", "0.3", "1.2", "--y", "0.8", "--out", str(out)])
-    assert rc == 0
     pot = LevyPotential(exponent_from_spec(psi), beta=beta or 0.0)
-    for row, x in zip(out.read_text().strip().splitlines()[1:], (0.3, 1.2)):
-        value, err = (float(v) for v in row.split(",")[2:])
-        assert (value, err) == bound(pot, x, 0.8)
-        assert 0.0 < err < 1e-8
+    # one y for every x, and without --y the default y = x
+    for y_args, ys in ((["--y", "0.8"], (0.8, 0.8)), ([], (0.3, 1.2))):
+        rc = main(["potential", "eval", "--family", family, "--spec", str(spec),
+                   "--x", "0.3", "1.2", *y_args, "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        for row, x, y in zip(rows, (0.3, 1.2), ys, strict=True):
+            y_out, value, err = (float(v) for v in row.split(",")[1:])
+            assert y_out == y
+            assert (value, err) == bound(pot, x, y)
+            assert 0.0 < err < 1e-8
 
 
 def test_kernel_analyze(tmp_path):
@@ -152,7 +157,8 @@ def test_kernel_analyze_takes_a_negative_d_after_an_equals_sign(tmp_path,
 
 
 def test_kernel_analyze_takes_a_negative_d_after_a_space(tmp_path, capsys):
-    # argparse before Python 3.13 reads "-1.0,..." as an option; main joins it
+    # argparse before Python 3.13 reads "-1.0,..." as an option; the
+    # parser reads it as a value, as from 3.13 on
     argv = _negative_d_argv(tmp_path)
     assert main(argv + ["--grid=-1.0,0.7,20,0.7"]) == 0
     joined = capsys.readouterr().out
@@ -160,6 +166,41 @@ def test_kernel_analyze_takes_a_negative_d_after_a_space(tmp_path, capsys):
     assert capsys.readouterr().out == joined
     assert main(argv + ["--grid", "-.5,0.7,20,0.7"]) == 0
     assert json.loads(capsys.readouterr().out)["m"] == 13
+
+
+KERNEL = ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g"]
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    # u_with_error takes |x|: the value and err_bound columns of x > 0
+    (["potential", "eval", "--psi", "psi", "--beta", "1",
+      "--x", "-1e-05", "-2.5e-1"],
+     ["potential", "eval", "--psi", "psi", "--beta", "1",
+      "--x", "1e-05", "2.5e-1"]),
+    (["potential", "eval", "--family", "exp_decay", "--spec", "base",
+      "--x", "0.5", "--y", "-1e-3"],
+     ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+      "--x", "0.5", "--y=-1e-3"]),
+    (KERNEL + ["--grid", "-1e-1,0.7,20,0.7"],
+     KERNEL + ["--grid=-1e-1,0.7,20,0.7"]),
+    (KERNEL + ["--grid", "-.5,0.7,20,0.7"], KERNEL + ["--grid=-.5,0.7,20,0.7"]),
+])
+def test_a_negative_number_in_scientific_notation_is_a_value(tmp_path, capsys,
+                                                             argv, same_as):
+    # argparse before Python 3.13 takes "-1e-3" for an option and exits 2
+    # with "unrecognized arguments"
+    paths = {}
+    for name, doc in {"psi": STABLE, "base": EXP_DECAY, "f": CONST,
+                      "g": CONST}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    outputs = []
+    for args in (argv, same_as):
+        assert main([str(paths.get(a, a)) for a in args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outputs.append([line.split(",")[2:] if args[0] == "potential" else line
+                        for line in lines])
+    assert outputs[0] == outputs[1]
 
 
 def test_lil_run(tmp_path):
@@ -356,10 +397,14 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
     ["rebirth", "check-ek", "--model", "model", "--paths", "1", "--seed", "1"],
     ["potential", "eval", "--family", "exp_decay", "--x", "0.1"],
     ["potential", "eval", "--x", "0.1"],
-    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1"],
-    ["potential", "eval", "--psi", "psi", "--kind", "vbeta", "--x", "0.1"],
-    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1", "0.2",
-     "--y", "0.1", "0.2", "0.3"],
+    # a negative number in scientific notation is a value: u_with_error
+    # takes |x|, below about 1e-19 beyond the head's budget, and -1e400
+    # rounds to -inf
+    ["potential", "eval", "--psi", "psi", "--beta", "1", "--x", "-1e-20"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--x", "0.1", "--y", "-1e400"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--x", "0.1", "0.2", "--y", "0.1", "0.2", "0.3"],
     ["lil", "run", "--config", "k0"],
     ["lil", "run", "--config", "paths0"],
     ["kernel", "analyze", "--base", "base", "--f", "f", "--g", "g",
@@ -389,8 +434,8 @@ def test_wrong_typed_spec_field_exits_with_usage_error(tmp_path, capsys, docs,
     ["potential", "eval", "--psi", "psi", "--beta", "nan", "--x", "0.1"],
     ["potential", "eval", "--psi", "psi", "--beta", "1", "--x", "nan"],
     ["potential", "eval", "--psi", "psi", "--kind", "sigma2", "--x", "inf"],
-    ["potential", "eval", "--psi", "psi", "--kind", "u0", "--x", "0.1",
-     "--y", "nan"],
+    ["potential", "eval", "--family", "exp_decay", "--spec", "base",
+     "--x", "0.1", "--y", "nan"],
     ["potential", "eval", "--family", "exp_decay", "--spec", "base",
      "--x", "nan"],
     ["potential", "eval", "--family", "exp_decay", "--spec", "base",
